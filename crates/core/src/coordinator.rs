@@ -14,7 +14,6 @@
 //!    published value, the published record is updated and a
 //!    [`ChangeAlert`] is emitted (the operator signal of §4.1).
 
-use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
@@ -24,6 +23,9 @@ use wiscape_simnet::{NetworkId, TransportKind};
 use wiscape_stats::MomentSketch;
 
 use crate::zone::{ZoneId, ZoneIndex};
+
+mod cells;
+use cells::CellTable;
 
 /// Obs handles for the ingest surface (see `OBSERVABILITY.md`). All of
 /// these mirror the coordinator's own typed counters into the shared
@@ -40,6 +42,9 @@ struct IngestMetrics {
     /// High-water marks (commutative `set_max`, parallel-safe).
     zones_tracked: wiscape_obs::Gauge,
     sketch_bytes: wiscape_obs::Gauge,
+    /// Cells keyed outside the zone index: the one cell count only the
+    /// input bounds.
+    out_of_index_cells: wiscape_obs::Gauge,
 }
 
 fn obs_metrics() -> &'static IngestMetrics {
@@ -53,6 +58,7 @@ fn obs_metrics() -> &'static IngestMetrics {
         zone_samples: wiscape_obs::histogram("coordinator/zone_samples", 1.0),
         zones_tracked: wiscape_obs::gauge("coordinator/zones_tracked_max"),
         sketch_bytes: wiscape_obs::gauge("coordinator/sketch_bytes_max"),
+        out_of_index_cells: wiscape_obs::gauge("coordinator/out_of_index_cells_max"),
     })
 }
 
@@ -144,7 +150,7 @@ pub struct ChangeAlert {
 /// Fixed size: the epoch's samples live in a [`MomentSketch`], never a
 /// buffer, so coordinator memory is O(tracked zones) no matter how many
 /// reports stream through (lint rule D005 enforces this).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct ZoneState {
     epoch: SimDuration,
     epoch_start: SimTime,
@@ -165,6 +171,30 @@ impl ZoneState {
             issued_this_epoch: 0,
             published: None,
             quota: None,
+        }
+    }
+
+    fn from_cell(cell: &ZoneCellState) -> Self {
+        Self {
+            epoch: cell.epoch,
+            epoch_start: cell.epoch_start,
+            current: cell.sketch,
+            issued_this_epoch: cell.issued_this_epoch,
+            published: cell.published,
+            quota: cell.quota,
+        }
+    }
+
+    fn to_cell(self, (zone, network): (ZoneId, NetworkId)) -> ZoneCellState {
+        ZoneCellState {
+            zone,
+            network,
+            epoch: self.epoch,
+            epoch_start: self.epoch_start,
+            sketch: self.current,
+            issued_this_epoch: self.issued_this_epoch,
+            published: self.published,
+            quota: self.quota,
         }
     }
 }
@@ -237,7 +267,7 @@ impl IngestSummary {
 pub struct Coordinator {
     config: CoordinatorConfig,
     index: ZoneIndex,
-    state: BTreeMap<(ZoneId, NetworkId), ZoneState>,
+    cells: CellTable,
     alerts: Vec<ChangeAlert>,
     /// Total packets requested from clients (the client-burden meter).
     packets_requested: u64,
@@ -252,8 +282,8 @@ impl Coordinator {
     pub fn new(index: ZoneIndex, config: CoordinatorConfig) -> Self {
         Self {
             config,
+            cells: CellTable::new(&index),
             index,
-            state: BTreeMap::new(),
             alerts: Vec::new(),
             packets_requested: 0,
             malformed_dropped: 0,
@@ -275,17 +305,17 @@ impl Coordinator {
     /// estimate) for all networks in that zone.
     pub fn set_zone_epoch(&mut self, zone: ZoneId, network: NetworkId, epoch: SimDuration) {
         let default_epoch = self.config.default_epoch;
-        let state = self
-            .state
-            .entry((zone, network))
-            .or_insert_with(|| ZoneState::fresh(default_epoch, SimTime::EPOCH));
-        state.epoch = epoch;
+        if let Some(state) = self.cells.cell_or_insert((zone, network), || {
+            ZoneState::fresh(default_epoch, SimTime::EPOCH)
+        }) {
+            state.epoch = epoch;
+        }
     }
 
     /// The epoch currently in force for a zone/network.
     pub fn zone_epoch(&self, zone: ZoneId, network: NetworkId) -> SimDuration {
-        self.state
-            .get(&(zone, network))
+        self.cells
+            .cell((zone, network))
             .map(|s| s.epoch)
             .unwrap_or(self.config.default_epoch)
     }
@@ -294,17 +324,17 @@ impl Coordinator {
     /// tuner, paper §3.4).
     pub fn set_zone_quota(&mut self, zone: ZoneId, network: NetworkId, quota: u32) {
         let default_epoch = self.config.default_epoch;
-        let state = self
-            .state
-            .entry((zone, network))
-            .or_insert_with(|| ZoneState::fresh(default_epoch, SimTime::EPOCH));
-        state.quota = Some(quota.max(1));
+        if let Some(state) = self.cells.cell_or_insert((zone, network), || {
+            ZoneState::fresh(default_epoch, SimTime::EPOCH)
+        }) {
+            state.quota = Some(quota.max(1));
+        }
     }
 
     /// The sample quota currently in force for a zone/network.
     pub fn zone_quota(&self, zone: ZoneId, network: NetworkId) -> u32 {
-        self.state
-            .get(&(zone, network))
+        self.cells
+            .cell((zone, network))
             .and_then(|s| s.quota)
             .unwrap_or(self.config.target_samples_per_epoch)
     }
@@ -333,10 +363,12 @@ impl Coordinator {
         let mut tasks = Vec::new();
         for &network in networks {
             let default_epoch = self.config.default_epoch;
-            let state = self
-                .state
-                .entry((zone, network))
-                .or_insert_with(|| ZoneState::fresh(default_epoch, t));
+            let Some(state) = self
+                .cells
+                .cell_or_insert((zone, network), || ZoneState::fresh(default_epoch, t))
+            else {
+                continue;
+            };
             // Epoch rollover is handled in ingest/finalize; here we only
             // roll the window forward if long past.
             if t - state.epoch_start >= state.epoch {
@@ -491,12 +523,14 @@ impl Coordinator {
             // roll an epoch over).
             return Ok(summary);
         }
-        let key = (zone, network);
         let default_epoch = self.config.default_epoch;
-        let state = self
-            .state
-            .entry(key)
-            .or_insert_with(|| ZoneState::fresh(default_epoch, t));
+        let Some(state) = self
+            .cells
+            .cell_or_insert((zone, network), || ZoneState::fresh(default_epoch, t))
+        else {
+            // Unreachable: the table always finds or stores the cell.
+            return Ok(summary);
+        };
         if t - state.epoch_start >= state.epoch {
             Self::finalize_epoch(
                 &mut self.alerts,
@@ -528,22 +562,26 @@ impl Coordinator {
     /// flush).
     pub fn flush(&mut self, now: SimTime) {
         let threshold = self.config.change_threshold_sigma;
-        for ((zone, network), state) in self.state.iter_mut() {
-            Self::finalize_epoch(&mut self.alerts, threshold, *zone, *network, state, now);
-        }
+        let alerts = &mut self.alerts;
+        self.cells.walk_mut(|(zone, network), state| {
+            Self::finalize_epoch(alerts, threshold, zone, network, state, now);
+        });
         let m = obs_metrics();
-        m.zones_tracked.set_max(self.state.len() as f64);
+        m.zones_tracked.set_max(self.cells.tracked() as f64);
         m.sketch_bytes.set_max(self.sketch_bytes() as f64);
+        m.out_of_index_cells
+            .set_max(self.cells.tracked_out_of_index() as f64);
     }
 
     /// The published estimate for a zone/network, if any.
     pub fn published(&self, zone: ZoneId, network: NetworkId) -> Option<ZoneEstimate> {
-        self.state.get(&(zone, network)).and_then(|s| s.published)
+        self.cells.cell((zone, network)).and_then(|s| s.published)
     }
 
     /// All published estimates.
     pub fn all_published(&self) -> Vec<ZoneEstimate> {
-        let mut out: Vec<ZoneEstimate> = self.state.values().filter_map(|s| s.published).collect();
+        let mut out = Vec::new();
+        self.cells.walk(|_, s| out.extend(s.published));
         out.sort_by_key(|a| (a.zone, a.network));
         out
     }
@@ -572,23 +610,26 @@ impl Coordinator {
     /// The current epoch's moment sketch for a zone/network, if the
     /// coordinator tracks it (monitoring/diagnostics surface).
     pub fn current_sketch(&self, zone: ZoneId, network: NetworkId) -> Option<&MomentSketch> {
-        self.state.get(&(zone, network)).map(|s| &s.current)
+        self.cells.cell((zone, network)).map(|s| &s.current)
     }
 
     /// Number of `(zone, network)` cells the coordinator tracks.
     pub fn zones_tracked(&self) -> usize {
-        self.state.len()
+        self.cells.tracked()
     }
 
-    /// Resident bytes of all per-zone aggregation state. Every cell is
-    /// a fixed-size sketch, so this is exactly
-    /// `zones_tracked() * per_zone_state_bytes()` — proportional to the
-    /// zone count, never the observation count.
+    /// Payload bytes of all per-zone aggregation state: exactly
+    /// `zones_tracked() * per_zone_state_bytes()`, proportional to the
+    /// zone count, never the observation count. This counts cell
+    /// payloads only; the resident footprint adds the cell table's fixed
+    /// 12 B of slots per index zone and the unfilled tail of its last
+    /// storage chunk (DESIGN.md, "Streaming estimation & memory model").
     pub fn sketch_bytes(&self) -> usize {
-        self.state.len() * Self::per_zone_state_bytes()
+        self.cells.tracked() * Self::per_zone_state_bytes()
     }
 
-    /// Fixed per-cell footprint (key plus epoch state).
+    /// Payload of one tracked cell: its key plus its epoch state. Not
+    /// the resident cost of a cell (see [`Coordinator::sketch_bytes`]).
     pub fn per_zone_state_bytes() -> usize {
         std::mem::size_of::<(ZoneId, NetworkId)>() + std::mem::size_of::<ZoneState>()
     }
@@ -605,20 +646,8 @@ impl Coordinator {
     /// come out in sorted key order; the sketches round-trip through
     /// their `raw_parts` surfaces).
     pub fn export_state(&self) -> CoordinatorState {
-        let cells = self
-            .state
-            .iter()
-            .map(|(&(zone, network), s)| ZoneCellState {
-                zone,
-                network,
-                epoch: s.epoch,
-                epoch_start: s.epoch_start,
-                sketch: s.current,
-                issued_this_epoch: s.issued_this_epoch,
-                published: s.published,
-                quota: s.quota,
-            })
-            .collect();
+        let mut cells = Vec::with_capacity(self.cells.tracked());
+        self.cells.walk(|key, s| cells.push(s.to_cell(key)));
         CoordinatorState {
             cells,
             alerts: self.alerts.clone(),
@@ -632,20 +661,8 @@ impl Coordinator {
     /// [`CoordinatorState`] (the WAL recovery path). The index and
     /// config are untouched; see [`Coordinator::export_state`].
     pub fn restore_state(&mut self, state: CoordinatorState) {
-        self.state.clear();
-        for cell in state.cells {
-            self.state.insert(
-                (cell.zone, cell.network),
-                ZoneState {
-                    epoch: cell.epoch,
-                    epoch_start: cell.epoch_start,
-                    current: cell.sketch,
-                    issued_this_epoch: cell.issued_this_epoch,
-                    published: cell.published,
-                    quota: cell.quota,
-                },
-            );
-        }
+        self.cells.untrack_all();
+        self.install_cells(state.cells);
         self.alerts = state.alerts;
         self.packets_requested = state.packets_requested;
         self.malformed_dropped = state.malformed_dropped;
@@ -656,28 +673,15 @@ impl Coordinator {
     /// `lo..=hi`, in sorted `(zone, network)` order — the donor side of
     /// a shard zone-range migration.
     pub fn take_range(&mut self, lo: ZoneId, hi: ZoneId) -> Vec<ZoneCellState> {
-        let keys: Vec<(ZoneId, NetworkId)> = self
-            .state
-            .keys()
-            .filter(|(z, _)| *z >= lo && *z <= hi)
-            .copied()
-            .collect();
-        let mut cells = Vec::with_capacity(keys.len());
-        for key in keys {
-            if let Some(s) = self.state.remove(&key) {
-                cells.push(ZoneCellState {
-                    zone: key.0,
-                    network: key.1,
-                    epoch: s.epoch,
-                    epoch_start: s.epoch_start,
-                    sketch: s.current,
-                    issued_this_epoch: s.issued_this_epoch,
-                    published: s.published,
-                    quota: s.quota,
-                });
+        let mut keys = Vec::new();
+        self.cells.walk(|key, _| {
+            if key.0 >= lo && key.0 <= hi {
+                keys.push(key);
             }
-        }
-        cells
+        });
+        keys.into_iter()
+            .filter_map(|key| Some(self.cells.untrack(key)?.to_cell(key)))
+            .collect()
     }
 
     /// Installs cells produced by [`Coordinator::take_range`] on
@@ -685,17 +689,13 @@ impl Coordinator {
     /// Cells already tracked under the same key are replaced.
     pub fn install_cells(&mut self, cells: Vec<ZoneCellState>) {
         for cell in cells {
-            self.state.insert(
-                (cell.zone, cell.network),
-                ZoneState {
-                    epoch: cell.epoch,
-                    epoch_start: cell.epoch_start,
-                    current: cell.sketch,
-                    issued_this_epoch: cell.issued_this_epoch,
-                    published: cell.published,
-                    quota: cell.quota,
-                },
-            );
+            let state = ZoneState::from_cell(&cell);
+            if let Some(slot) = self
+                .cells
+                .cell_or_insert((cell.zone, cell.network), || state)
+            {
+                *slot = state;
+            }
         }
     }
 }
@@ -1175,8 +1175,8 @@ mod tests {
 
     /// Determinism regression (previously hazardous path): `flush`
     /// iterated a `HashMap`, so alert emission order depended on hash
-    /// iteration order. With `BTreeMap` state the order is the sorted
-    /// `(zone, network)` key order regardless of ingest order.
+    /// iteration order. The cell table walks in sorted `(zone, network)`
+    /// key order regardless of ingest order.
     #[test]
     fn flush_alert_order_is_ingest_order_independent() {
         let run = |order: &[f64]| {

@@ -2,9 +2,11 @@
 # The full local CI gate: formatting, clippy (warnings are errors),
 # wiscape-lint (determinism & soundness rules — local and transitive
 # call-graph proofs; report committed to results/LINT_report.json, call
-# graph to results/CALLGRAPH.json), the test suite, and a perf smoke
-# test of the two guarded hot paths (zero-copy decode, SoA batch
-# evaluation).
+# graph to results/CALLGRAPH.json), the test suite, the pipeline
+# benchmark's own tests (pipebench/ is a separate Cargo workspace, so a
+# library change that breaks its build or its correctness checks fails
+# here), and a perf smoke test of the two guarded hot paths (zero-copy
+# decode, SoA batch evaluation).
 # Set WISCAPE_SKIP_PERF_SMOKE=1 to skip the perf step (e.g. on shared
 # or throttled machines where throughput floors are meaningless).
 #
@@ -29,6 +31,9 @@ cargo test -q
 
 echo "== cargo test --doc"
 cargo test -q --doc --workspace
+
+echo "== pipebench tests (release)"
+cargo test --release --offline -q --manifest-path pipebench/Cargo.toml
 
 if [[ "${WISCAPE_SKIP_PERF_SMOKE:-0}" == "1" ]]; then
     echo "== perf smoke (skipped: WISCAPE_SKIP_PERF_SMOKE=1)"
