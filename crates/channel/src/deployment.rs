@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 
 use wiscape_core::{
     ClientAgent, Coordinator, CoordinatorHandle, DeploymentConfig, DeploymentStats, EpochTuner,
-    HistoryStore, QuotaTuner, RebalanceMove, ShardAssignment,
+    HistoryStore, QuotaTuner,
 };
 use wiscape_geo::GeoPoint;
 use wiscape_mobility::{ClientId, Fleet};
@@ -32,8 +32,7 @@ use wiscape_simnet::{Landscape, NetworkId};
 
 use crate::codec::{decode_ref, encode, CheckinRequest, WireMessage, WireMessageRef};
 use crate::link::{LinkConfig, LinkMeters, LossyLink};
-use crate::server::{ChannelServer, CommitPolicy, ServerEndpoint, ServerMeters};
-use crate::shard::ShardedChannelServer;
+use crate::server::{ChannelServer, CommitPolicy, ServerMeters};
 use crate::uplink::{Uplink, UplinkConfig, UplinkMeters};
 
 /// Configuration of a channel-backed deployment.
@@ -149,17 +148,16 @@ struct ClientState {
 
 /// A running channel-backed deployment.
 ///
-/// Generic over the [`ServerEndpoint`] terminating the wire protocol:
-/// the default is a single-coordinator [`ChannelServer`]; substitute a
-/// [`ShardedChannelServer`] (via [`ChannelDeployment::sharded`]) for
-/// the N-way zone-range topology — the control loop is the same code
-/// either way, which is the sharded-parity argument. See
-/// [`ChannelDeployment::with_coordinator`] for running against a
-/// WAL-backed handle.
-pub struct ChannelDeployment<S: ServerEndpoint = ChannelServer<Coordinator>> {
+/// Generic over the [`CoordinatorHandle`] behind its [`ChannelServer`]:
+/// the default is a plain [`Coordinator`]; see
+/// [`ChannelDeployment::with_coordinator`] for a WAL-backed handle or a
+/// `ShardSet` of zone-range shards. The control loop is the same code
+/// whatever the handle, which is the sharded- and durable-parity
+/// argument.
+pub struct ChannelDeployment<C: CoordinatorHandle = Coordinator> {
     land: Landscape,
     fleet: Fleet,
-    server: S,
+    server: ChannelServer<C>,
     config: ChannelConfig,
     stream: StreamRng,
     clients: BTreeMap<ClientId, ClientState>,
@@ -199,82 +197,12 @@ impl ChannelDeployment {
     }
 }
 
-impl ChannelDeployment<ShardedChannelServer> {
-    /// [`ChannelDeployment::new`] over `shards` zone-range shards (an
-    /// even split of the index), each a plain [`Coordinator`] behind
-    /// its own per-shard server.
-    pub fn sharded(
-        land: Landscape,
-        fleet: Fleet,
-        index: wiscape_core::ZoneIndex,
-        config: ChannelConfig,
-        shards: usize,
-    ) -> Self {
-        let n = shards.max(1);
-        let coordinators = (0..n)
-            .map(|_| Coordinator::new(index.clone(), config.deployment.coordinator.clone()))
-            .collect();
-        let assignment = ShardAssignment::even(&index, n);
-        Self::with_sharded_coordinators(land, fleet, coordinators, assignment, index, config)
-    }
-}
-
-impl<C: CoordinatorHandle> ChannelDeployment<ShardedChannelServer<C>> {
-    /// [`ChannelDeployment::sharded`] over externally built coordinator
-    /// handles (one per shard) and an explicit ownership map — the
-    /// sharded WAL entry point: pass per-shard `DurableCoordinator`s
-    /// and every shard logs its own event stream, including the
-    /// `MigrateOut`/`MigrateIn` records of a rebalance.
-    pub fn with_sharded_coordinators(
-        land: Landscape,
-        fleet: Fleet,
-        coordinators: Vec<C>,
-        assignment: ShardAssignment,
-        index: wiscape_core::ZoneIndex,
-        mut config: ChannelConfig,
-    ) -> Self {
-        if config.deployment.networks.is_empty() {
-            config.deployment.networks = land.networks();
-        }
-        let seed = land.config().seed;
-        let stream = StreamRng::new(seed).fork("deployment");
-        let server = ShardedChannelServer::new(
-            coordinators,
-            assignment,
-            index,
-            config.deployment.coordinator.clone(),
-            config.commit,
-            stream,
-            config.deployment.networks.clone(),
-        );
-        Self::from_parts(land, fleet, server, config)
-    }
-
-    /// Applies a zone-range rebalance on the endpoint mid-run (returns
-    /// migrated cells; 0 for an inapplicable move). Call between
-    /// [`ChannelDeployment::run_until`] segments so the move lands on a
-    /// check-in boundary.
-    pub fn rebalance(&mut self, mv: &RebalanceMove) -> usize {
-        let n = self.server.rebalance(mv);
-        self.server.refresh_merged();
-        n
-    }
-
-    /// Mutable per-shard coordinator handles, in shard order.
-    pub fn shard_handles_mut(&mut self) -> impl Iterator<Item = &mut C> + '_ {
-        self.server.handles_mut()
-    }
-
-    /// The sharded endpoint (assignment, per-shard servers).
-    pub fn sharded_server(&self) -> &ShardedChannelServer<C> {
-        &self.server
-    }
-}
-
-impl<C: CoordinatorHandle> ChannelDeployment<ChannelServer<C>> {
+impl<C: CoordinatorHandle> ChannelDeployment<C> {
     /// [`ChannelDeployment::new`] over an externally built coordinator
-    /// handle — the WAL entry point: pass a `DurableCoordinator` and
-    /// every committed mutation is event-logged before it folds.
+    /// handle. Pass a `DurableCoordinator` and every committed mutation
+    /// is event-logged before it folds; pass a `ShardSet` and the
+    /// zones are split across its shards (one log per shard when its
+    /// handles are durable).
     pub fn with_coordinator(
         land: Landscape,
         fleet: Fleet,
@@ -292,21 +220,6 @@ impl<C: CoordinatorHandle> ChannelDeployment<ChannelServer<C>> {
             stream,
             config.deployment.networks.clone(),
         );
-        Self::from_parts(land, fleet, server, config)
-    }
-
-    /// Mutable access to the coordinator handle behind the server
-    /// (end-of-run WAL inspection, forced snapshots).
-    pub fn handle_mut(&mut self) -> &mut C {
-        self.server.handle_mut()
-    }
-}
-
-impl<S: ServerEndpoint> ChannelDeployment<S> {
-    /// Shared tail of every constructor: wires the fleet's per-client
-    /// channel state around an already-built endpoint.
-    fn from_parts(land: Landscape, fleet: Fleet, server: S, config: ChannelConfig) -> Self {
-        let seed = land.config().seed;
         let channel_stream = StreamRng::new(seed).fork("channel");
         let mut clients = BTreeMap::new();
         for client in fleet.clients() {
@@ -331,7 +244,6 @@ impl<S: ServerEndpoint> ChannelDeployment<S> {
         }
         // The control channel rides the first monitored network.
         let carrier = config.deployment.networks.first().copied();
-        let stream = StreamRng::new(seed).fork("deployment");
         Self {
             land,
             fleet,
@@ -353,8 +265,15 @@ impl<S: ServerEndpoint> ChannelDeployment<S> {
         }
     }
 
+    /// Mutable access to the coordinator handle behind the server
+    /// (mid-run rebalancing of a `ShardSet`, end-of-run WAL inspection,
+    /// forced snapshots).
+    pub fn handle_mut(&mut self) -> &mut C {
+        self.server.handle_mut()
+    }
+
     /// The server endpoint (coordinator + channel meters).
-    pub fn server(&self) -> &S {
+    pub fn server(&self) -> &ChannelServer<C> {
         &self.server
     }
 
@@ -364,7 +283,9 @@ impl<S: ServerEndpoint> ChannelDeployment<S> {
         self.config.deployment.checkin_interval
     }
 
-    /// The wrapped coordinator (and its published map).
+    /// The wrapped coordinator (and its published map). Over a
+    /// `ShardSet` this is the merged state as of the last flush, which
+    /// [`ChannelDeployment::finish`] refreshes.
     pub fn coordinator(&self) -> &Coordinator {
         self.server.coordinator()
     }
@@ -564,15 +485,14 @@ impl<S: ServerEndpoint> ChannelDeployment<S> {
             };
             let micros_bits = u64::from_le_bytes(now.as_micros().to_le_bytes());
             let seed = self.stream.fork("retune").fork_idx(micros_bits).draw_u64();
-            // Routed through the endpoint: a sharded server makes the
-            // owner decision exactly once, at the router (see
-            // `ServerEndpoint::set_zone_quota`).
+            // Through the handle, so a WAL-backed handle logs the update
+            // and a `ShardSet` installs it on the owning shard only.
             if let Some(q) = self.quota_tuner.quota(h, seed) {
-                self.server.set_zone_quota(zone, net, q);
+                self.server.handle_mut().set_zone_quota_tagged(zone, net, q);
                 self.stats.quotas_tuned += 1;
             }
             if let Some(e) = self.epoch_tuner.epoch(h) {
-                self.server.set_zone_epoch(zone, net, e);
+                self.server.handle_mut().set_zone_epoch_tagged(zone, net, e);
                 self.stats.epochs_tuned += 1;
             }
         }
@@ -697,7 +617,7 @@ impl<S: ServerEndpoint> ChannelDeployment<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wiscape_core::{Deployment, DeploymentConfig};
+    use wiscape_core::{Deployment, DeploymentConfig, ShardSet};
     use wiscape_simcore::SimDuration;
     use wiscape_simnet::LandscapeConfig;
 
@@ -819,11 +739,12 @@ mod tests {
         seed: u64,
         config: ChannelConfig,
         n: usize,
-    ) -> ChannelDeployment<ShardedChannelServer> {
+    ) -> ChannelDeployment<ShardSet> {
         let land = Landscape::new(LandscapeConfig::madison(seed));
         let f = fleet(seed, &land);
         let index = wiscape_core::ZoneIndex::around(land.origin(), 6000.0).unwrap();
-        ChannelDeployment::sharded(land, f, index, config, n)
+        let set = ShardSet::new(index, config.deployment.coordinator.clone(), n);
+        ChannelDeployment::with_coordinator(land, f, set, config)
     }
 
     #[test]
@@ -884,10 +805,10 @@ mod tests {
         let mv = wiscape_core::RebalanceMove::seeded(
             7,
             single.coordinator().index(),
-            sharded.sharded_server().assignment(),
+            sharded.handle_mut().assignment(),
         )
         .expect("seeded move exists");
-        let moved = sharded.rebalance(&mv);
+        let moved = sharded.handle_mut().rebalance(&mv);
         assert!(moved > 0, "mid-run rebalance must migrate live cells");
         sharded.run_until(mid, end);
         sharded.finish(end);

@@ -17,7 +17,10 @@
 //!   jitter;
 //! * [`server`] — coordinator-side decode, `(client, seq)` dedup, and
 //!   idempotent ingest, so at-least-once delivery never double-counts a
-//!   sample;
+//!   sample. It drives any `CoordinatorHandle`: a plain coordinator, a
+//!   WAL-backed one, or a [`wiscape_core::ShardSet`] of N zone-range
+//!   shards — the one sharded wire path, with dedup and staging done
+//!   once, above the shards;
 //! * [`deployment`] — a channel-backed deployment harness that
 //!   reproduces [`wiscape_core::Deployment`] bit for bit under
 //!   [`perfect_link`], and degrades gracefully (and reproducibly) under
@@ -64,7 +67,6 @@ pub mod codec;
 pub mod deployment;
 pub mod link;
 pub mod server;
-pub mod shard;
 pub mod uplink;
 
 pub use codec::{
@@ -75,6 +77,5 @@ pub use deployment::{
     lossy_cellular, perfect_link, report_loss, ChannelConfig, ChannelDeployment, ChannelRunMeters,
 };
 pub use link::{Delivery, LinkConfig, LinkMeters, LossyLink};
-pub use server::{ChannelServer, CommitPolicy, ServerEndpoint, ServerMeters};
-pub use shard::ShardedChannelServer;
+pub use server::{ChannelServer, CommitPolicy, ServerMeters};
 pub use uplink::{Uplink, UplinkConfig, UplinkMeters};

@@ -30,18 +30,23 @@
 //! `MomentSketch`es (`wiscape_stats::sketch`) — constant state per
 //! `(zone, network)` cell, so server memory is O(zones) plus the
 //! watermark-bounded staging buffer, never O(reports).
+//!
+//! The sharded topology is this same server over a
+//! [`wiscape_core::ShardSet`] handle: dedup, staging and acks happen
+//! here once, and the set routes each committed operation to the shard
+//! owning its zone.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
 
-use wiscape_core::{Coordinator, CoordinatorHandle, SampleReport, ZoneId};
+use wiscape_core::{Coordinator, CoordinatorHandle, SampleReport};
 use wiscape_mobility::ClientId;
 use wiscape_simcore::{SimDuration, SimTime, StreamRng};
 use wiscape_simnet::NetworkId;
 
 use crate::codec::{
-    encode, encode_ack_one, AckMsg, CheckinRequest, FrameReader, ReportView, TaskAssignment,
-    WireMessage, WireMessageRef,
+    encode, encode_ack_one, CheckinRequest, FrameReader, ReportView, TaskAssignment, WireMessage,
+    WireMessageRef,
 };
 
 /// When deduplicated reports are committed into the coordinator.
@@ -115,40 +120,13 @@ fn server_obs() -> &'static ServerObs {
     })
 }
 
-/// What the deployment loop needs from a server-side endpoint.
-///
-/// [`ChannelServer`] is the single-coordinator implementation;
-/// `ShardedChannelServer` (`crate::shard`) routes the same wire traffic
-/// across N zone-range shards. The deployment is generic over this
-/// trait, so the *control loop* is provably identical in both
-/// topologies — only the endpoint behind `receive` changes.
-///
-/// Quota/epoch updates go through the endpoint (not the coordinator
-/// handle directly) so a sharded endpoint can make the routing decision
-/// exactly once at the router: a zone's tuning lands on the one shard
-/// that owns the zone, never broadcast (a broadcast would materialize
-/// the cell on every shard and corrupt the merged state).
-pub trait ServerEndpoint {
-    /// Handles one received transmission, returning reply frames.
-    fn receive(&mut self, bytes: &[u8], now: SimTime) -> Vec<Vec<u8>>;
-    /// Commits staged reports and finalizes all epochs at `end`.
-    fn drain(&mut self, end: SimTime);
-    /// Aggregated channel meters of the endpoint.
-    fn meters(&self) -> ServerMeters;
-    /// The (merged, for sharded endpoints) coordinator view.
-    fn coordinator(&self) -> &Coordinator;
-    /// Installs a tuned quota on the owning coordinator.
-    fn set_zone_quota(&mut self, zone: ZoneId, network: NetworkId, quota: u32);
-    /// Installs a tuned epoch on the owning coordinator.
-    fn set_zone_epoch(&mut self, zone: ZoneId, network: NetworkId, epoch: SimDuration);
-}
-
 /// The coordinator's channel endpoint.
 ///
 /// Generic over the [`CoordinatorHandle`] it drives: the default is a
 /// plain [`Coordinator`]; `wiscape-wal` substitutes its
 /// `DurableCoordinator` so every committed mutation is appended to an
-/// event log before it folds into sketch state.
+/// event log before it folds into sketch state; a
+/// [`wiscape_core::ShardSet`] of either splits the zones across shards.
 #[derive(Debug, Clone)]
 pub struct ChannelServer<C: CoordinatorHandle = Coordinator> {
     coordinator: C,
@@ -320,38 +298,13 @@ impl<C: CoordinatorHandle> ChannelServer<C> {
             .collect()
     }
 
-    /// Dedups and (per policy) commits one report copy; always returns
-    /// the ack so the client stops retrying regardless of outcome.
-    pub fn handle_report(&mut self, msg: crate::codec::ReportMsg, now: SimTime) -> AckMsg {
-        let client = msg.report.client;
-        let fresh = self.seen.entry(client).or_default().insert(msg.seq);
-        if fresh {
-            match self.policy {
-                CommitPolicy::Immediate => self.commit(&msg.report, msg.seq),
-                CommitPolicy::Watermark(_) => {
-                    self.staged
-                        .insert((msg.report.t, client, msg.seq), msg.report);
-                }
-            }
-        } else {
-            self.meters.duplicates_dropped += 1;
-            server_obs().duplicates_dropped.inc();
-        }
-        if let CommitPolicy::Watermark(settle) = self.policy {
-            self.advance(now, settle);
-        }
-        AckMsg {
-            client,
-            seqs: vec![msg.seq],
-        }
-    }
-
-    /// [`ChannelServer::handle_report`] for a borrowed frame view: same
-    /// dedup and commit policy, but on the immediate path the samples
-    /// fold straight from the wire bytes into the zone sketch — no
-    /// owned `SampleReport`, no `Vec<f64>` (lint rule S004 keeps this
+    /// Dedups and (per policy) commits one report copy from a borrowed
+    /// frame view. On the immediate path the samples fold straight
+    /// from the wire bytes into the zone sketch — no owned
+    /// `SampleReport`, no `Vec<f64>` (lint rule S004 keeps this
     /// function allocation-free). The caller acks separately via
-    /// [`encode_ack_one`].
+    /// [`encode_ack_one`], whatever the outcome, so the client stops
+    /// retrying.
     pub fn handle_report_view(&mut self, view: &ReportView<'_>, now: SimTime) {
         let client = view.client;
         let fresh = self.seen.entry(client).or_default().insert(view.seq);
@@ -453,37 +406,14 @@ impl<C: CoordinatorHandle> ChannelServer<C> {
     }
 }
 
-impl<C: CoordinatorHandle> ServerEndpoint for ChannelServer<C> {
-    fn receive(&mut self, bytes: &[u8], now: SimTime) -> Vec<Vec<u8>> {
-        ChannelServer::receive(self, bytes, now)
-    }
-
-    fn drain(&mut self, end: SimTime) {
-        ChannelServer::drain(self, end)
-    }
-
-    fn meters(&self) -> ServerMeters {
-        self.meters
-    }
-
-    fn coordinator(&self) -> &Coordinator {
-        self.coordinator.as_coordinator()
-    }
-
-    fn set_zone_quota(&mut self, zone: ZoneId, network: NetworkId, quota: u32) {
-        self.coordinator.set_zone_quota_tagged(zone, network, quota);
-    }
-
-    fn set_zone_epoch(&mut self, zone: ZoneId, network: NetworkId, epoch: SimDuration) {
-        self.coordinator.set_zone_epoch_tagged(zone, network, epoch);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::ReportMsg;
-    use wiscape_core::{CoordinatorConfig, MeasurementTask, ZoneIndex};
+    use crate::codec::{decode, AckMsg, ReportMsg};
+    use wiscape_core::{
+        state_fingerprint, CoordinatorConfig, MeasurementTask, RebalanceMove, ShardSet, ZoneId,
+        ZoneIndex,
+    };
     use wiscape_geo::GeoPoint;
     use wiscape_simnet::TransportKind;
 
@@ -491,22 +421,38 @@ mod tests {
         GeoPoint::new(43.0731, -89.4012).unwrap()
     }
 
-    fn server(policy: CommitPolicy) -> ChannelServer {
-        let index = ZoneIndex::around(center(), 5000.0).unwrap();
+    fn index() -> ZoneIndex {
+        ZoneIndex::around(center(), 5000.0).unwrap()
+    }
+
+    fn over<C: CoordinatorHandle>(handle: C, policy: CommitPolicy) -> ChannelServer<C> {
         ChannelServer::new(
-            Coordinator::new(index, CoordinatorConfig::default()),
+            handle,
             policy,
             StreamRng::new(5).fork("deployment"),
             vec![NetworkId::NetB],
         )
     }
 
-    fn report_msg(s: &ChannelServer, seq: u64, t: SimTime, v: f64) -> ReportMsg {
-        let zone = s.coordinator().index().zone_of(&center());
-        ReportMsg {
+    fn server(policy: CommitPolicy) -> ChannelServer {
+        over(
+            Coordinator::new(index(), CoordinatorConfig::default()),
+            policy,
+        )
+    }
+
+    fn sharded(n: usize) -> ChannelServer<ShardSet> {
+        over(
+            ShardSet::new(index(), CoordinatorConfig::default(), n),
+            CommitPolicy::Immediate,
+        )
+    }
+
+    fn report_frame(zone: ZoneId, client: u32, seq: u64, t: SimTime, samples: &[f64]) -> Vec<u8> {
+        encode(&WireMessage::Report(ReportMsg {
             seq,
             report: SampleReport {
-                client: ClientId(1),
+                client: ClientId(client),
                 task: MeasurementTask {
                     zone,
                     network: NetworkId::NetB,
@@ -516,18 +462,37 @@ mod tests {
                 },
                 zone,
                 t,
-                samples: vec![v],
+                samples: samples.to_vec(),
             },
+        }))
+    }
+
+    /// A report frame from client 1 for the zone at the index center.
+    fn home_frame(seq: u64, t: SimTime, samples: &[f64]) -> Vec<u8> {
+        report_frame(index().zone_of(&center()), 1, seq, t, samples)
+    }
+
+    /// Delivers one report frame and returns the sequences its one
+    /// reply acks.
+    fn acked(s: &mut ChannelServer, frame: &[u8], now: SimTime) -> Vec<u64> {
+        let replies = s.receive(frame, now);
+        assert_eq!(replies.len(), 1, "one ack per report frame");
+        match decode(&replies[0]).unwrap() {
+            WireMessage::Ack(ack) => ack.seqs,
+            other => panic!("expected an ack, got {other:?}"),
         }
     }
 
     #[test]
     fn duplicates_never_double_count() {
         let mut s = server(CommitPolicy::Immediate);
-        let msg = report_msg(&s, 0, SimTime::EPOCH, 100.0);
+        let frame = home_frame(0, SimTime::EPOCH, &[100.0]);
         for _ in 0..5 {
-            let ack = s.handle_report(msg.clone(), SimTime::EPOCH);
-            assert_eq!(ack.seqs, vec![0], "every copy is acked");
+            assert_eq!(
+                acked(&mut s, &frame, SimTime::EPOCH),
+                vec![0],
+                "every copy is acked"
+            );
         }
         assert_eq!(s.meters().reports_ingested, 1);
         assert_eq!(s.meters().duplicates_dropped, 4);
@@ -541,12 +506,10 @@ mod tests {
     #[test]
     fn rejected_reports_are_still_acked_and_deduped() {
         let mut s = server(CommitPolicy::Immediate);
-        let mut msg = report_msg(&s, 7, SimTime::EPOCH, 1.0);
-        msg.report.samples.clear(); // empty -> coordinator rejects
-        let ack = s.handle_report(msg.clone(), SimTime::EPOCH);
-        assert_eq!(ack.seqs, vec![7]);
+        let frame = home_frame(7, SimTime::EPOCH, &[]); // empty -> coordinator rejects
+        assert_eq!(acked(&mut s, &frame, SimTime::EPOCH), vec![7]);
         assert_eq!(s.meters().reports_rejected, 1);
-        s.handle_report(msg, SimTime::EPOCH);
+        assert_eq!(acked(&mut s, &frame, SimTime::EPOCH), vec![7]);
         assert_eq!(s.meters().duplicates_dropped, 1);
         assert_eq!(s.meters().reports_rejected, 1, "rejection not repeated");
     }
@@ -557,8 +520,8 @@ mod tests {
             let mut s = server(CommitPolicy::Watermark(SimDuration::from_hours(100)));
             for &seq in arrival_order {
                 let t = SimTime::from_secs(i64::try_from(seq).unwrap() * 60);
-                let msg = report_msg(&s, seq, t, 100.0 + 7.0 * (seq as f64));
-                s.handle_report(msg, t);
+                let frame = home_frame(seq, t, &[100.0 + 7.0 * (seq as f64)]);
+                assert_eq!(acked(&mut s, &frame, t), vec![seq]);
             }
             s.drain(SimTime::from_secs(3600));
             let zone = s.coordinator().index().zone_of(&center());
@@ -568,6 +531,100 @@ mod tests {
         let b = ingest(&[4, 2, 0, 3, 1]);
         assert_eq!(a, b, "published estimate independent of arrival order");
         assert_eq!(a.samples, 5);
+    }
+
+    /// One check-in and report stream over zones spread across the
+    /// whole index, every fourth report frame duplicated, into a single
+    /// server and into the same server over N shards: reply bytes,
+    /// merged state, meters and dedup counts must all match.
+    #[test]
+    fn sharded_receive_matches_single_bitwise() {
+        let idx = index();
+        let zones: Vec<ZoneId> = idx.zones().collect();
+        for n in [1usize, 2, 4] {
+            let mut one = server(CommitPolicy::Immediate);
+            let mut many = sharded(n);
+            for (seq, (i, &zone)) in zones.iter().enumerate().step_by(3).enumerate() {
+                let t = SimTime::from_secs(i64::try_from(i).unwrap() * 30);
+                let client = 1 + (i as u32 % 5);
+                let checkin = encode(&WireMessage::Checkin(CheckinRequest {
+                    client: ClientId(client),
+                    tick: i as u64,
+                    point: idx.center_of(zone),
+                    t,
+                }));
+                let v = 100.0 + 13.0 * (i as f64);
+                let report = report_frame(zone, client, seq as u64, t, &[v]);
+                let copies = if i % 4 == 0 { 2 } else { 1 };
+                for frame in std::iter::once(&checkin).chain(std::iter::repeat_n(&report, copies)) {
+                    assert_eq!(
+                        one.receive(frame, t),
+                        many.receive(frame, t),
+                        "reply frames must match (n={n})"
+                    );
+                }
+            }
+            let end = SimTime::from_secs(100_000);
+            one.drain(end);
+            many.drain(end);
+            assert_eq!(
+                state_fingerprint(&one.coordinator().export_state()),
+                state_fingerprint(&many.coordinator().export_state()),
+                "merged state must be bitwise identical (n={n})"
+            );
+            assert_eq!(one.meters(), many.meters(), "meters (n={n})");
+            assert_eq!(one.unique_seqs(), many.unique_seqs());
+        }
+    }
+
+    /// A quota tuned on a zone that a rebalance then moves lands on
+    /// exactly one shard and migrates with it, and a retry of a report
+    /// sent before the move is still a duplicate after it.
+    #[test]
+    fn quota_routes_to_owner_and_survives_rebalance() {
+        let mut one = server(CommitPolicy::Immediate);
+        let mut many = sharded(2);
+        let mv = RebalanceMove::seeded(33, &index(), many.handle_mut().assignment())
+            .expect("seeded move exists for 2 shards");
+        let zone = mv.lo;
+        assert_eq!(many.handle_mut().assignment().shard_of(zone), mv.from);
+
+        one.handle_mut()
+            .set_zone_quota_tagged(zone, NetworkId::NetB, 77);
+        many.handle_mut()
+            .set_zone_quota_tagged(zone, NetworkId::NetB, 77);
+        let cells: usize = many
+            .handle_mut()
+            .shards()
+            .iter()
+            .map(|c| c.export_state().cells.len())
+            .sum();
+        assert_eq!(cells, 1, "quota must land on exactly one shard");
+
+        let t = SimTime::from_secs(60);
+        let frame = report_frame(zone, 9, 0, t, &[512.0]);
+        one.receive(&frame, t);
+        many.receive(&frame, t);
+
+        assert_eq!(many.handle_mut().rebalance(&mv), 1, "the quota cell moves");
+        assert_eq!(many.handle_mut().assignment().shard_of(zone), mv.to);
+
+        let t2 = SimTime::from_secs(120);
+        let frame2 = report_frame(zone, 9, 1, t2, &[498.0]);
+        one.receive(&frame2, t2);
+        many.receive(&frame2, t2);
+        // Retry of seq 0 after the rebalance: still a duplicate.
+        many.receive(&frame, t2);
+        assert_eq!(many.meters().duplicates_dropped, 1);
+
+        let end = SimTime::from_secs(100_000);
+        one.drain(end);
+        many.drain(end);
+        assert_eq!(
+            state_fingerprint(&one.coordinator().export_state()),
+            state_fingerprint(&many.coordinator().export_state()),
+            "tuned + rebalanced sharded state must match single"
+        );
     }
 
     #[test]
@@ -606,7 +663,7 @@ mod tests {
             }
         }
         assert!(!issued.is_empty(), "some coin under p within 200 ticks");
-        match crate::codec::decode(&issued[0]).unwrap() {
+        match decode(&issued[0]).unwrap() {
             WireMessage::Task(a) => {
                 assert_eq!(a.client, ClientId(2));
                 assert_eq!(a.task.n_packets, 20);

@@ -1,23 +1,36 @@
-//! Sharded multi-coordinator scale-out (ROADMAP item 1).
+//! Sharded multi-coordinator scale-out.
 //!
 //! A single [`Coordinator`] folds every zone of the map; at carrier
 //! scale (millions of reporting handsets) the ingest path must scale
 //! horizontally. This module partitions the zone index into **N
-//! contiguous zone ranges**, runs one coordinator per range, and folds
-//! the per-shard state back together with a deterministic merge tier
-//! whose output is provably **bit-identical** to a single-coordinator
-//! run — the same proof discipline as the channel's `perfect_link()`
-//! and the WAL's snapshot+replay recovery.
+//! contiguous zone ranges**, runs one coordinator handle per range, and
+//! folds the per-shard state back together with a deterministic merge
+//! tier whose output is provably **bit-identical** to a
+//! single-coordinator run — the same proof discipline as the channel's
+//! `perfect_link()` and the WAL's snapshot+replay recovery.
 //!
-//! Why this is sound:
+//! [`ShardSet`] is itself a [`CoordinatorHandle`], so the sharded wire
+//! path is the ordinary channel server over it
+//! (`ChannelServer<ShardSet<C>>` in `wiscape-channel`). Each shard is a
+//! plain [`Coordinator`] or a WAL-backed handle with its own event log.
+//!
+//! Why the merge is bitwise-exact:
 //!
 //! * Every non-flush coordinator operation touches exactly **one**
-//!   `(zone, network)` cell group: a sample report folds into one cell,
-//!   a check-in touches one zone across its networks. Routing each
+//!   zone: a sample report folds into one `(zone, network)` cell, a
+//!   check-in or a quota/epoch install touches one zone. Routing each
 //!   operation to the shard owning its zone therefore preserves the
 //!   per-cell operation subsequence exactly, and each cell's state is a
 //!   pure fold of that subsequence — so every cell ends bit-identical
-//!   to the single-coordinator run.
+//!   to the single-coordinator run. A tuned quota or epoch goes to the
+//!   owner only: a broadcast would materialize the cell on every shard
+//!   and double it in the merge.
+//! * Every decision that is not a fold is made once, above the set, by
+//!   the one server: a `(client, seq)` is deduplicated before it is
+//!   routed (so a retry straddling a rebalance cannot fold twice after
+//!   its zone changed owner), staged reports commit in one global
+//!   `(t, client, seq)` order, and each task coin is drawn once and
+//!   spent on the owning shard.
 //! * The counters are commutative sums, so totals are
 //!   shard-count-invariant.
 //! * Change alerts are chronological. [`AlertMerge`] drains each
@@ -27,10 +40,12 @@
 //!   collected across shards and sorted by `(zone, network)` — the
 //!   precise order a single coordinator's sorted-cell flush emits them.
 //! * Zone-range **rebalancing** moves whole cells between shards via
-//!   [`Coordinator::take_range`] / [`Coordinator::install_cells`]
-//!   (durably: WAL migration records), which does not alter any cell's
-//!   fold, so the merged bytes stay identical across any seeded
-//!   mid-stream move.
+//!   [`CoordinatorHandle::migrate_out_tagged`] /
+//!   [`CoordinatorHandle::migrate_in_tagged`] (durably: WAL migration
+//!   records), which does not alter any cell's fold, so the merged
+//!   bytes stay identical across any seeded mid-stream move. The move
+//!   is checked against the assignment before any cell leaves its
+//!   shard, so an inapplicable move changes nothing.
 //!
 //! The shard/merge code is part of the panic-proved surface (lint rule
 //! P001 roots): no indexing, no `unwrap`, total routing.
@@ -39,18 +54,22 @@ use std::sync::OnceLock;
 
 use wiscape_geo::GeoPoint;
 use wiscape_mobility::ClientId;
-use wiscape_simcore::{exec, SimTime, StreamRng};
+use wiscape_simcore::{exec, SimDuration, SimTime, StreamRng};
 use wiscape_simnet::NetworkId;
 
 use crate::coordinator::{
-    ChangeAlert, Coordinator, CoordinatorConfig, CoordinatorState, IngestError, IngestSummary,
-    MeasurementTask, SampleReport,
+    ChangeAlert, Coordinator, CoordinatorConfig, CoordinatorHandle, CoordinatorState, IngestError,
+    IngestSummary, MeasurementTask, SampleReport, ZoneCellState,
 };
 use crate::zone::{ZoneId, ZoneIndex};
 
-/// Obs handles for the shard tier (see `OBSERVABILITY.md`). All
-/// updates are commutative (counter adds, gauge max), so snapshot
-/// totals stay bitwise identical for any worker count.
+/// Obs counters for the shard tier (see `OBSERVABILITY.md`). All
+/// updates are commutative adds, so snapshot totals stay bitwise
+/// identical for any worker count. Counters only: the routed ingest
+/// path reaches this from the server's alloc-free commit, and only
+/// counter registration is inventoried as alloc-exempt — the
+/// `shard/shards_max` gauge is registered where it is set, in
+/// [`ShardSet::from_handles`].
 struct ShardMetrics {
     checkins_routed: wiscape_obs::Counter,
     reports_routed: wiscape_obs::Counter,
@@ -58,7 +77,6 @@ struct ShardMetrics {
     rebalances: wiscape_obs::Counter,
     cells_migrated: wiscape_obs::Counter,
     merges: wiscape_obs::Counter,
-    shards: wiscape_obs::Gauge,
 }
 
 fn metrics() -> &'static ShardMetrics {
@@ -70,7 +88,6 @@ fn metrics() -> &'static ShardMetrics {
         rebalances: wiscape_obs::counter("shard/rebalances"),
         cells_migrated: wiscape_obs::counter("shard/cells_migrated"),
         merges: wiscape_obs::counter("shard/merges"),
-        shards: wiscape_obs::gauge("shard/shards_max"),
     })
 }
 
@@ -375,19 +392,26 @@ pub fn state_fingerprint(state: &CoordinatorState) -> String {
     out
 }
 
-/// N coordinators over one zone index, with routed operations, a
-/// batched parallel ingest path, seeded rebalancing, and the
+/// N coordinator handles over one zone index, with routed operations,
+/// a batched parallel ingest path, seeded rebalancing, and the
 /// deterministic merge back to single-coordinator state.
+///
+/// As a [`CoordinatorHandle`] it routes every tagged call to the shard
+/// owning the call's zone. [`CoordinatorHandle::as_coordinator`] serves
+/// a merged view that each [`CoordinatorHandle::flush_tagged`]
+/// refreshes: the merged state as of the last flush, or an empty
+/// coordinator over the shared index before the first. The view costs
+/// one coordinator slot table, 4 B per index zone and network.
 #[derive(Debug, Clone)]
-pub struct ShardSet {
-    shards: Vec<Coordinator>,
+pub struct ShardSet<C: CoordinatorHandle = Coordinator> {
+    shards: Vec<C>,
     assignment: ShardAssignment,
     merge: AlertMerge,
     index: ZoneIndex,
-    config: CoordinatorConfig,
+    merged: Coordinator,
 }
 
-impl ShardSet {
+impl ShardSet<Coordinator> {
     /// `shards` coordinators over `index` with an even contiguous
     /// zone-range assignment.
     pub fn new(index: ZoneIndex, config: CoordinatorConfig, shards: usize) -> Self {
@@ -403,77 +427,10 @@ impl ShardSet {
         shards: usize,
         assignment: ShardAssignment,
     ) -> Self {
-        let n = shards.max(1);
-        metrics().shards.set_max(n as f64);
-        let fleet = (0..n)
+        let fleet = (0..shards.max(1))
             .map(|_| Coordinator::new(index.clone(), config.clone()))
             .collect();
-        Self {
-            shards: fleet,
-            assignment,
-            merge: AlertMerge::new(n),
-            index,
-            config,
-        }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The current zone-range assignment.
-    pub fn assignment(&self) -> &ShardAssignment {
-        &self.assignment
-    }
-
-    /// The shared zone index.
-    pub fn index(&self) -> &ZoneIndex {
-        &self.index
-    }
-
-    /// The per-shard coordinators.
-    pub fn shards(&self) -> &[Coordinator] {
-        &self.shards
-    }
-
-    /// Routes a client check-in to the shard owning the client's zone.
-    /// The coin is drawn once by the caller and spent on exactly one
-    /// shard, so quota pacing decisions are made once no matter how
-    /// zones are partitioned.
-    pub fn checkin(
-        &mut self,
-        client: ClientId,
-        point: &GeoPoint,
-        t: SimTime,
-        networks: &[NetworkId],
-        coin: f64,
-    ) -> Vec<MeasurementTask> {
-        let zone = self.index.zone_of(point);
-        let shard = self.assignment.shard_of(zone);
-        metrics().checkins_routed.inc();
-        match self.shards.get_mut(shard) {
-            Some(c) => {
-                let tasks = c.client_checkin(client, point, t, networks, coin);
-                self.merge.note(shard, c.alerts());
-                tasks
-            }
-            None => Vec::new(),
-        }
-    }
-
-    /// Routes a sample report to the shard owning its zone.
-    pub fn ingest_report(&mut self, report: &SampleReport) -> Result<IngestSummary, IngestError> {
-        let shard = self.assignment.shard_of(report.zone);
-        metrics().reports_routed.inc();
-        match self.shards.get_mut(shard) {
-            Some(c) => {
-                let out = c.ingest_report(report);
-                self.merge.note(shard, c.alerts());
-                out
-            }
-            None => Err(IngestError::UnknownZone(report.zone)),
-        }
+        Self::from_handles(fleet, assignment, index, config)
     }
 
     /// Batched parallel ingest: reports are bucketed by owning shard
@@ -508,30 +465,96 @@ impl ShardSet {
         }
         self.shards = work.into_iter().map(|(c, _)| c).collect();
     }
+}
+
+impl<C: CoordinatorHandle> ShardSet<C> {
+    /// A set over externally built handles, one per shard in shard
+    /// order, owning the zone ranges of `assignment` — the durable
+    /// entry point: pass one WAL-backed handle per shard and each logs
+    /// its own event stream, rebalance migrations included. `config`
+    /// is the handles' coordinator configuration (for the merged view).
+    pub fn from_handles(
+        handles: Vec<C>,
+        assignment: ShardAssignment,
+        index: ZoneIndex,
+        config: CoordinatorConfig,
+    ) -> Self {
+        let n = handles.len();
+        wiscape_obs::gauge("shard/shards_max").set_max(n as f64);
+        Self {
+            shards: handles,
+            assignment,
+            merge: AlertMerge::new(n),
+            merged: Coordinator::new(index.clone(), config),
+            index,
+        }
+    }
+
+    /// Number of shards.
+    pub fn shard_count(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// The current zone-range assignment.
+    pub fn assignment(&self) -> &ShardAssignment {
+        &self.assignment
+    }
+
+    /// The shared zone index.
+    pub fn index(&self) -> &ZoneIndex {
+        &self.index
+    }
+
+    /// The per-shard handles, in shard order.
+    pub fn shards(&self) -> &[C] {
+        &self.shards
+    }
+
+    /// Mutable per-shard handles, in shard order (end-of-run WAL
+    /// shutdown and meters).
+    pub fn shards_mut(&mut self) -> std::slice::IterMut<'_, C> {
+        self.shards.iter_mut()
+    }
 
     /// Flushes every shard at `now` and merges the flush alerts in
-    /// canonical sorted order.
+    /// canonical sorted order. Unlike
+    /// [`CoordinatorHandle::flush_tagged`], leaves the merged view
+    /// as it was; read [`ShardSet::merged_state`] instead.
     pub fn flush(&mut self, now: SimTime) {
         for c in self.shards.iter_mut() {
-            c.flush(now);
+            c.flush_tagged(now);
         }
-        let logs: Vec<&[ChangeAlert]> = self.shards.iter().map(|c| c.alerts()).collect();
+        let logs: Vec<&[ChangeAlert]> = self
+            .shards
+            .iter()
+            .map(|c| c.as_coordinator().alerts())
+            .collect();
         self.merge.note_flush(&logs);
     }
 
     /// Moves the cells of `mv`'s zone range from shard `mv.from` to
     /// `mv.to` and slides the range boundary. Returns the number of
-    /// cells migrated.
+    /// cells migrated. The move is checked against the assignment
+    /// before any cell leaves its shard, so an inapplicable move is a
+    /// no-op that returns 0.
+    ///
+    /// With WAL-backed handles this logs a `MigrateOut` on the source
+    /// and a `MigrateIn` on the destination, so both logs replay to the
+    /// post-migration ownership.
     pub fn rebalance(&mut self, mv: &RebalanceMove) -> usize {
+        let mut next = self.assignment.clone();
+        if mv.to >= self.shards.len() || !next.apply(mv) {
+            return 0;
+        }
         let cells = match self.shards.get_mut(mv.from) {
-            Some(c) => c.take_range(mv.lo, mv.hi),
+            Some(c) => c.migrate_out_tagged(mv.lo, mv.hi),
             None => return 0,
         };
         let n = cells.len();
         if let Some(c) = self.shards.get_mut(mv.to) {
-            c.install_cells(cells);
+            c.migrate_in_tagged(cells);
         }
-        self.assignment.apply(mv);
+        self.assignment = next;
         metrics().rebalances.inc();
         metrics().cells_migrated.add(n as u64);
         n
@@ -541,18 +564,110 @@ impl ShardSet {
     /// coordinator fed the same operation stream would export.
     pub fn merged_state(&self) -> CoordinatorState {
         merge_states(
-            self.shards.iter().map(|c| c.export_state()),
+            self.shards
+                .iter()
+                .map(|c| c.as_coordinator().export_state()),
             self.merge.merged().to_vec(),
         )
     }
 
-    /// A single coordinator holding the merged state (for artifact
-    /// emission through the unchanged single-coordinator reporting
-    /// paths).
-    pub fn merged(&self) -> Coordinator {
-        let mut c = Coordinator::new(self.index.clone(), self.config.clone());
-        c.restore_state(self.merged_state());
-        c
+    /// Runs `op` on the shard owning `zone`, then notes that shard's
+    /// new alerts; `None` when the owner does not exist.
+    fn on_owner<R>(&mut self, zone: ZoneId, op: impl FnOnce(&mut C) -> R) -> Option<R> {
+        let shard = self.assignment.shard_of(zone);
+        let c = self.shards.get_mut(shard)?;
+        let out = op(c);
+        self.merge.note(shard, c.as_coordinator().alerts());
+        Some(out)
+    }
+}
+
+impl<C: CoordinatorHandle> CoordinatorHandle for ShardSet<C> {
+    /// The merged view as of the last flush (see [`ShardSet`]).
+    fn as_coordinator(&self) -> &Coordinator {
+        &self.merged
+    }
+
+    /// Routed to the shard owning the check-in point's zone. The coin
+    /// is drawn once by the caller and spent on exactly one shard, so
+    /// quota pacing decisions are made once however zones are
+    /// partitioned.
+    fn checkin_tagged(
+        &mut self,
+        client: ClientId,
+        point: &GeoPoint,
+        t: SimTime,
+        networks: &[NetworkId],
+        coin: f64,
+    ) -> Vec<MeasurementTask> {
+        metrics().checkins_routed.inc();
+        let zone = self.index.zone_of(point);
+        self.on_owner(zone, |c| c.checkin_tagged(client, point, t, networks, coin))
+            .unwrap_or_default()
+    }
+
+    fn ingest_samples_tagged<I>(
+        &mut self,
+        client: ClientId,
+        seq: u64,
+        zone: ZoneId,
+        network: NetworkId,
+        t: SimTime,
+        samples: I,
+    ) -> Result<IngestSummary, IngestError>
+    where
+        I: Iterator<Item = f64> + ExactSizeIterator + Clone,
+    {
+        metrics().reports_routed.inc();
+        self.on_owner(zone, |c| {
+            c.ingest_samples_tagged(client, seq, zone, network, t, samples)
+        })
+        .unwrap_or(Err(IngestError::UnknownZone(zone)))
+    }
+
+    /// Installed on the owning shard only, so exactly one cell
+    /// materializes.
+    fn set_zone_quota_tagged(&mut self, zone: ZoneId, network: NetworkId, quota: u32) {
+        self.on_owner(zone, |c| c.set_zone_quota_tagged(zone, network, quota));
+    }
+
+    /// Installed on the owning shard only (see `set_zone_quota_tagged`).
+    fn set_zone_epoch_tagged(&mut self, zone: ZoneId, network: NetworkId, epoch: SimDuration) {
+        self.on_owner(zone, |c| c.set_zone_epoch_tagged(zone, network, epoch));
+    }
+
+    /// Flushes every shard, then refreshes the merged view.
+    fn flush_tagged(&mut self, now: SimTime) {
+        self.flush(now);
+        self.merged.restore_state(self.merged_state());
+    }
+
+    /// Takes the range's cells from every shard, in `(zone, network)`
+    /// order.
+    fn migrate_out_tagged(&mut self, lo: ZoneId, hi: ZoneId) -> Vec<ZoneCellState> {
+        let mut cells: Vec<ZoneCellState> = self
+            .shards
+            .iter_mut()
+            .flat_map(|c| c.migrate_out_tagged(lo, hi))
+            .collect();
+        cells.sort_by_key(|c| (c.zone, c.network));
+        cells
+    }
+
+    /// Installs each cell on the shard owning its zone.
+    fn migrate_in_tagged(&mut self, cells: Vec<ZoneCellState>) {
+        let mut per_shard: Vec<Vec<ZoneCellState>> =
+            self.shards.iter().map(|_| Vec::new()).collect();
+        for cell in cells {
+            if let Some(bucket) = per_shard.get_mut(self.assignment.shard_of(cell.zone)) {
+                bucket.push(cell);
+            }
+        }
+        for (c, bucket) in self.shards.iter_mut().zip(per_shard) {
+            if !bucket.is_empty() {
+                c.migrate_in_tagged(bucket);
+            }
+        }
     }
 }
 
@@ -585,7 +700,6 @@ pub fn shard_run_config() -> Option<&'static ShardRunConfig> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coordinator::MeasurementTask;
     use wiscape_simnet::TransportKind;
 
     fn center() -> GeoPoint {
@@ -610,6 +724,18 @@ mod tests {
             t,
             samples: values.to_vec(),
         }
+    }
+
+    /// Commits `r` through the handle surface, as the channel server does.
+    fn ingest(h: &mut impl CoordinatorHandle, r: &SampleReport) {
+        let _ = h.ingest_samples_tagged(
+            r.client,
+            0,
+            r.zone,
+            r.task.network,
+            r.t,
+            r.samples.iter().copied(),
+        );
     }
 
     #[test]
@@ -702,11 +828,9 @@ mod tests {
             for op in &ops {
                 match op {
                     Op::Checkin(id, p, t, coin) => {
-                        let _ = s.checkin(*id, p, *t, &nets, *coin);
+                        let _ = s.checkin_tagged(*id, p, *t, &nets, *coin);
                     }
-                    Op::Ingest(r) => {
-                        let _ = s.ingest_report(r);
-                    }
+                    Op::Ingest(r) => ingest(&mut s, r),
                 }
             }
             s.flush(SimTime::from_secs(4 * 3600));
@@ -728,11 +852,10 @@ mod tests {
                 let p = center().destination((k % 360) as f64, 150.0 + (k % 23) as f64 * 150.0);
                 let zone = idx.zone_of(&p);
                 let base = 50.0 + (k % 11) as f64 * 30.0;
-                let _ = s.ingest_report(&report(
-                    zone,
-                    SimTime::from_secs(k * 20),
-                    &[base, base + 2.0],
-                ));
+                ingest(
+                    &mut s,
+                    &report(zone, SimTime::from_secs(k * 20), &[base, base + 2.0]),
+                );
             }
             s.flush(SimTime::from_secs(3 * 3600));
             state_fingerprint(&s.merged_state())
@@ -760,11 +883,10 @@ mod tests {
                 let p = center().destination((k % 360) as f64, 150.0 + (k % 23) as f64 * 150.0);
                 let zone = idx.zone_of(&p);
                 let base = 50.0 + (k % 11) as f64 * 30.0;
-                let _ = s.ingest_report(&report(
-                    zone,
-                    SimTime::from_secs(k * 40),
-                    &[base, base + 2.0],
-                ));
+                ingest(
+                    &mut s,
+                    &report(zone, SimTime::from_secs(k * 40), &[base, base + 2.0]),
+                );
             }
             s.flush(SimTime::from_secs(6 * 3600));
             state_fingerprint(&s.merged_state())
@@ -791,7 +913,7 @@ mod tests {
             .collect();
         let mut routed = ShardSet::new(idx.clone(), cfg.clone(), 4);
         for r in &reports {
-            let _ = routed.ingest_report(r);
+            ingest(&mut routed, r);
         }
         routed.flush(SimTime::from_secs(3600 * 2));
         let mut batched = ShardSet::new(idx.clone(), cfg.clone(), 4);
@@ -804,18 +926,94 @@ mod tests {
     }
 
     #[test]
-    fn merged_coordinator_round_trips() {
+    fn merged_view_is_the_state_as_of_the_last_flush() {
         let idx = index();
         let mut s = ShardSet::new(idx.clone(), CoordinatorConfig::default(), 2);
         let zone = idx.zone_of(&center());
-        let _ = s.ingest_report(&report(zone, SimTime::from_secs(0), &[100.0, 110.0]));
-        s.flush(SimTime::from_secs(3600));
-        let merged = s.merged();
+        ingest(
+            &mut s,
+            &report(zone, SimTime::from_secs(0), &[100.0, 110.0]),
+        );
+        assert_eq!(s.as_coordinator().zones_tracked(), 0, "no flush yet");
+        s.flush_tagged(SimTime::from_secs(3600));
         assert_eq!(
-            state_fingerprint(&merged.export_state()),
+            state_fingerprint(&s.as_coordinator().export_state()),
             state_fingerprint(&s.merged_state()),
         );
-        assert_eq!(merged.zones_tracked(), 1);
+        assert_eq!(s.as_coordinator().zones_tracked(), 1);
+    }
+
+    /// As a handle, the set migrates a zone range exactly as one
+    /// coordinator would: the same cells out, and back in on their
+    /// owners.
+    #[test]
+    fn set_migrations_match_a_single_coordinator() {
+        let idx = index();
+        let cfg = CoordinatorConfig::default();
+        let mut single = Coordinator::new(idx.clone(), cfg.clone());
+        let mut s = ShardSet::new(idx.clone(), cfg, 3);
+        for k in 0i64..200 {
+            let p = center().destination((k % 360) as f64, 150.0 + (k % 23) as f64 * 150.0);
+            let r = report(
+                idx.zone_of(&p),
+                SimTime::from_secs(k * 20),
+                &[60.0 + k as f64],
+            );
+            ingest(&mut single, &r);
+            ingest(&mut s, &r);
+        }
+        let mut zones: Vec<ZoneId> = idx.zones().collect();
+        zones.sort_unstable();
+        let (lo, hi) = (zones[zones.len() / 4], zones[zones.len() * 3 / 4]);
+        let out = s.migrate_out_tagged(lo, hi);
+        assert!(!out.is_empty());
+        assert_eq!(out, single.take_range(lo, hi));
+        s.migrate_in_tagged(out.clone());
+        single.install_cells(out);
+        s.flush(SimTime::from_secs(3 * 3600));
+        single.flush(SimTime::from_secs(3 * 3600));
+        assert_eq!(
+            state_fingerprint(&s.merged_state()),
+            state_fingerprint(&single.export_state()),
+        );
+    }
+
+    /// A move whose `from`/`to` do not own adjacent ranges at `lo` must
+    /// leave every cell where it is: moving the cells anyway while the
+    /// assignment stays put routes the next report for the zone to the
+    /// old owner, which then tracks a second cell for the same key.
+    #[test]
+    fn inapplicable_rebalance_is_a_no_op() {
+        let idx = index();
+        let cfg = CoordinatorConfig::default();
+        let zone = idx.zones().min().expect("index has zones");
+        let first = report(zone, SimTime::from_secs(0), &[100.0, 110.0]);
+        let second = report(zone, SimTime::from_secs(60), &[104.0]);
+        let end = SimTime::from_secs(3600);
+
+        let mut single = Coordinator::new(idx.clone(), cfg.clone());
+        ingest(&mut single, &first);
+        ingest(&mut single, &second);
+        single.flush(end);
+
+        let mut s = ShardSet::new(idx.clone(), cfg, 3);
+        assert_eq!(s.assignment().shard_of(zone), 0);
+        ingest(&mut s, &first);
+        let before = s.assignment().clone();
+        let mv = RebalanceMove {
+            from: 0,
+            to: 2,
+            lo: zone,
+            hi: zone,
+        };
+        assert_eq!(s.rebalance(&mv), 0);
+        assert_eq!(s.assignment(), &before);
+        ingest(&mut s, &second);
+        s.flush(end);
+        assert_eq!(
+            state_fingerprint(&s.merged_state()),
+            state_fingerprint(&single.export_state()),
+        );
     }
 
     #[test]

@@ -20,8 +20,10 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
-use wiscape_channel::{report_loss, ChannelDeployment, ServerEndpoint, ShardedChannelServer};
-use wiscape_core::{CoordinatorHandle, RebalanceMove, ShardAssignment, ZoneEstimate, ZoneIndex};
+use wiscape_channel::{report_loss, ChannelDeployment};
+use wiscape_core::{
+    CoordinatorHandle, RebalanceMove, ShardAssignment, ShardSet, ZoneEstimate, ZoneIndex,
+};
 use wiscape_mobility::Fleet;
 use wiscape_simcore::{SimDuration, SimTime};
 use wiscape_simnet::{Landscape, LandscapeConfig};
@@ -79,7 +81,23 @@ struct RunOutcome {
     abandoned: u64,
 }
 
-fn harvest<S: ServerEndpoint>(d: &ChannelDeployment<S>) -> RunOutcome {
+/// Runs `d` over `[start, end)` in two segments split on the check-in
+/// boundary nearest the midpoint, applying `mid_run` to the coordinator
+/// handle between them (a split run draws the same task coins as an
+/// unsplit one), and harvests the outcome.
+fn drive<C: CoordinatorHandle>(
+    d: &mut ChannelDeployment<C>,
+    start: SimTime,
+    end: SimTime,
+    mid_run: impl FnOnce(&mut C),
+) -> RunOutcome {
+    let interval = d.checkin_interval();
+    let rounds = (end - start).as_micros() / interval.as_micros().max(1);
+    let mid = start + interval * (rounds / 2);
+    d.run_until(start, mid);
+    mid_run(d.handle_mut());
+    d.run_until(mid, end);
+    d.finish(end);
     let m = d.meters();
     RunOutcome {
         published: d.coordinator().all_published(),
@@ -89,31 +107,21 @@ fn harvest<S: ServerEndpoint>(d: &ChannelDeployment<S>) -> RunOutcome {
     }
 }
 
-/// Drives a sharded deployment over the window, applying the seeded
-/// mid-stream rebalance (on a check-in boundary) when configured.
-fn run_sharded_segments<C: CoordinatorHandle>(
-    d: &mut ChannelDeployment<ShardedChannelServer<C>>,
-    start: SimTime,
-    end: SimTime,
-    rebalance_seed: Option<u64>,
-) {
-    let Some(seed) = rebalance_seed else {
-        d.run(start, end);
-        return;
-    };
-    let interval = d.checkin_interval();
-    let rounds = (end - start).as_micros() / interval.as_micros().max(1);
-    let mid = start + interval * (rounds / 2);
-    d.run_until(start, mid);
-    if let Some(mv) = RebalanceMove::seeded(
-        seed,
-        d.coordinator().index(),
-        d.sharded_server().assignment(),
-    ) {
-        d.rebalance(&mv);
+/// The seeded mid-stream zone-range rebalance, when configured.
+fn rebalance<C: CoordinatorHandle>(set: &mut ShardSet<C>, seed: Option<u64>) {
+    if let Some(mv) = seed.and_then(|s| RebalanceMove::seeded(s, set.index(), set.assignment())) {
+        set.rebalance(&mv);
     }
-    d.run_until(mid, end);
-    d.finish(end);
+}
+
+/// Shuts a WAL down and checks that its recovery matched the live run.
+fn close_wal(wal: &mut wiscape_wal::DurableCoordinator) {
+    wal.shutdown().expect("wal shutdown");
+    assert_eq!(
+        wal.wal_meters().recovery_mismatches,
+        0,
+        "WAL recovery diverged from the live coordinator"
+    );
 }
 
 fn run_one(seed: u64, clients: usize, hours: f64, loss: f64, max_attempts: u32) -> RunOutcome {
@@ -127,7 +135,9 @@ fn run_one(seed: u64, clients: usize, hours: f64, loss: f64, max_attempts: u32) 
     config.uplink.max_attempts = max_attempts;
     let start = SimTime::at(1, 7.0);
     let end = start + SimDuration::from_secs_f64(hours * 3600.0);
+    let coordinator = config.deployment.coordinator.clone();
     let shard_cfg = wiscape_core::shard_run_config();
+    let rebalance_seed = shard_cfg.and_then(|sc| sc.rebalance_seed);
     // With `--wal` the coordinator runs event-sourced: every commit is
     // appended to a per-run log (and, with a crash seed, the run is
     // killed and recovered mid-flight). With `--shards` the deployment
@@ -139,78 +149,43 @@ fn run_one(seed: u64, clients: usize, hours: f64, loss: f64, max_attempts: u32) 
         let sub = wal.dir.join(format!(
             "fig15_s{seed}_c{clients}_l{loss_permille}_a{max_attempts}"
         ));
-        let opts_for = |i: u64| {
+        let open = |dir: &std::path::Path, i: u64| {
             let plan = match wal.crash_seed {
                 Some(s) => wiscape_wal::CrashPlan::seeded(s.wrapping_add(i), 500),
                 None => wiscape_wal::CrashPlan::none(),
             };
-            wiscape_wal::WalOptions {
+            let opts = wiscape_wal::WalOptions {
                 snapshot_every: wal.snapshot_every,
                 plan,
                 ..wiscape_wal::WalOptions::default()
-            }
+            };
+            wiscape_wal::DurableCoordinator::create(dir, index.clone(), coordinator.clone(), opts)
+                .expect("wal directory writable")
         };
         if let Some(sc) = shard_cfg {
             let shards = sc.shards.max(1);
-            let coordinators: Vec<wiscape_wal::DurableCoordinator> = (0..shards)
-                .map(|i| {
-                    wiscape_wal::DurableCoordinator::create(
-                        &sub.join(format!("shard-{i}")),
-                        index.clone(),
-                        config.deployment.coordinator.clone(),
-                        opts_for(i as u64),
-                    )
-                    .expect("wal directory writable")
-                })
+            let handles = (0..shards)
+                .map(|i| open(&sub.join(format!("shard-{i}")), i as u64))
                 .collect();
             let assignment = ShardAssignment::even(&index, shards);
-            let mut d = ChannelDeployment::with_sharded_coordinators(
-                land,
-                fleet,
-                coordinators,
-                assignment,
-                index,
-                config,
-            );
-            run_sharded_segments(&mut d, start, end, sc.rebalance_seed);
-            let out = harvest(&d);
-            for wal_handle in d.shard_handles_mut() {
-                wal_handle.shutdown().expect("wal shutdown");
-                assert_eq!(
-                    wal_handle.wal_meters().recovery_mismatches,
-                    0,
-                    "WAL recovery diverged from the live coordinator"
-                );
-            }
+            let set = ShardSet::from_handles(handles, assignment, index, coordinator);
+            let mut d = ChannelDeployment::with_coordinator(land, fleet, set, config);
+            let out = drive(&mut d, start, end, |set| rebalance(set, rebalance_seed));
+            d.handle_mut().shards_mut().for_each(close_wal);
             return out;
         }
-        let coordinator = wiscape_wal::DurableCoordinator::create(
-            &sub,
-            index,
-            config.deployment.coordinator.clone(),
-            opts_for(0),
-        )
-        .expect("wal directory writable");
-        let mut d = ChannelDeployment::with_coordinator(land, fleet, coordinator, config);
-        d.run(start, end);
-        let out = harvest(&d);
-        let wal_handle = d.handle_mut();
-        wal_handle.shutdown().expect("wal shutdown");
-        assert_eq!(
-            wal_handle.wal_meters().recovery_mismatches,
-            0,
-            "WAL recovery diverged from the live coordinator"
-        );
+        let mut d = ChannelDeployment::with_coordinator(land, fleet, open(&sub, 0), config);
+        let out = drive(&mut d, start, end, |_| {});
+        close_wal(d.handle_mut());
         return out;
     }
     if let Some(sc) = shard_cfg {
-        let mut d = ChannelDeployment::sharded(land, fleet, index, config, sc.shards.max(1));
-        run_sharded_segments(&mut d, start, end, sc.rebalance_seed);
-        return harvest(&d);
+        let set = ShardSet::new(index, coordinator, sc.shards.max(1));
+        let mut d = ChannelDeployment::with_coordinator(land, fleet, set, config);
+        return drive(&mut d, start, end, |set| rebalance(set, rebalance_seed));
     }
     let mut d = ChannelDeployment::new(land, fleet, index, config);
-    d.run(start, end);
-    harvest(&d)
+    drive(&mut d, start, end, |_| {})
 }
 
 /// Mean absolute relative error (%) and missing-pair count vs `base`.

@@ -1232,7 +1232,7 @@ pub const ALLOW_BUDGET: usize = 18;
 /// Builds the interprocedural-analysis configuration for the real
 /// workspace: P001 roots are the ingest/decode surface (coordinator,
 /// agent, channel server, the whole wire codec, the shard router /
-/// merge surface on both layers, and the WAL recovery surface), A001
+/// merge surface, and the WAL recovery surface), A001
 /// roots are the declared S004 alloc-free hot functions, T001 roots
 /// are every deterministic-crate file, and the taint sources are the
 /// wall-clock quarantine surfaces (`bench`, `obs::timing`). `files` is
@@ -1284,7 +1284,6 @@ pub fn workspace_graph_config(files: &[(String, String)]) -> graph::GraphConfig 
         graph::FnSpec::file("crates/core/src/agent.rs"),
         graph::FnSpec::file("crates/core/src/shard.rs"),
         graph::FnSpec::file("crates/channel/src/server.rs"),
-        graph::FnSpec::file("crates/channel/src/shard.rs"),
         graph::FnSpec::file("crates/channel/src/codec.rs"),
         graph::FnSpec::file("crates/region/src/quadtree.rs"),
         graph::FnSpec::file("crates/region/src/hotspot.rs"),

@@ -2,7 +2,8 @@
 # The full local CI gate: formatting, clippy (warnings are errors),
 # wiscape-lint (determinism & soundness rules — local and transitive
 # call-graph proofs; report committed to results/LINT_report.json, call
-# graph to results/CALLGRAPH.json), the test suite, the pipeline
+# graph written to results/CALLGRAPH.json, which is git-ignored and
+# uploaded as a CI artifact instead), the test suite, the pipeline
 # benchmark's own tests (pipebench/ is a separate Cargo workspace, so a
 # library change that breaks its build or its correctness checks fails
 # here), and a perf smoke test of the two guarded hot paths (zero-copy

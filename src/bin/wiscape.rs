@@ -14,8 +14,8 @@
 //!   --recover DIR     skip the simulation entirely: rebuild the coordinator
 //!                     from the WAL under DIR (snapshot + replay) and dump
 //!                     the zone map it had published
-//!   --shards N        shard the coordinator into N zone ranges behind a
-//!                     deterministic router; the map is byte-identical to
+//!   --shards N        shard the coordinator into N zone ranges behind the
+//!                     one channel server; the map is byte-identical to
 //!                     the single-coordinator run for any N. With --wal,
 //!                     each shard logs under DIR/shard-<i>.
 //!   --rebalance-seed S with --shards: apply a seeded zone-range rebalance
@@ -31,9 +31,10 @@
 //! wiscape quality [--seed N] [--lat L --lon L] [--hour H]   ground-truth link quality lookup
 //! ```
 
-use wiscape::core::CoordinatorHandle;
+use wiscape::core::{CoordinatorHandle, RebalanceMove, ShardAssignment, ShardSet};
 use wiscape::datasets::{save_csv, short_segment, spot, standalone, wirover};
 use wiscape::prelude::*;
+use wiscape::wal::DurableCoordinator;
 
 struct Args {
     flags: std::collections::BTreeMap<String, String>,
@@ -119,7 +120,7 @@ fn cmd_map(args: &Args) {
     // Telemetry comes from the shared obs registry: on for --obs (to
     // dump a snapshot) and for lossy runs (to print the channel/ingest
     // meters below).
-    let obs_path = args.str_flag("obs").map(|s| s.to_string());
+    let obs_path = args.str_flag("obs");
     if obs_path.is_some() || loss > 0.0 {
         wiscape::obs::set_enabled(true);
     }
@@ -145,7 +146,7 @@ fn cmd_map(args: &Args) {
             "recovered: snapshot at {} records, {} replayed, {} torn bytes truncated, {} records",
             report.snapshot_records, report.replayed, report.torn_bytes, report.records
         );
-        emit_map(args, recovered.coordinator_ref(), obs_path.as_deref());
+        emit_map(args, recovered.coordinator_ref(), obs_path);
         return;
     }
     let mut fleet = Fleet::new(seed);
@@ -176,140 +177,73 @@ fn cmd_map(args: &Args) {
         plan: crash_plan_for(i),
         ..wiscape::wal::WalOptions::default()
     };
-    if let Some(dir) = args.str_flag("wal") {
-        if shards > 1 {
+    let coordinator = config.deployment.coordinator.clone();
+    let open_wal = |dir: &std::path::Path, i: usize| {
+        DurableCoordinator::create(dir, index.clone(), coordinator.clone(), wal_opts_for(i))
+            .unwrap_or_else(|e| die(&format!("wal {}: {e}", dir.display())))
+    };
+    match (args.str_flag("wal"), shards > 1) {
+        (None, false) => {
+            let mut deployment = ChannelDeployment::new(land, fleet, index, config);
+            drive_map(&mut deployment, loss, start, window, |_| {});
+            emit_map(args, deployment.coordinator(), obs_path);
+        }
+        (None, true) => {
+            let set = ShardSet::new(index, coordinator, shards);
+            let mut deployment = ChannelDeployment::with_coordinator(land, fleet, set, config);
+            drive_map(&mut deployment, loss, start, window, |set| {
+                rebalance(set, rebalance_seed)
+            });
+            emit_map(args, deployment.coordinator(), obs_path);
+        }
+        (Some(dir), false) => {
+            let wal = open_wal(std::path::Path::new(dir), 0);
+            let mut deployment = ChannelDeployment::with_coordinator(land, fleet, wal, config);
+            drive_map(&mut deployment, loss, start, window, |_| {});
+            close_wals(std::iter::once(deployment.handle_mut()), "");
+            emit_map(args, deployment.coordinator(), obs_path);
+        }
+        (Some(dir), true) => {
             // Sharded + durable: each shard logs its own event stream
             // (including MigrateOut/MigrateIn on a rebalance) under
             // DIR/shard-<i> and recovers independently.
-            let coordinators: Vec<wiscape::wal::DurableCoordinator> = (0..shards)
-                .map(|i| {
-                    let sub = std::path::Path::new(dir).join(format!("shard-{i}"));
-                    wiscape::wal::DurableCoordinator::create(
-                        &sub,
-                        index.clone(),
-                        config.deployment.coordinator.clone(),
-                        wal_opts_for(i),
-                    )
-                    .unwrap_or_else(|e| die(&format!("wal {}: {e}", sub.display())))
-                })
+            let handles = (0..shards)
+                .map(|i| open_wal(&std::path::Path::new(dir).join(format!("shard-{i}")), i))
                 .collect();
-            let assignment = wiscape::core::ShardAssignment::even(&index, shards);
-            let mut deployment = ChannelDeployment::with_sharded_coordinators(
-                land,
-                fleet,
-                coordinators,
-                assignment,
-                index,
-                config,
-            );
-            drive_map_sharded(&mut deployment, loss, start, window, rebalance_seed);
-            let mut totals = (0u64, 0u64, 0u64, 0u64);
-            for wal in deployment.shard_handles_mut() {
-                wal.shutdown()
-                    .unwrap_or_else(|e| die(&format!("wal shutdown: {e}")));
-                let m = wal.wal_meters();
-                if m.recovery_mismatches != 0 {
-                    die("wal recovery diverged from the live run");
-                }
-                totals.0 += m.records;
-                totals.1 += m.bytes_appended;
-                totals.2 += m.snapshots;
-                totals.3 += m.recoveries;
-            }
-            eprintln!(
-                "wal: {} records, {} bytes, {} snapshots, {} recoveries ({shards} shards)",
-                totals.0, totals.1, totals.2, totals.3
-            );
-            emit_map(args, deployment.coordinator(), obs_path.as_deref());
-            return;
+            let assignment = ShardAssignment::even(&index, shards);
+            let set = ShardSet::from_handles(handles, assignment, index, coordinator);
+            let mut deployment = ChannelDeployment::with_coordinator(land, fleet, set, config);
+            drive_map(&mut deployment, loss, start, window, |set| {
+                rebalance(set, rebalance_seed)
+            });
+            let suffix = format!(" ({shards} shards)");
+            close_wals(deployment.handle_mut().shards_mut(), &suffix);
+            emit_map(args, deployment.coordinator(), obs_path);
         }
-        let coordinator = wiscape::wal::DurableCoordinator::create(
-            std::path::Path::new(dir),
-            index,
-            config.deployment.coordinator.clone(),
-            wal_opts_for(0),
-        )
-        .unwrap_or_else(|e| die(&format!("wal {dir}: {e}")));
-        let mut deployment = ChannelDeployment::with_coordinator(land, fleet, coordinator, config);
-        drive_map(&mut deployment, loss, start, window);
-        let wal = deployment.handle_mut();
-        wal.shutdown()
-            .unwrap_or_else(|e| die(&format!("wal shutdown: {e}")));
-        let m = wal.wal_meters();
-        if m.recovery_mismatches != 0 {
-            die("wal recovery diverged from the live run");
-        }
-        eprintln!(
-            "wal: {} records, {} bytes, {} snapshots, {} recoveries",
-            m.records, m.bytes_appended, m.snapshots, m.recoveries
-        );
-        emit_map(args, deployment.coordinator(), obs_path.as_deref());
-    } else if shards > 1 {
-        let mut deployment = ChannelDeployment::sharded(land, fleet, index, config, shards);
-        drive_map_sharded(&mut deployment, loss, start, window, rebalance_seed);
-        emit_map(args, deployment.coordinator(), obs_path.as_deref());
-    } else {
-        let mut deployment = ChannelDeployment::new(land, fleet, index, config);
-        drive_map(&mut deployment, loss, start, window);
-        emit_map(args, deployment.coordinator(), obs_path.as_deref());
     }
 }
 
-/// Runs a sharded deployment, applying the seeded midpoint rebalance
-/// when requested (the midpoint lands on a check-in boundary so the
-/// split run draws the same task coins as an unsplit one).
-fn drive_map_sharded<C: CoordinatorHandle>(
-    deployment: &mut ChannelDeployment<ShardedChannelServer<C>>,
+/// Runs the deployment over the window in two segments split on the
+/// check-in boundary nearest the midpoint, applying `mid_run` to the
+/// coordinator handle between them (a split run draws the same task
+/// coins as an unsplit one), then prints the run's meters.
+fn drive_map<C: CoordinatorHandle>(
+    deployment: &mut ChannelDeployment<C>,
     loss: f64,
     start: SimTime,
     window: SimDuration,
-    rebalance_seed: Option<u64>,
+    mid_run: impl FnOnce(&mut C),
 ) {
     let end = start + window;
-    match rebalance_seed {
-        None => deployment.run(start, end),
-        Some(seed) => {
-            let interval = deployment.checkin_interval();
-            let rounds = window.as_micros() / interval.as_micros().max(1);
-            let mid = start + interval * (rounds / 2);
-            deployment.run_until(start, mid);
-            let mv = wiscape::core::RebalanceMove::seeded(
-                seed,
-                deployment.coordinator().index(),
-                deployment.sharded_server().assignment(),
-            );
-            match mv {
-                Some(mv) => {
-                    let moved = deployment.rebalance(&mv);
-                    eprintln!(
-                        "rebalance: moved {moved} cells from shard {} to shard {}",
-                        mv.from, mv.to
-                    );
-                }
-                None => eprintln!("rebalance: no applicable move (single range?)"),
-            }
-            deployment.run_until(mid, end);
-            deployment.finish(end);
-        }
-    }
+    let interval = deployment.checkin_interval();
+    let rounds = window.as_micros() / interval.as_micros().max(1);
+    let mid = start + interval * (rounds / 2);
+    deployment.run_until(start, mid);
+    mid_run(deployment.handle_mut());
+    deployment.run_until(mid, end);
+    deployment.finish(end);
     wiscape::obs::span("map/sim_window")
         .record_micros(u64::try_from(window.as_micros()).unwrap_or(0));
-    report_map_stats(deployment, loss);
-}
-
-fn drive_map<S: ServerEndpoint>(
-    deployment: &mut ChannelDeployment<S>,
-    loss: f64,
-    start: SimTime,
-    window: SimDuration,
-) {
-    deployment.run(start, start + window);
-    wiscape::obs::span("map/sim_window")
-        .record_micros(u64::try_from(window.as_micros()).unwrap_or(0));
-    report_map_stats(deployment, loss);
-}
-
-fn report_map_stats<S: ServerEndpoint>(deployment: &mut ChannelDeployment<S>, loss: f64) {
     let stats = deployment.stats();
     eprintln!(
         "deployment: {} checkins, {} tasks, {} packets requested",
@@ -335,6 +269,43 @@ fn report_map_stats<S: ServerEndpoint>(deployment: &mut ChannelDeployment<S>, lo
             wiscape::obs::counter("coordinator/malformed_dropped").get()
         );
     }
+}
+
+/// `--rebalance-seed`: the seeded zone-range move, applied mid-run.
+fn rebalance<C: CoordinatorHandle>(set: &mut ShardSet<C>, seed: Option<u64>) {
+    let Some(seed) = seed else { return };
+    match RebalanceMove::seeded(seed, set.index(), set.assignment()) {
+        Some(mv) => {
+            let moved = set.rebalance(&mv);
+            eprintln!(
+                "rebalance: moved {moved} cells from shard {} to shard {}",
+                mv.from, mv.to
+            );
+        }
+        None => eprintln!("rebalance: no applicable move (single range?)"),
+    }
+}
+
+/// Shuts every WAL down, dies if a recovery diverged from the live
+/// run, and prints the WAL meters summed over them.
+fn close_wals<'a>(wals: impl Iterator<Item = &'a mut DurableCoordinator>, suffix: &str) {
+    let mut totals = (0u64, 0u64, 0u64, 0u64);
+    for wal in wals {
+        wal.shutdown()
+            .unwrap_or_else(|e| die(&format!("wal shutdown: {e}")));
+        let m = wal.wal_meters();
+        if m.recovery_mismatches != 0 {
+            die("wal recovery diverged from the live run");
+        }
+        totals.0 += m.records;
+        totals.1 += m.bytes_appended;
+        totals.2 += m.snapshots;
+        totals.3 += m.recoveries;
+    }
+    eprintln!(
+        "wal: {} records, {} bytes, {} snapshots, {} recoveries{suffix}",
+        totals.0, totals.1, totals.2, totals.3
+    );
 }
 
 fn emit_map(args: &Args, coordinator: &Coordinator, obs_path: Option<&str>) {

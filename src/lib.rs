@@ -76,7 +76,6 @@ pub mod prelude {
     pub use wiscape_apps::{MarScheduler, SelectionPolicy, ZoneQualityMap};
     pub use wiscape_channel::{
         lossy_cellular, perfect_link, report_loss, ChannelConfig, ChannelDeployment,
-        ServerEndpoint, ShardedChannelServer,
     };
     pub use wiscape_core::{
         Better, ChangeAlert, ClientAgent, Coordinator, CoordinatorConfig, Deployment,
