@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use wiscape_channel::codec::{
-    crc32, decode, decode_all, decode_ref, encode, FrameReader, ReportMsg, WireMessage,
+    crc32, decode, decode_ref, encode, FrameReader, ReportMsg, WireMessage,
 };
 use wiscape_channel::{LinkConfig, LossyLink};
 use wiscape_core::{MeasurementTask, SampleReport, ZoneId};
@@ -54,9 +54,6 @@ fn codec_benches(c: &mut Criterion) {
     });
 
     let stream: Vec<u8> = (0..16).flat_map(|_| encode(&msg)).collect();
-    c.bench_function("codec_decode_stream_16_frames", |b| {
-        b.iter(|| decode_all(black_box(&stream)).unwrap())
-    });
     c.bench_function("codec_stream_16_frames_reader", |b| {
         b.iter(|| {
             let mut n = 0usize;

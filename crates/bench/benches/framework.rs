@@ -4,7 +4,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use wiscape_bench::bench_landscape;
-use wiscape_core::{Deployment, DeploymentConfig, ZoneIndex};
+use wiscape_channel::{perfect_link, ChannelDeployment};
+use wiscape_core::ZoneIndex;
 use wiscape_datasets::{standalone, wirover};
 use wiscape_mobility::Fleet;
 use wiscape_simcore::{SimDuration, SimTime};
@@ -57,15 +58,9 @@ fn deployment_benches(c: &mut Criterion) {
             let mut fleet = Fleet::new(1);
             fleet.add_transit_buses(3, land.origin(), 5000.0, 8);
             let index = ZoneIndex::around(land.origin(), 6000.0).unwrap();
-            let mut d = Deployment::new(
-                land,
-                fleet,
-                index,
-                DeploymentConfig {
-                    checkin_interval: SimDuration::from_secs(120),
-                    ..Default::default()
-                },
-            );
+            let mut config = perfect_link();
+            config.deployment.checkin_interval = SimDuration::from_secs(120);
+            let mut d = ChannelDeployment::new(land, fleet, index, config);
             d.run(SimTime::at(1, 8.0), SimTime::at(1, 11.0));
             black_box(d.stats())
         })

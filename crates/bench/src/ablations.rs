@@ -250,7 +250,7 @@ pub struct ThresholdRow {
 /// game-day shift earlier but alert on ordinary drift; higher thresholds
 /// sleep through real events.
 pub fn change_threshold(seed: u64) -> Vec<ThresholdRow> {
-    use wiscape_core::{Deployment, DeploymentConfig};
+    use wiscape_channel::{perfect_link, ChannelDeployment};
     let stadium = wiscape_simnet::config::stadium_location();
     let mut rows = Vec::new();
     for sigma in [1.0, 2.0, 4.0, 8.0] {
@@ -260,12 +260,10 @@ pub fn change_threshold(seed: u64) -> Vec<ThresholdRow> {
             fleet.add_static_spot(stadium);
             let index = ZoneIndex::around(land.origin(), 7000.0).expect("valid");
             let zone = index.zone_of(&stadium);
-            let mut config = DeploymentConfig {
-                checkin_interval: SimDuration::from_secs(45),
-                ..Default::default()
-            };
-            config.coordinator.change_threshold_sigma = sigma;
-            let mut d = Deployment::new(land, fleet, index, config);
+            let mut config = perfect_link();
+            config.deployment.checkin_interval = SimDuration::from_secs(45);
+            config.deployment.coordinator.change_threshold_sigma = sigma;
+            let mut d = ChannelDeployment::new(land, fleet, index, config);
             d.run(SimTime::at(day, 8.0), SimTime::at(day, 16.0));
             d.coordinator()
                 .alerts()

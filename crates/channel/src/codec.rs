@@ -871,22 +871,11 @@ pub fn decode_ref(bytes: &[u8]) -> Result<WireMessageRef<'_>, DecodeError> {
     Ok(msg)
 }
 
-/// Decodes one frame from the start of `bytes`, returning the owned
-/// message and the number of bytes consumed. Delegates to
-/// [`decode_prefix_ref`], so values and errors are identical by
-/// construction.
-pub fn decode_prefix(bytes: &[u8]) -> Result<(WireMessage, usize), DecodeError> {
-    let (msg, used) = decode_prefix_ref(bytes)?;
-    Ok((msg.to_message(), used))
-}
-
-/// Decodes exactly one frame; trailing bytes are an error.
+/// Decodes exactly one frame into an owned message; trailing bytes are
+/// an error. Materializes [`decode_ref`]'s views, so values and errors
+/// are identical by construction.
 pub fn decode(bytes: &[u8]) -> Result<WireMessage, DecodeError> {
-    let (msg, used) = decode_prefix(bytes)?;
-    if used != bytes.len() {
-        return Err(DecodeError::TrailingBytes(bytes.len() - used));
-    }
-    Ok(msg)
+    decode_ref(bytes).map(|m| m.to_message())
 }
 
 /// Streaming decoder over a batched transmission (concatenated frames).
@@ -936,43 +925,6 @@ impl<'a> Iterator for FrameReader<'a> {
     fn next(&mut self) -> Option<Self::Item> {
         self.next_frame()
     }
-}
-
-/// Structural pre-scan: counts frames by walking headers and claimed
-/// lengths only (no CRC, no body decode), so `decode_all` can size its
-/// output exactly. On malformed input the count up to the damage is
-/// returned — the real decode reports the error. Bounded by the
-/// smallest possible frame (8 bytes) as a sanity cap.
-fn scan_frame_count(bytes: &[u8]) -> usize {
-    let mut n = 0usize;
-    let mut r = Reader::new(bytes);
-    while r.remaining() > 0 {
-        // magic (2) + version (1); contents checked by the real decode.
-        if r.take(3).is_err() {
-            break;
-        }
-        let Ok(len) = r.varint() else { break };
-        let Ok(len) = usize::try_from(len) else {
-            break;
-        };
-        if r.take(len).is_err() || r.take(4).is_err() {
-            break;
-        }
-        n += 1;
-    }
-    n.min(bytes.len() / 8)
-}
-
-/// Decodes a stream of concatenated frames (a batched transmission)
-/// into owned messages. The output is pre-sized from a structural
-/// pre-scan, so a well-formed batch costs exactly one allocation here.
-pub fn decode_all(bytes: &[u8]) -> Result<Vec<WireMessage>, DecodeError> {
-    let mut out = Vec::with_capacity(scan_frame_count(bytes));
-    let mut frames = FrameReader::new(bytes);
-    while let Some(item) = frames.next_frame() {
-        out.push(item?.to_message());
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -1124,7 +1076,10 @@ mod tests {
             seqs: vec![6, 7],
         }));
         let stream: Vec<u8> = a.iter().chain(&b).copied().collect();
-        let msgs = decode_all(&stream).unwrap();
+        let msgs: Vec<WireMessage> = FrameReader::new(&stream)
+            .map(|m| m.map(|m| m.to_message()))
+            .collect::<Result<_, _>>()
+            .unwrap();
         assert_eq!(msgs.len(), 2);
         assert!(decode(&stream).is_err(), "strict decode rejects trailing");
     }
@@ -1227,23 +1182,6 @@ mod tests {
         assert!(matches!(reader.next_frame(), Some(Ok(_))));
         assert!(matches!(reader.next_frame(), Some(Err(_))));
         assert!(reader.next_frame().is_none());
-    }
-
-    #[test]
-    fn decode_all_presize_scan_counts_frames() {
-        let a = encode(&sample_report(1));
-        let b = encode(&sample_report(2));
-        let c = encode(&WireMessage::Ack(AckMsg {
-            client: ClientId(3),
-            seqs: vec![9],
-        }));
-        let stream: Vec<u8> = a.iter().chain(&b).chain(&c).copied().collect();
-        assert_eq!(scan_frame_count(&stream), 3);
-        assert_eq!(decode_all(&stream).unwrap().len(), 3);
-        // Truncated tails stop the scan without lying about counts.
-        assert!(scan_frame_count(&stream[..stream.len() - 3]) <= 3);
-        assert_eq!(scan_frame_count(&[]), 0);
-        assert_eq!(scan_frame_count(&[0xFF; 5]), 0);
     }
 
     #[test]

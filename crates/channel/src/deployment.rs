@@ -1,39 +1,97 @@
-//! A WiScape deployment whose control loop runs over the wire protocol.
+//! The WiScape deployment loop (paper §3.4), run over the wire protocol.
 //!
-//! [`ChannelDeployment`] replays the exact control loop of
-//! [`wiscape_core::Deployment`] — same rounds, same fleet order, same
-//! RNG fork paths — but every coordinator interaction crosses the
-//! simulated control channel: check-ins and reports are encoded,
-//! framed, and sent over a per-client [`LossyLink`]; task assignments
-//! and acks come back the same way; reports ride the reliable
-//! [`Uplink`] queue.
+//! [`ChannelDeployment`] wires the full control loop over simulated
+//! time:
 //!
-//! **Parity invariant**: with [`perfect_link`] the transport is a
+//! 1. mobile clients (a [`Fleet`]) periodically check in with their
+//!    coarse position;
+//! 2. the coordinator probabilistically issues measurement tasks so
+//!    each zone collects its per-epoch sample quota;
+//! 3. each client's [`ClientAgent`] executes its tasks against the
+//!    simulated landscape and reports per-packet samples tagged with the
+//!    GPS-precise zone;
+//! 4. the coordinator aggregates, finalizes epochs, and emits
+//!    [`wiscape_core::ChangeAlert`]s on 2σ shifts.
+//!
+//! Every coordinator interaction crosses the simulated control channel,
+//! as a client-assisted tool's results cross the network it measures:
+//! check-ins and reports are encoded, framed, and sent over a per-client
+//! [`LossyLink`]; task assignments and acks come back the same way;
+//! reports ride the reliable [`Uplink`] queue.
+//!
+//! **Perfect-link invariant**: with [`perfect_link`] the transport is a
 //! direct function call (zero loss, zero delay, no channel RNG draws),
-//! the server derives each task coin from the same
-//! `fork("coin").fork_idx(round).fork_idx(client)` path the direct
-//! deployment uses, and reports are committed on arrival — so the
-//! published map, alerts, and stats are bitwise-identical to
-//! [`wiscape_core::Deployment`] for the same inputs. Channel
-//! randomness (link fates, backoff jitter) lives under separate
-//! `fork("channel")` paths and therefore cannot perturb the
-//! measurement stream even when enabled.
+//! the server derives each task coin from the
+//! `fork("coin").fork_idx(round).fork_idx(client)` path, and reports are
+//! committed on arrival — so the published map, alerts, and stats are
+//! bitwise-identical to a loop of plain coordinator calls that folds
+//! each report as soon as its task runs (the test module keeps that loop
+//! as the reference). Channel randomness (link fates, backoff jitter)
+//! lives under separate `fork("channel")` paths and therefore cannot
+//! perturb the measurement stream even when enabled.
 
 use std::collections::BTreeMap;
 
 use wiscape_core::{
-    ClientAgent, Coordinator, CoordinatorHandle, DeploymentConfig, DeploymentStats, EpochTuner,
-    HistoryStore, QuotaTuner,
+    ClientAgent, Coordinator, CoordinatorConfig, CoordinatorHandle, EpochTuner, HistoryStore,
+    QuotaTuner,
 };
 use wiscape_geo::GeoPoint;
 use wiscape_mobility::{ClientId, Fleet};
-use wiscape_simcore::{SimTime, StreamRng};
+use wiscape_simcore::{SimDuration, SimTime, StreamRng};
 use wiscape_simnet::{Landscape, NetworkId};
 
 use crate::codec::{decode_ref, encode, CheckinRequest, WireMessage, WireMessageRef};
 use crate::link::{LinkConfig, LinkMeters, LossyLink};
 use crate::server::{ChannelServer, CommitPolicy, ServerMeters};
 use crate::uplink::{Uplink, UplinkConfig, UplinkMeters};
+
+/// Configuration of a deployment run.
+#[derive(Debug, Clone)]
+pub struct DeploymentConfig {
+    /// Coordinator tuning.
+    pub coordinator: CoordinatorConfig,
+    /// How often each client checks in.
+    pub checkin_interval: SimDuration,
+    /// Which networks to monitor (defaults to all present).
+    pub networks: Vec<NetworkId>,
+    /// Enable closed-loop tuning (paper §3.4): per-zone sample quotas
+    /// from the NKLD analysis and per-zone epochs from the Allan
+    /// deviation, re-estimated every `retune_interval`.
+    pub auto_tune: bool,
+    /// How often the tuners re-run over accumulated history.
+    pub retune_interval: SimDuration,
+}
+
+impl Default for DeploymentConfig {
+    fn default() -> Self {
+        Self {
+            coordinator: CoordinatorConfig::default(),
+            checkin_interval: SimDuration::from_secs(60),
+            networks: Vec::new(),
+            auto_tune: false,
+            retune_interval: SimDuration::from_hours(6),
+        }
+    }
+}
+
+/// Outcome counters of a deployment run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DeploymentStats {
+    /// Client check-ins sent (under [`perfect_link`] every one is also
+    /// processed).
+    pub checkins: u64,
+    /// Measurement tasks issued.
+    pub tasks_issued: u64,
+    /// Reports successfully ingested.
+    pub reports: u64,
+    /// Probe packets clients were asked to send (the client burden).
+    pub packets_requested: u64,
+    /// Zones whose sample quota has been NKLD-tuned.
+    pub quotas_tuned: u64,
+    /// Zones whose epoch has been Allan-tuned.
+    pub epochs_tuned: u64,
+}
 
 /// Configuration of a channel-backed deployment.
 #[derive(Debug, Clone)]
@@ -58,9 +116,9 @@ pub struct ChannelConfig {
     pub max_drain_rounds: u32,
 }
 
-/// The parity configuration: perfect links in both directions and
-/// immediate commit. Running a deployment with this config reproduces
-/// [`wiscape_core::Deployment`] bit for bit.
+/// The perfect-link configuration: perfect links in every direction and
+/// immediate commit, so the channel adds no loss, delay or randomness
+/// and a run is the plain control loop (see the module docs).
 pub fn perfect_link() -> ChannelConfig {
     ChannelConfig {
         deployment: DeploymentConfig::default(),
@@ -88,7 +146,7 @@ pub fn report_loss(drop_rate: f64) -> ChannelConfig {
             ..LinkConfig::perfect()
         },
         uplink: UplinkConfig::default(),
-        commit: CommitPolicy::Watermark(wiscape_simcore::SimDuration::from_hours(24 * 365)),
+        commit: CommitPolicy::Watermark(SimDuration::from_hours(24 * 365)),
         max_drain_rounds: 500,
     }
 }
@@ -104,7 +162,7 @@ pub fn lossy_cellular(drop_rate: f64) -> ChannelConfig {
         downlink_link: LinkConfig::cellular(drop_rate),
         report_link: LinkConfig::cellular(drop_rate),
         uplink: UplinkConfig::default(),
-        commit: CommitPolicy::Watermark(wiscape_simcore::SimDuration::from_hours(24 * 365)),
+        commit: CommitPolicy::Watermark(SimDuration::from_hours(24 * 365)),
         max_drain_rounds: 200,
     }
 }
@@ -146,7 +204,7 @@ struct ClientState {
     link_report: LossyLink,
 }
 
-/// A running channel-backed deployment.
+/// A running WiScape deployment over a simulated landscape.
 ///
 /// Generic over the [`CoordinatorHandle`] behind its [`ChannelServer`]:
 /// the default is a plain [`Coordinator`]; see
@@ -183,9 +241,8 @@ pub struct ChannelDeployment<C: CoordinatorHandle = Coordinator> {
 }
 
 impl ChannelDeployment {
-    /// Creates a channel-backed deployment monitoring
-    /// `config.deployment.networks` (all of the landscape's networks
-    /// when that list is empty).
+    /// Creates a deployment monitoring `config.deployment.networks` (all
+    /// of the landscape's networks when that list is empty).
     pub fn new(
         land: Landscape,
         fleet: Fleet,
@@ -279,7 +336,7 @@ impl<C: CoordinatorHandle> ChannelDeployment<C> {
 
     /// The check-in interval driving round timing (for callers that
     /// split a run on a round boundary).
-    pub fn checkin_interval(&self) -> wiscape_simcore::SimDuration {
+    pub fn checkin_interval(&self) -> SimDuration {
         self.config.deployment.checkin_interval
     }
 
@@ -295,8 +352,7 @@ impl<C: CoordinatorHandle> ChannelDeployment<C> {
         &self.land
     }
 
-    /// Deployment-level counters (mirrors
-    /// [`wiscape_core::DeploymentStats`] semantics).
+    /// Run counters.
     pub fn stats(&self) -> DeploymentStats {
         self.stats
     }
@@ -472,8 +528,9 @@ impl<C: CoordinatorHandle> ChannelDeployment<C> {
     }
 
     /// Re-runs the NKLD quota tuner and the Allan epoch tuner over every
-    /// zone with enough history (same fork path as the direct
-    /// deployment, so tuned runs stay comparable).
+    /// zone with enough history, installing the results in the
+    /// coordinator. Called automatically from [`ChannelDeployment::run`]
+    /// when `auto_tune` is on; public so operators can retune on demand.
     pub fn retune(&mut self, now: SimTime) {
         let min = self
             .quota_tuner
@@ -617,65 +674,242 @@ impl<C: CoordinatorHandle> ChannelDeployment<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wiscape_core::{Deployment, DeploymentConfig, ShardSet};
-    use wiscape_simcore::SimDuration;
+    use wiscape_core::{state_fingerprint, ShardSet, ZoneIndex};
     use wiscape_simnet::LandscapeConfig;
 
-    fn fleet(seed: u64, land: &Landscape) -> Fleet {
+    /// Three transit buses and a static spot around the origin.
+    fn world(seed: u64) -> (Landscape, Fleet, ZoneIndex) {
+        let land = Landscape::new(LandscapeConfig::madison(seed));
         let mut fleet = Fleet::new(seed);
         fleet.add_transit_buses(3, land.origin(), 5000.0, 8);
         fleet.add_static_spot(land.origin());
-        fleet
+        let index = ZoneIndex::around(land.origin(), 6000.0).unwrap();
+        (land, fleet, index)
+    }
+
+    /// One static spot at the stadium, whose game-day crowd halves its
+    /// throughput.
+    fn stadium_world(seed: u64) -> (Landscape, Fleet, ZoneIndex) {
+        let land = Landscape::new(LandscapeConfig::madison(seed));
+        let mut fleet = Fleet::new(seed);
+        fleet.add_static_spot(wiscape_simnet::config::stadium_location());
+        let index = ZoneIndex::around(land.origin(), 7000.0).unwrap();
+        (land, fleet, index)
+    }
+
+    /// [`perfect_link`] with a check-in every `secs` seconds.
+    fn perfect(secs: i64) -> ChannelConfig {
+        let mut cfg = perfect_link();
+        cfg.deployment.checkin_interval = SimDuration::from_secs(secs);
+        cfg
     }
 
     fn channel_deployment(seed: u64, config: ChannelConfig) -> ChannelDeployment {
-        let land = Landscape::new(LandscapeConfig::madison(seed));
-        let f = fleet(seed, &land);
-        let index = wiscape_core::ZoneIndex::around(land.origin(), 6000.0).unwrap();
-        ChannelDeployment::new(land, f, index, config)
+        let (land, fleet, index) = world(seed);
+        ChannelDeployment::new(land, fleet, index, config)
     }
 
-    fn direct_deployment(seed: u64) -> Deployment {
-        let land = Landscape::new(LandscapeConfig::madison(seed));
-        let f = fleet(seed, &land);
-        let index = wiscape_core::ZoneIndex::around(land.origin(), 6000.0).unwrap();
-        Deployment::new(
-            land,
-            f,
-            index,
-            DeploymentConfig {
-                checkin_interval: SimDuration::from_secs(120),
-                ..Default::default()
-            },
-        )
+    /// The control loop as plain coordinator calls: the reference the
+    /// perfect-link parity test holds [`ChannelDeployment`] to. Same
+    /// rounds, fleet order and coin path; each report folds as soon as
+    /// its task runs. It has no tuning and monitors every network: the
+    /// parity inputs run with `auto_tune` off and `networks` empty.
+    fn direct_calls(
+        (land, fleet, index): (Landscape, Fleet, ZoneIndex),
+        config: &DeploymentConfig,
+        start: SimTime,
+        end: SimTime,
+    ) -> (Coordinator, DeploymentStats) {
+        let networks = land.networks();
+        let stream = StreamRng::new(land.config().seed).fork("deployment");
+        let mut coordinator = Coordinator::new(index, config.coordinator.clone());
+        let mut stats = DeploymentStats::default();
+        let mut now = start;
+        let mut round = 0u64;
+        while now < end {
+            round += 1;
+            for client in fleet.clients() {
+                let Some(fix) = client.position_at(now) else {
+                    continue;
+                };
+                stats.checkins += 1;
+                let coin = stream
+                    .fork("coin")
+                    .fork_idx(round)
+                    .fork_idx(u64::from(client.id().0))
+                    .draw_unit_f64();
+                let tasks =
+                    coordinator.client_checkin(client.id(), &fix.point, now, &networks, coin);
+                let agent = ClientAgent::new(client.id());
+                for task in tasks {
+                    stats.tasks_issued += 1;
+                    let executed =
+                        agent.execute(&land, coordinator.index(), &task, &fix.point, now);
+                    if let Ok(report) = executed {
+                        if coordinator.ingest_report(&report).is_ok() {
+                            stats.reports += 1;
+                        }
+                    }
+                }
+            }
+            now = now + config.checkin_interval;
+        }
+        coordinator.flush(end);
+        stats.packets_requested = coordinator.packets_requested();
+        (coordinator, stats)
     }
 
     #[test]
     fn perfect_link_matches_direct_deployment_bitwise() {
-        let mut cfg = perfect_link();
-        cfg.deployment.checkin_interval = SimDuration::from_secs(120);
-        let mut over_channel = channel_deployment(60, cfg);
-        let mut direct = direct_deployment(60);
-        let start = SimTime::at(1, 8.0);
-        let end = SimTime::at(1, 12.0);
-        over_channel.run(start, end);
-        direct.run(start, end);
-        assert_eq!(over_channel.stats(), direct.stats());
-        let a = over_channel.coordinator().all_published();
-        let b = direct.coordinator().all_published();
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x, y, "published estimates must be bitwise equal");
+        // (world, seed, check-in secs, day, from hour, to hour). The
+        // stadium's game day raises alerts, so the alert comparison is
+        // not one of two empty lists.
+        let inputs = [
+            (world as fn(u64) -> _, 60, 120, 1, 8.0, 12.0),
+            (stadium_world, 103, 45, 5, 8.0, 16.0),
+        ];
+        for (build, seed, secs, day, from, to) in inputs {
+            let (start, end) = (SimTime::at(day, from), SimTime::at(day, to));
+            let cfg = perfect(secs);
+            let (direct, direct_stats) = direct_calls(build(seed), &cfg.deployment, start, end);
+            let (land, fleet, index) = build(seed);
+            let mut over_channel = ChannelDeployment::new(land, fleet, index, cfg);
+            over_channel.run(start, end);
+            assert_eq!(over_channel.stats(), direct_stats, "seed {seed}");
+            let a = over_channel.coordinator().all_published();
+            let b = direct.all_published();
+            assert_eq!(a.len(), b.len());
+            for (x, y) in a.iter().zip(&b) {
+                assert_eq!(x, y, "published estimates must be bitwise equal");
+            }
+            assert_eq!(over_channel.coordinator().alerts(), direct.alerts());
+            assert_eq!(
+                state_fingerprint(&over_channel.coordinator().export_state()),
+                state_fingerprint(&direct.export_state()),
+                "seed {seed}"
+            );
+            if seed == 103 {
+                assert!(!direct.alerts().is_empty(), "game day raises alerts");
+            }
+            // And the channel actually carried traffic to do it.
+            let m = over_channel.meters();
+            assert!(m.up.frames_sent > 0 && m.down.frames_sent > 0);
+            assert_eq!(m.up.frames_dropped, 0);
+            assert_eq!(m.uplink.retries, 0);
         }
-        assert_eq!(
-            over_channel.coordinator().alerts(),
-            direct.coordinator().alerts()
+    }
+
+    #[test]
+    fn deployment_produces_published_estimates() {
+        let mut d = channel_deployment(60, perfect(120));
+        d.run(SimTime::at(1, 8.0), SimTime::at(1, 14.0));
+        let stats = d.stats();
+        assert!(stats.checkins > 300, "{stats:?}");
+        assert!(stats.tasks_issued > 20, "{stats:?}");
+        assert_eq!(stats.reports, stats.tasks_issued, "all tasks on known nets");
+        let published = d.coordinator().all_published();
+        assert!(
+            published.len() > 5,
+            "{} published estimates",
+            published.len()
         );
-        // And the channel actually carried traffic to do it.
-        let m = over_channel.meters();
-        assert!(m.up.frames_sent > 0 && m.down.frames_sent > 0);
-        assert_eq!(m.up.frames_dropped, 0);
-        assert_eq!(m.uplink.retries, 0);
+        for e in &published {
+            assert!(e.mean > 50.0 && e.mean < 7200.0, "estimate {e:?}");
+            assert!(e.samples >= 1);
+        }
+    }
+
+    #[test]
+    fn estimates_track_ground_truth() {
+        let mut d = channel_deployment(61, perfect(120));
+        d.run(SimTime::at(1, 8.0), SimTime::at(1, 16.0));
+        // The static spot's zone gets steady samples; compare against
+        // ground truth there.
+        let p = d.landscape().origin();
+        let zone = d.coordinator().index().zone_of(&p);
+        let est = d
+            .coordinator()
+            .published(zone, NetworkId::NetB)
+            .expect("spot zone is measured");
+        let truth = d
+            .landscape()
+            .link_quality(NetworkId::NetB, &p, SimTime::at(1, 12.0))
+            .unwrap()
+            .udp_kbps;
+        let err = (est.mean - truth).abs() / truth;
+        assert!(
+            err < 0.25,
+            "estimate {} vs truth {truth}: err {err}",
+            est.mean
+        );
+    }
+
+    #[test]
+    fn overhead_is_bounded_by_design() {
+        // The whole point of WiScape: per zone per epoch, at most
+        // ~target_samples packets are requested.
+        let mut d = channel_deployment(62, perfect(120));
+        let cfg = d.config.deployment.coordinator.clone();
+        d.run(SimTime::at(1, 8.0), SimTime::at(1, 12.0));
+        let zones_touched: std::collections::HashSet<_> = d
+            .coordinator()
+            .all_published()
+            .iter()
+            .map(|e| (e.zone, e.network))
+            .collect();
+        // 4 hours / 30 min epochs = up to 8 epochs per zone-network.
+        let max_packets =
+            (zones_touched.len().max(1) as u64 + 200) * cfg.target_samples_per_epoch as u64 * 9;
+        assert!(
+            d.stats().packets_requested < max_packets,
+            "{} packets vs bound {max_packets}",
+            d.stats().packets_requested
+        );
+    }
+
+    #[test]
+    fn auto_tune_installs_quotas_and_epochs() {
+        // A static spot feeds one zone steadily; with auto-tune on and a
+        // short retune interval, that zone's quota and epoch get set
+        // from its own history.
+        let land = Landscape::new(LandscapeConfig::madison(64));
+        let spot = land.origin();
+        let mut fleet = Fleet::new(64);
+        fleet.add_static_spot(spot);
+        let index = ZoneIndex::around(land.origin(), 6000.0).unwrap();
+        let mut config = perfect_link();
+        config.deployment = DeploymentConfig {
+            checkin_interval: SimDuration::from_secs(30),
+            auto_tune: true,
+            retune_interval: SimDuration::from_hours(2),
+            ..Default::default()
+        };
+        let mut d = ChannelDeployment::new(land, fleet, index, config);
+        // Lower the tuners' history requirements so a day suffices.
+        d.quota_tuner.min_history = 300;
+        d.epoch_tuner.min_history = 300;
+        d.run(SimTime::at(1, 0.0), SimTime::at(2, 0.0));
+        let stats = d.stats();
+        assert!(stats.quotas_tuned > 0, "{stats:?}");
+        assert!(stats.epochs_tuned > 0, "{stats:?}");
+        let zone = d.coordinator().index().zone_of(&spot);
+        let quota = d.coordinator().zone_quota(zone, NetworkId::NetB);
+        assert!(
+            (10..=300).contains(&quota),
+            "tuned quota {quota} should be Fig 7-scale"
+        );
+        let epoch = d.coordinator().zone_epoch(zone, NetworkId::NetB);
+        let cfg = d.epoch_tuner.config.clone();
+        assert!(epoch >= cfg.min_epoch && epoch <= cfg.max_epoch);
+        assert!(!d.history().keys_with_min(100).is_empty());
+    }
+
+    #[test]
+    fn auto_tune_off_keeps_defaults() {
+        let mut d = channel_deployment(65, perfect(120));
+        d.run(SimTime::at(1, 9.0), SimTime::at(1, 12.0));
+        assert_eq!(d.stats().quotas_tuned, 0);
+        assert_eq!(d.stats().epochs_tuned, 0);
     }
 
     #[test]
@@ -721,18 +955,20 @@ mod tests {
 
     #[test]
     fn channel_run_is_deterministic() {
-        let run = || {
-            let mut cfg = lossy_cellular(0.15);
-            cfg.deployment.checkin_interval = SimDuration::from_secs(120);
-            let mut d = channel_deployment(62, cfg);
-            d.run(SimTime::at(1, 9.0), SimTime::at(1, 11.0));
-            (d.stats(), d.meters(), d.coordinator().all_published())
-        };
-        let (s1, m1, p1) = run();
-        let (s2, m2, p2) = run();
-        assert_eq!(s1, s2);
-        assert_eq!(m1, m2);
-        assert_eq!(p1, p2);
+        let mut lossy = lossy_cellular(0.15);
+        lossy.deployment.checkin_interval = SimDuration::from_secs(120);
+        for (seed, cfg) in [(62, lossy), (63, perfect(120))] {
+            let run = || {
+                let mut d = channel_deployment(seed, cfg.clone());
+                d.run(SimTime::at(1, 9.0), SimTime::at(1, 11.0));
+                (d.stats(), d.meters(), d.coordinator().all_published())
+            };
+            let (s1, m1, p1) = run();
+            let (s2, m2, p2) = run();
+            assert_eq!(s1, s2);
+            assert_eq!(m1, m2);
+            assert_eq!(p1, p2);
+        }
     }
 
     fn sharded_deployment(
@@ -740,27 +976,24 @@ mod tests {
         config: ChannelConfig,
         n: usize,
     ) -> ChannelDeployment<ShardSet> {
-        let land = Landscape::new(LandscapeConfig::madison(seed));
-        let f = fleet(seed, &land);
-        let index = wiscape_core::ZoneIndex::around(land.origin(), 6000.0).unwrap();
+        let (land, fleet, index) = world(seed);
         let set = ShardSet::new(index, config.deployment.coordinator.clone(), n);
-        ChannelDeployment::with_coordinator(land, f, set, config)
+        ChannelDeployment::with_coordinator(land, fleet, set, config)
     }
 
     #[test]
     fn sharded_run_matches_single_for_any_shard_count() {
-        let mut cfg = perfect_link();
-        cfg.deployment.checkin_interval = SimDuration::from_secs(120);
+        let cfg = perfect(120);
         let start = SimTime::at(1, 8.0);
         let end = SimTime::at(1, 12.0);
         let mut single = channel_deployment(64, cfg.clone());
         single.run(start, end);
-        let want = wiscape_core::state_fingerprint(&single.coordinator().export_state());
+        let want = state_fingerprint(&single.coordinator().export_state());
         for n in [1usize, 2, 4] {
             let mut sharded = sharded_deployment(64, cfg.clone(), n);
             sharded.run(start, end);
             assert_eq!(
-                wiscape_core::state_fingerprint(&sharded.coordinator().export_state()),
+                state_fingerprint(&sharded.coordinator().export_state()),
                 want,
                 "sharded (n={n}) must be bitwise identical to single"
             );
@@ -785,16 +1018,15 @@ mod tests {
         assert_eq!(sharded.pending_reports(), 0);
         assert!(sharded.meters().uplink.retries > 0, "loss forces retries");
         assert_eq!(
-            wiscape_core::state_fingerprint(&sharded.coordinator().export_state()),
-            wiscape_core::state_fingerprint(&single.coordinator().export_state()),
+            state_fingerprint(&sharded.coordinator().export_state()),
+            state_fingerprint(&single.coordinator().export_state()),
             "lossy sharded run (drained) must match single bitwise"
         );
     }
 
     #[test]
     fn mid_run_rebalance_preserves_bitwise_parity() {
-        let mut cfg = perfect_link();
-        cfg.deployment.checkin_interval = SimDuration::from_secs(120);
+        let cfg = perfect(120);
         let start = SimTime::at(1, 8.0);
         let mid = SimTime::at(1, 10.0); // on a check-in boundary
         let end = SimTime::at(1, 12.0);
@@ -813,8 +1045,8 @@ mod tests {
         sharded.run_until(mid, end);
         sharded.finish(end);
         assert_eq!(
-            wiscape_core::state_fingerprint(&sharded.coordinator().export_state()),
-            wiscape_core::state_fingerprint(&single.coordinator().export_state()),
+            state_fingerprint(&sharded.coordinator().export_state()),
+            state_fingerprint(&single.coordinator().export_state()),
             "rebalanced sharded run must match single bitwise"
         );
         assert_eq!(sharded.stats(), single.stats());
@@ -836,8 +1068,8 @@ mod tests {
         assert_eq!(split.stats(), whole.stats());
         assert_eq!(split.meters(), whole.meters());
         assert_eq!(
-            wiscape_core::state_fingerprint(&split.coordinator().export_state()),
-            wiscape_core::state_fingerprint(&whole.coordinator().export_state()),
+            state_fingerprint(&split.coordinator().export_state()),
+            state_fingerprint(&whole.coordinator().export_state()),
         );
     }
 

@@ -21,10 +21,10 @@
 //!   WAL-backed one, or a [`wiscape_core::ShardSet`] of N zone-range
 //!   shards — the one sharded wire path, with dedup and staging done
 //!   once, above the shards;
-//! * [`deployment`] — a channel-backed deployment harness that
-//!   reproduces [`wiscape_core::Deployment`] bit for bit under
-//!   [`perfect_link`], and degrades gracefully (and reproducibly) under
-//!   loss.
+//! * [`deployment`] — the WiScape deployment loop (paper §3.4): clients
+//!   check in, run their tasks and report over the channel. Under
+//!   [`perfect_link`] it is the plain direct-call loop bit for bit, and
+//!   it degrades gracefully (and reproducibly) under loss.
 //!
 //! Everything is a pure function of the master seed: link fates and
 //! backoff jitter draw from dedicated `StreamRng` forks that are
@@ -70,11 +70,11 @@ pub mod server;
 pub mod uplink;
 
 pub use codec::{
-    decode, decode_all, decode_prefix, encode, AckMsg, CheckinRequest, DecodeError, ReportMsg,
-    TaskAssignment, WireMessage,
+    decode, encode, AckMsg, CheckinRequest, DecodeError, ReportMsg, TaskAssignment, WireMessage,
 };
 pub use deployment::{
     lossy_cellular, perfect_link, report_loss, ChannelConfig, ChannelDeployment, ChannelRunMeters,
+    DeploymentConfig, DeploymentStats,
 };
 pub use link::{Delivery, LinkConfig, LinkMeters, LossyLink};
 pub use server::{ChannelServer, CommitPolicy, ServerMeters};

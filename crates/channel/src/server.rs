@@ -16,8 +16,9 @@
 //!
 //! The [`CommitPolicy`] decides *when* a deduplicated report reaches
 //! [`Coordinator::ingest_report`]. `Immediate` ingests on arrival —
-//! with a perfect link this makes the server's call sequence identical
-//! to the direct-call deployment, which is the bitwise-parity argument.
+//! with a perfect link the server then makes the calls of a plain
+//! direct-call control loop, in its order, which is the bitwise-parity
+//! argument.
 //! `Watermark` stages reports and ingests them in `(t, client, seq)`
 //! order once they are older than the settle window, which makes the
 //! published map independent of delivery order (and hence of the loss
@@ -52,9 +53,9 @@ use crate::codec::{
 /// When deduplicated reports are committed into the coordinator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommitPolicy {
-    /// Ingest on arrival. With a perfect link this reproduces the
-    /// direct-call deployment exactly; with loss, the published map
-    /// depends on arrival order.
+    /// Ingest on arrival. With a perfect link each report folds as soon
+    /// as its task runs, as in a direct-call loop; with loss, the
+    /// published map depends on arrival order.
     Immediate,
     /// Stage reports and ingest them in `(t, client, seq)` order once
     /// `now - t` exceeds the settle window. The published map is then a
@@ -141,13 +142,11 @@ pub struct ChannelServer<C: CoordinatorHandle = Coordinator> {
 impl<C: CoordinatorHandle> ChannelServer<C> {
     /// Wraps `coordinator` behind the wire protocol.
     ///
-    /// `stream` must be the same-rooted fork the direct-call deployment
-    /// would use (`StreamRng::new(seed).fork("deployment")`): the
-    /// task-issuance coin for a check-in with counter `tick` from
-    /// client `c` is drawn from `fork("coin").fork_idx(tick)
-    /// .fork_idx(c)`, exactly the fork path of
-    /// [`wiscape_core::Deployment`], so a perfect link reproduces its
-    /// decisions bit for bit.
+    /// `stream` is the deployment's measurement fork
+    /// (`StreamRng::new(seed).fork("deployment")`): the task-issuance
+    /// coin for a check-in with counter `tick` from client `c` is drawn
+    /// from `fork("coin").fork_idx(tick).fork_idx(c)`, a path no
+    /// transport draw touches, so a perfect link changes no decision.
     pub fn new(
         coordinator: C,
         policy: CommitPolicy,

@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use wiscape_channel::codec::{
-    crc32, decode, decode_all, decode_ref, encode, AckMsg, CheckinRequest, DecodeError, ReportMsg,
+    crc32, decode, decode_ref, encode, AckMsg, CheckinRequest, DecodeError, FrameReader, ReportMsg,
     TaskAssignment, WireMessage, WireMessageRef,
 };
 use wiscape_core::{MeasurementTask, SampleReport, ZoneId};
@@ -132,7 +132,9 @@ proptest! {
     #[test]
     fn random_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
         let _ = decode(&bytes);
-        let _ = decode_all(&bytes);
+        let _ = FrameReader::new(&bytes)
+            .map(|m| m.map(|m| m.to_message()))
+            .collect::<Result<Vec<_>, _>>();
     }
 
     #[test]
@@ -224,7 +226,10 @@ proptest! {
         for m in &msgs {
             stream.extend_from_slice(&encode(m));
         }
-        let back = decode_all(&stream).unwrap();
+        let back: Vec<WireMessage> = FrameReader::new(&stream)
+            .map(|m| m.map(|m| m.to_message()))
+            .collect::<Result<_, _>>()
+            .unwrap();
         prop_assert_eq!(back, msgs);
     }
 }

@@ -32,7 +32,6 @@
 pub mod agent;
 pub mod anomaly;
 pub mod coordinator;
-pub mod deployment;
 pub mod dominance;
 pub mod epoch;
 pub mod estimator;
@@ -48,7 +47,6 @@ pub use coordinator::{
     ChangeAlert, Coordinator, CoordinatorConfig, CoordinatorHandle, CoordinatorState, IngestError,
     IngestSummary, MeasurementTask, SampleReport, ZoneCellState, ZoneEstimate,
 };
-pub use deployment::{Deployment, DeploymentConfig, DeploymentStats};
 pub use dominance::{dominance_ratio, persistent_dominant, Better, DominanceOutcome};
 pub use epoch::{EpochConfig, EpochEstimator};
 pub use normalize::{learn_scales, CategorySamples, CategoryScales};

@@ -3,10 +3,11 @@
 //!
 //! The paper's overhead analysis argues the coordinator↔client control
 //! traffic is a negligible fraction of the measurement traffic itself,
-//! and that client reporting tolerates the cellular uplink's loss. The
-//! direct-call harness never exercised that claim; this experiment runs
-//! the same deployment through `wiscape-channel` and sweeps report-loss
-//! rate × client count, comparing two delivery disciplines per cell:
+//! and that client reporting tolerates the cellular uplink's loss. A
+//! lossless channel cannot exercise that claim; this experiment runs the
+//! deployment loop over lossy `wiscape-channel` links and sweeps
+//! report-loss rate × client count, comparing two delivery disciplines
+//! per cell:
 //!
 //! * **reliable** — sequence numbers, acks, exponential-backoff
 //!   retries (the shipped `Uplink` defaults): loss costs retransmission

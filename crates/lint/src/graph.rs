@@ -403,11 +403,12 @@ fn count_call_args(code: &str, open: usize) -> Option<usize> {
     None
 }
 
-/// Counts a signature's non-`self` parameters. Returns `None` when the
-/// signature is too exotic to parse cheaply (generics before the param
-/// list, closure-typed parameters, no closing paren in the
-/// accumulated text).
-fn count_sig_params(sig: &str) -> Option<usize> {
+/// Byte offset of the `(` opening a signature's parameter list: the
+/// first one after `fn <name>` and its generics, so the `(` of a
+/// `pub(crate)` / `pub(super)` visibility is never taken for it.
+/// Returns `None` when there is no `fn <name>` or something other than
+/// generics sits between the name and the `(`.
+fn param_list_open(sig: &str) -> Option<usize> {
     let fn_at = {
         let ids: Vec<(usize, &str)> = idents(sig).collect();
         let mut found = None;
@@ -427,20 +428,26 @@ fn count_sig_params(sig: &str) -> Option<usize> {
         match bytes[i] {
             b'<' => angle += 1,
             b'>' => angle -= 1,
-            b'(' if angle == 0 => break,
+            b'(' if angle == 0 => return Some(i),
             b' ' => {}
             _ if angle == 0 => return None,
             _ => {}
         }
         i += 1;
     }
-    if i >= bytes.len() {
-        return None;
-    }
+    None
+}
+
+/// Counts a signature's non-`self` parameters. Returns `None` when the
+/// signature is too exotic to parse cheaply (see [`param_list_open`],
+/// closure-typed parameters, no closing paren in the accumulated text).
+fn count_sig_params(sig: &str) -> Option<usize> {
+    let bytes = sig.as_bytes();
+    let mut i = param_list_open(sig)?;
     // Walk the parameter list: top-level commas only, angle-aware
     // (`BTreeMap<K, V>`), `->` arrows tolerated, closures rejected.
     let mut depth = 0i64;
-    angle = 0;
+    let mut angle = 0i64;
     let mut commas = 0usize;
     let mut any = false;
     let mut first_is_self = false;
@@ -491,9 +498,8 @@ fn seg_is_self(seg: &str) -> bool {
 
 /// Whether a signature's first parameter is a `self` receiver.
 fn sig_has_self(sig: &str) -> bool {
-    let open = match sig.find('(') {
-        Some(p) => p,
-        None => return false,
+    let Some(open) = param_list_open(sig) else {
+        return false;
     };
     let head = &sig[open + 1..];
     let first_arg = head.split([',', ')']).next().unwrap_or("");

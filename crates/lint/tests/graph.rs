@@ -196,6 +196,45 @@ fn ambiguous_method_widens_to_every_candidate() {
 }
 
 #[test]
+fn restricted_visibility_receiver_is_a_method() {
+    // The `(` of `pub(crate)` is not the parameter list: `check` takes
+    // `&self`, so the root's `.check()` call must reach its panic.
+    let files = vec![
+        (
+            "crates/ingest/src/lib.rs".to_string(),
+            "pub fn decode(g: &util::Guard) -> u32 {\n    g.check()\n}\n".to_string(),
+        ),
+        (
+            "crates/util/src/lib.rs".to_string(),
+            concat!(
+                "pub struct Guard;\n",
+                "impl Guard {\n",
+                "    pub(crate) fn check(&self) -> u32 {\n",
+                "        panic!(\"unchecked guard\");\n",
+                "    }\n",
+                "}\n",
+            )
+            .to_string(),
+        ),
+    ];
+    let config = GraphConfig {
+        panic_roots: vec![FnSpec::file("crates/ingest/src/lib.rs")],
+        ..GraphConfig::default()
+    };
+    let index = graph::build_index(&files, &config);
+    let findings = graph::analyze(&index, &config);
+    let expected: Vec<String> = ["ingest::decode", "util::Guard::check"]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+    assert!(
+        witnesses(&findings, "P001").contains(&expected),
+        "no P001 finding through the pub(crate) method; got {:?}",
+        witnesses(&findings, "P001")
+    );
+}
+
+#[test]
 fn witness_prefers_the_shortest_route() {
     // deep_panic is reachable directly from decode_fast (1 hop) and via
     // middle (2 hops); the reported chain must be the direct one.

@@ -37,15 +37,12 @@ fn main() {
         index.zone_count(),
         index.zone_area_sq_km()
     );
-    let mut deployment = Deployment::new(
-        land,
-        fleet,
-        index,
-        DeploymentConfig {
-            checkin_interval: SimDuration::from_secs(60),
-            ..Default::default()
-        },
-    );
+    let mut config = perfect_link();
+    config.deployment = DeploymentConfig {
+        checkin_interval: SimDuration::from_secs(60),
+        ..Default::default()
+    };
+    let mut deployment = ChannelDeployment::new(land, fleet, index, config);
 
     // 4. Run a simulated working day.
     let start = SimTime::at(1, 7.0);

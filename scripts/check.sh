@@ -3,11 +3,14 @@
 # wiscape-lint (determinism & soundness rules — local and transitive
 # call-graph proofs; report committed to results/LINT_report.json, call
 # graph written to results/CALLGRAPH.json, which is git-ignored and
-# uploaded as a CI artifact instead), the test suite, the pipeline
-# benchmark's own tests (pipebench/ is a separate Cargo workspace, so a
-# library change that breaks its build or its correctness checks fails
-# here), and a perf smoke test of the two guarded hot paths (zero-copy
-# decode, SoA batch evaluation).
+# uploaded as a CI artifact instead), the tests of every workspace
+# member (the root Cargo.toml is both the `wiscape` facade package and
+# the workspace, so plain `cargo test` runs only the facade's tests;
+# `--workspace` runs every crate's unit, integration, property and doc
+# tests), the pipeline benchmark's own tests (pipebench/ is a separate
+# Cargo workspace, so a library change that breaks its build or its
+# correctness checks fails here), and a perf smoke test of the two
+# guarded hot paths (zero-copy decode, SoA batch evaluation).
 # Set WISCAPE_SKIP_PERF_SMOKE=1 to skip the perf step (e.g. on shared
 # or throttled machines where throughput floors are meaningless).
 #
@@ -27,11 +30,8 @@ cargo run -q -p lint -- --quiet --report results/LINT_report.json \
 echo "   report:    results/LINT_report.json"
 echo "   callgraph: results/CALLGRAPH.json"
 
-echo "== cargo test -q"
-cargo test -q
-
-echo "== cargo test --doc"
-cargo test -q --doc --workspace
+echo "== cargo test -q --workspace"
+cargo test -q --workspace
 
 echo "== pipebench tests (release)"
 cargo test --release --offline -q --manifest-path pipebench/Cargo.toml

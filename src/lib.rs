@@ -18,9 +18,10 @@
 //! * [`mobility`] — buses, cars, and static clients;
 //! * [`datasets`] — regenerators for the paper's seven datasets;
 //! * [`core`] — the WiScape framework itself (zones, epochs, sampling,
-//!   coordinator, agents, anomaly and dominance analysis, deployment);
+//!   coordinator, agents, tuners, anomaly and dominance analysis);
 //! * [`channel`] — the client ↔ coordinator control channel (wire
-//!   codec, lossy-link simulation, reliable report delivery);
+//!   codec, lossy-link simulation, reliable report delivery) and the
+//!   deployment loop that runs over it;
 //! * [`workload`] — SURGE pages, named-site page sets, HTTP model;
 //! * [`apps`] — multi-sim selection and the MAR striping gateway;
 //! * [`region`] — adaptive regionalization and hotspot localization
@@ -45,8 +46,7 @@
 //!
 //! // Run the WiScape control loop for a simulated morning.
 //! let index = ZoneIndex::around(land.origin(), 6000.0).unwrap();
-//! let mut deployment =
-//!     Deployment::new(land, fleet, index, DeploymentConfig::default());
+//! let mut deployment = ChannelDeployment::new(land, fleet, index, perfect_link());
 //! deployment.run(SimTime::at(1, 8.0), SimTime::at(1, 11.0));
 //!
 //! // The coordinator now publishes per-zone network estimates.
@@ -76,10 +76,11 @@ pub mod prelude {
     pub use wiscape_apps::{MarScheduler, SelectionPolicy, ZoneQualityMap};
     pub use wiscape_channel::{
         lossy_cellular, perfect_link, report_loss, ChannelConfig, ChannelDeployment,
+        DeploymentConfig,
     };
     pub use wiscape_core::{
-        Better, ChangeAlert, ClientAgent, Coordinator, CoordinatorConfig, Deployment,
-        DeploymentConfig, EpochConfig, EpochEstimator, ZoneId, ZoneIndex,
+        Better, ChangeAlert, ClientAgent, Coordinator, CoordinatorConfig, EpochConfig,
+        EpochEstimator, ZoneId, ZoneIndex,
     };
     pub use wiscape_datasets::{Dataset, MeasurementRecord, Metric};
     pub use wiscape_geo::{BoundingBox, GeoPoint, Polyline};

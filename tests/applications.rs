@@ -8,7 +8,7 @@ use wiscape::prelude::*;
 /// Builds a quality map straight from a *coordinator* run whose clients
 /// drove the segment — the full production path, including the control
 /// channel the reports cross in a real deployment (`perfect_link()`
-/// keeps it bitwise-identical to the direct-call harness).
+/// keeps it bitwise-identical to a loop of direct coordinator calls).
 fn coordinator_map(seed: u64) -> (Landscape, ZoneQualityMap) {
     let land = Landscape::new(LandscapeConfig::madison(seed));
     let mut fleet = Fleet::new(seed);

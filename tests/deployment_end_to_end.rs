@@ -4,7 +4,7 @@
 
 use wiscape::prelude::*;
 
-fn build_deployment(seed: u64) -> Deployment {
+fn build_deployment(seed: u64) -> ChannelDeployment {
     let land = Landscape::new(LandscapeConfig::madison(seed));
     let mut fleet = Fleet::new(seed);
     fleet
@@ -12,15 +12,12 @@ fn build_deployment(seed: u64) -> Deployment {
         .add_static_spot(land.origin())
         .add_static_spot(land.origin().destination(1.0, 2000.0));
     let index = ZoneIndex::around(land.origin(), 7000.0).unwrap();
-    Deployment::new(
-        land,
-        fleet,
-        index,
-        DeploymentConfig {
-            checkin_interval: SimDuration::from_secs(60),
-            ..Default::default()
-        },
-    )
+    let mut config = perfect_link();
+    config.deployment = DeploymentConfig {
+        checkin_interval: SimDuration::from_secs(60),
+        ..Default::default()
+    };
+    ChannelDeployment::new(land, fleet, index, config)
 }
 
 #[test]
@@ -86,15 +83,12 @@ fn alerts_fire_for_the_stadium_event_zone() {
     let mut fleet = Fleet::new(103);
     fleet.add_static_spot(stadium);
     let index = ZoneIndex::around(land.origin(), 7000.0).unwrap();
-    let mut d = Deployment::new(
-        land,
-        fleet,
-        index,
-        DeploymentConfig {
-            checkin_interval: SimDuration::from_secs(45),
-            ..Default::default()
-        },
-    );
+    let mut config = perfect_link();
+    config.deployment = DeploymentConfig {
+        checkin_interval: SimDuration::from_secs(45),
+        ..Default::default()
+    };
+    let mut d = ChannelDeployment::new(land, fleet, index, config);
     // Saturday 08:00 through 16:00 covers pre-game, game, post-game.
     d.run(SimTime::at(5, 8.0), SimTime::at(5, 16.0));
     let zone = d.coordinator().index().zone_of(&stadium);

@@ -13,7 +13,7 @@ fn nj_deployment_works_with_two_networks() {
         .add_transit_buses(3, land.origin(), 4000.0, 6)
         .add_static_spot(land.origin());
     let index = ZoneIndex::around(land.origin(), 5000.0).unwrap();
-    let mut d = Deployment::new(land, fleet, index, DeploymentConfig::default());
+    let mut d = ChannelDeployment::new(land, fleet, index, perfect_link());
     d.run(SimTime::at(1, 8.0), SimTime::at(1, 14.0));
     let published = d.coordinator().all_published();
     assert!(published.len() > 10, "{} estimates", published.len());
@@ -42,17 +42,14 @@ fn auto_tuned_deployment_publishes_with_learned_parameters() {
     let mut fleet = Fleet::new(131);
     fleet.add_static_spot(spot);
     let index = ZoneIndex::around(land.origin(), 5000.0).unwrap();
-    let mut d = Deployment::new(
-        land,
-        fleet,
-        index,
-        DeploymentConfig {
-            checkin_interval: SimDuration::from_secs(30),
-            auto_tune: true,
-            retune_interval: SimDuration::from_hours(3),
-            ..Default::default()
-        },
-    );
+    let mut config = perfect_link();
+    config.deployment = DeploymentConfig {
+        checkin_interval: SimDuration::from_secs(30),
+        auto_tune: true,
+        retune_interval: SimDuration::from_hours(3),
+        ..Default::default()
+    };
+    let mut d = ChannelDeployment::new(land, fleet, index, config);
     d.run(SimTime::at(0, 0.0), SimTime::at(2, 0.0));
     // With two simulated days of a static client, at least one zone gets
     // tuned parameters and the published map still tracks truth.
