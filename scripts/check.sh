@@ -9,8 +9,11 @@
 # `--workspace` runs every crate's unit, integration, property and doc
 # tests), the pipeline benchmark's own tests (pipebench/ is a separate
 # Cargo workspace, so a library change that breaks its build or its
-# correctness checks fails here), and a perf smoke test of the two
-# guarded hot paths (zero-copy decode, SoA batch evaluation).
+# correctness checks fails here), and the perf smoke (perf_smoke), which
+# asserts five throughput floors: owned decode >= 2M frames/s, SoA batch
+# evaluation >= 0.95x the scalar cursor, WAL replay >= 1M reports/s, a
+# >= 100k-zone region build in <= 2 s, and, on >= 4 workers, 4 shards
+# >= 2x a single shard.
 # Set WISCAPE_SKIP_PERF_SMOKE=1 to skip the perf step (e.g. on shared
 # or throttled machines where throughput floors are meaningless).
 #
@@ -39,8 +42,8 @@ cargo test --release --offline -q --manifest-path pipebench/Cargo.toml
 if [[ "${WISCAPE_SKIP_PERF_SMOKE:-0}" == "1" ]]; then
     echo "== perf smoke (skipped: WISCAPE_SKIP_PERF_SMOKE=1)"
 else
-    echo "== perf smoke (baseline --smoke)"
-    cargo run --release -q -p wiscape-bench --bin baseline -- --smoke
+    echo "== perf smoke (perf_smoke)"
+    cargo run --release -q -p wiscape-bench --bin perf_smoke
 fi
 
 echo "== check.sh: all gates passed"

@@ -32,13 +32,18 @@
 # three are diffed against the same committed manifest, and the pass
 # summary lands in $out.shard_topology.json for the CI artifact.
 #
-# A final region pass drives the analytics layer end to end through the
+# A region pass drives the analytics layer end to end through the
 # CLI: `wiscape map --regions/--hotspots` dumps the adaptive partition
 # and the ranked hotspot candidates, then the same deployment re-runs
 # serial (WISCAPE_THREADS=1) and 4-way sharded — both region CSV and
 # hotspot JSON must be byte-identical across topologies (the
 # ANALYTICS.md determinism contract, exercised from the outside). The
 # hotspot report lands in $out.hotspots.json for the CI artifact.
+#
+# A final CLI WAL pass re-runs that map with `--wal` and a seeded
+# mid-run crash, then rebuilds it with `--recover` from the log alone:
+# both zone-map CSVs must be byte-identical to the plain run's, and the
+# WAL run must report exactly one recovery.
 #
 # Usage:
 #   scripts/verify_results.sh            # verify against the manifest
@@ -52,7 +57,8 @@ wal_crash_seed=11
 rebalance_seed=5
 
 cargo build --release -q -p wiscape-experiments --bin repro
-rm -rf "$out" "$out.wal" "$out.waldir" "$out.shard1" "$out.shard4" "$out.shardwal" "$out.shardwaldir"
+rm -rf "$out" "$out.wal" "$out.waldir" "$out.shard1" "$out.shard4" "$out.shardwal" "$out.shardwaldir" \
+    "$out.mapwal"
 ./target/release/repro --seed 7 --quick --out "$out" --obs "$out.obs.json" >/dev/null
 echo "[verify_results] obs snapshot: $out.obs.json"
 
@@ -130,7 +136,7 @@ echo "[verify_results] OK: shard topology report -> $out.shard_topology.json"
 # The analytics layer through the CLI: partition + hotspot ranking must
 # be byte-identical across worker counts and shard topologies.
 cargo build --release -q --bin wiscape
-./target/release/wiscape map --seed 7 --hours 2 \
+./target/release/wiscape map --seed 7 --hours 2 --out "$out.map.csv" \
     --regions "$out.regions.csv" --hotspots "$out.hotspots.json" >/dev/null
 WISCAPE_THREADS=1 ./target/release/wiscape map --seed 7 --hours 2 \
     --regions "$out.regions.serial.csv" --hotspots "$out.hotspots.serial.json" >/dev/null
@@ -145,3 +151,25 @@ for variant in serial shard4; do
 done
 regions=$(($(wc -l < "$out.regions.csv") - 1))
 echo "[verify_results] OK: region pass byte-identical across topologies ($regions regions); hotspot report -> $out.hotspots.json"
+
+# --- CLI WAL crash + recover pass -----------------------------------------
+# The same map through `wiscape map --wal` with a seeded mid-run crash,
+# then rebuilt by `--recover` from that log alone: both zone maps must
+# be byte-identical to the plain run's. The recovery count on stderr
+# proves the crash actually fired.
+if ! ./target/release/wiscape map --seed 7 --hours 2 --out "$out.mapwal.csv" \
+        --wal "$out.mapwal" --crash-seed "$wal_crash_seed" 2> "$out.mapwal.log" \
+   || ! grep -q ' 1 recoveries' "$out.mapwal.log"; then
+    echo "[verify_results] FAIL: map --wal --crash-seed $wal_crash_seed did not crash and recover:" >&2
+    cat "$out.mapwal.log" >&2
+    exit 1
+fi
+./target/release/wiscape map --seed 7 --recover "$out.mapwal" --out "$out.maprecover.csv" >/dev/null
+for variant in mapwal maprecover; do
+    if ! cmp -s "$out.map.csv" "$out.$variant.csv"; then
+        echo "[verify_results] FAIL: zone map drifted in the CLI '$variant' pass" >&2
+        exit 1
+    fi
+done
+estimates=$(($(wc -l < "$out.map.csv") - 1))
+echo "[verify_results] OK: CLI WAL crash (seed $wal_crash_seed) + --recover byte-identical ($estimates zone estimates)"

@@ -117,6 +117,26 @@ fn cmd_map(args: &Args) {
     if !(0.0..=1.0).contains(&loss) {
         die(&format!("--loss: must be in [0, 1], got {loss}"));
     }
+    let start = SimTime::at(1, 7.0);
+    // The run ends at `start + window`, which must fit the i64
+    // microsecond clock; NaN and infinities fail these comparisons.
+    let window_us = hours * 3600.0 * 1e6;
+    if !(hours > 0.0 && window_us < (i64::MAX - start.as_micros()) as f64) {
+        die(&format!(
+            "--hours: must be > 0 and fit the clock, got {hours}"
+        ));
+    }
+    let window = SimDuration::from_secs_f64(hours * 3600.0);
+    if args.flags.contains_key("crash-seed") && !args.flags.contains_key("wal") {
+        die("--crash-seed requires --wal DIR");
+    }
+    if args.flags.contains_key("rebalance-seed") && !args.flags.contains_key("shards") {
+        die("--rebalance-seed requires --shards N");
+    }
+    let shards = match args.u64_flag("shards", 1) {
+        0 => die("--shards must be at least 1"),
+        n => usize::try_from(n).unwrap_or_else(|_| die(&format!("--shards: too large: {n}"))),
+    };
     // Telemetry comes from the shared obs registry: on for --obs (to
     // dump a snapshot) and for lossy runs (to print the channel/ingest
     // meters below).
@@ -154,11 +174,6 @@ fn cmd_map(args: &Args) {
         .add_transit_buses(5, land.origin(), 6000.0, 10)
         .add_static_spot(land.origin());
     let index = ZoneIndex::around(land.origin(), 7000.0).expect("valid zone index");
-    let start = SimTime::at(1, 7.0);
-    let window = SimDuration::from_secs_f64(hours * 3600.0);
-    let shards = usize::try_from(args.u64_flag("shards", 1))
-        .unwrap_or(1)
-        .max(1);
     let rebalance_seed = args.flags.get("rebalance-seed").map(|v| {
         v.parse::<u64>()
             .unwrap_or_else(|_| die(&format!("--rebalance-seed: not an integer: {v}")))
