@@ -83,7 +83,7 @@ struct ShardRates {
 }
 
 /// WAL durability cost and recovery speed. Append measures the full
-/// commit-before-fold path (encode + log append + sketch fold); replay
+/// write-before-ack path (encode + group append + sketch fold); replay
 /// measures `DurableCoordinator::recover` over a log of ingest records.
 struct RecoveryRates {
     /// `ingest_samples_tagged` calls per second through the

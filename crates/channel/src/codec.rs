@@ -127,9 +127,13 @@ impl<'a> ReportView<'a> {
 
     /// The samples, decoded lazily from the wire bytes.
     pub fn samples(&self) -> SampleIter<'a> {
-        SampleIter {
-            chunks: self.samples.chunks_exact(8),
-        }
+        SampleIter::new(self.samples)
+    }
+
+    /// The raw sample block: [`Self::n_samples`] values of 8
+    /// little-endian bytes each, as they sit in the frame.
+    pub fn sample_bytes(&self) -> &'a [u8] {
+        self.samples
     }
 
     /// Materializes the owned message (allocates the sample vector).
@@ -141,7 +145,6 @@ impl<'a> ReportView<'a> {
                 task: self.task,
                 zone: self.zone,
                 t: self.t,
-                // lint:allow(A001): intentional materializer — runs only on the S004-inventoried watermark staging path, never inside the zero-copy loop.
                 samples: self.samples().collect(),
             },
         }
@@ -152,6 +155,16 @@ impl<'a> ReportView<'a> {
 #[derive(Debug, Clone)]
 pub struct SampleIter<'a> {
     chunks: core::slice::ChunksExact<'a, u8>,
+}
+
+impl<'a> SampleIter<'a> {
+    /// Decodes a raw sample block (see [`ReportView::sample_bytes`]);
+    /// a trailing partial value is ignored.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        Self {
+            chunks: bytes.chunks_exact(8),
+        }
+    }
 }
 
 impl Iterator for SampleIter<'_> {
@@ -209,7 +222,6 @@ impl<'a> AckView<'a> {
     pub fn to_msg(&self) -> AckMsg {
         AckMsg {
             client: self.client,
-            // lint:allow(A001): intentional materializer — only called when a caller explicitly opts out of the zero-copy view.
             seqs: self.seqs().collect(),
         }
     }

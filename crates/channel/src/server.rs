@@ -27,10 +27,19 @@
 //! order-sensitive, so order-independence has to be manufactured by
 //! sorting, not assumed.
 //!
+//! Staging keeps no owned report: the staging map holds each report's
+//! cell and the position of its raw sample bytes, which are copied out
+//! of the frame into fixed 1 MiB chunks and read back through
+//! [`SampleIter`] at commit. A chunk is reused once every report in it
+//! has committed, so no staged report allocates.
+//!
 //! Committed samples land in the coordinator's per-zone
 //! `MomentSketch`es (`wiscape_stats::sketch`) — constant state per
-//! `(zone, network)` cell, so server memory is O(zones) plus the
-//! watermark-bounded staging buffer, never O(reports).
+//! `(zone, network)` cell. Server memory is O(zones), plus the staging
+//! map and chunks, which hold what the settle window holds (the
+//! production configurations settle for one year, so in practice every
+//! report until drain), plus the dedup set, which keeps every
+//! `(client, seq)` ever received and so is O(reports).
 //!
 //! The sharded topology is this same server over a
 //! [`wiscape_core::ShardSet`] handle: dedup, staging and acks happen
@@ -40,14 +49,14 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
 
-use wiscape_core::{Coordinator, CoordinatorHandle, SampleReport};
+use wiscape_core::{Coordinator, CoordinatorHandle, ZoneId};
 use wiscape_mobility::ClientId;
 use wiscape_simcore::{SimDuration, SimTime, StreamRng};
 use wiscape_simnet::NetworkId;
 
 use crate::codec::{
-    encode, encode_ack_one, CheckinRequest, FrameReader, ReportView, TaskAssignment, WireMessage,
-    WireMessageRef,
+    encode, encode_ack_one, CheckinRequest, FrameReader, ReportView, SampleIter, TaskAssignment,
+    WireMessage, WireMessageRef,
 };
 
 /// When deduplicated reports are committed into the coordinator.
@@ -121,6 +130,98 @@ fn server_obs() -> &'static ServerObs {
     })
 }
 
+/// Bytes in one staging chunk.
+const CHUNK_BYTES: usize = 1 << 20;
+
+/// Commit order of a staged report: `(t, client, seq)`.
+type StageKey = (SimTime, ClientId, u64);
+
+/// A staged report: the cell it folds into and where its raw sample
+/// bytes sit in [`Staging`].
+#[derive(Debug, Clone, Copy)]
+struct Staged {
+    zone: ZoneId,
+    network: NetworkId,
+    /// Index of the chunk holding the samples.
+    chunk: usize,
+    /// Byte offset of the samples in the chunk.
+    at: usize,
+    /// Byte length of the samples.
+    len: usize,
+}
+
+/// The raw sample bytes of the staged reports, copied from their frames
+/// into chunks of [`CHUNK_BYTES`]; a report larger than that gets a
+/// chunk of its own size. A chunk fills front to back and is never
+/// reallocated. Once every report in it has committed it is emptied and
+/// filled again, so the chunk count follows the bytes staged at one
+/// time, not the length of the stream.
+#[derive(Debug, Clone, Default)]
+struct Staging {
+    chunks: Vec<Chunk>,
+    /// The chunk being filled.
+    open: usize,
+}
+
+#[derive(Debug, Clone)]
+struct Chunk {
+    bytes: Vec<u8>,
+    /// Staged reports whose samples are in this chunk.
+    live: usize,
+}
+
+impl Staging {
+    /// Copies `samples` into the open chunk, or else into the first
+    /// empty chunk large enough, which becomes the open one, and returns
+    /// `(chunk, offset)`. When no chunk has room, `new_chunk` is called
+    /// with the capacity of the chunk to add.
+    fn copy_in(
+        &mut self,
+        samples: &[u8],
+        new_chunk: impl FnOnce(usize) -> Vec<u8>,
+    ) -> (usize, usize) {
+        let fits = |c: &Chunk| c.bytes.capacity() - c.bytes.len() >= samples.len();
+        if !self.chunks.get(self.open).is_some_and(fits) {
+            match self.chunks.iter().position(|c| c.live == 0 && fits(c)) {
+                Some(empty) => self.open = empty,
+                None => {
+                    self.open = self.chunks.len();
+                    let bytes = new_chunk(CHUNK_BYTES.max(samples.len()));
+                    self.chunks.push(Chunk { bytes, live: 0 });
+                }
+            }
+        }
+        let Some(chunk) = self.chunks.get_mut(self.open) else {
+            // Unreachable: the branch above left `open` on a chunk.
+            return (self.open, 0);
+        };
+        let at = chunk.bytes.len();
+        chunk.bytes.extend_from_slice(samples);
+        chunk.live += 1;
+        (self.open, at)
+    }
+
+    /// The staged samples of `s`.
+    fn staged_samples(&self, s: &Staged) -> SampleIter<'_> {
+        let bytes = self
+            .chunks
+            .get(s.chunk)
+            .and_then(|c| c.bytes.get(s.at..s.at + s.len));
+        SampleIter::new(bytes.unwrap_or_default())
+    }
+
+    /// Notes that one report in `chunk` committed, emptying the chunk
+    /// for reuse when it was the last.
+    fn release(&mut self, chunk: usize) {
+        if let Some(c) = self.chunks.get_mut(chunk) {
+            c.live = c.live.saturating_sub(1);
+            if c.live == 0 {
+                c.bytes.clear();
+            }
+        }
+    }
+}
+
 /// The coordinator's channel endpoint.
 ///
 /// Generic over the [`CoordinatorHandle`] it drives: the default is a
@@ -135,7 +236,8 @@ pub struct ChannelServer<C: CoordinatorHandle = Coordinator> {
     stream: StreamRng,
     networks: Vec<NetworkId>,
     seen: BTreeMap<ClientId, BTreeSet<u64>>,
-    staged: BTreeMap<(SimTime, ClientId, u64), SampleReport>,
+    staged: BTreeMap<StageKey, Staged>,
+    staging: Staging,
     meters: ServerMeters,
 }
 
@@ -160,6 +262,7 @@ impl<C: CoordinatorHandle> ChannelServer<C> {
             networks,
             seen: BTreeMap::new(),
             staged: BTreeMap::new(),
+            staging: Staging::default(),
             meters: ServerMeters::default(),
         }
     }
@@ -197,9 +300,11 @@ impl<C: CoordinatorHandle> ChannelServer<C> {
     }
 
     /// Resident bytes of the coordinator's per-zone estimation state —
-    /// O(zones) however many reports stream through. The watermark
-    /// staging buffer is the only other report storage, and it is
-    /// bounded by the settle window, not the run length.
+    /// O(zones) however many reports stream through. The server's own
+    /// report state is not counted: the watermark staging holds what the
+    /// settle window holds (one year in the production configurations,
+    /// so every report until drain), and the dedup set keeps every
+    /// `(client, seq)` ever received.
     pub fn sketch_bytes(&self) -> usize {
         self.coordinator.as_coordinator().sketch_bytes()
     }
@@ -212,7 +317,9 @@ impl<C: CoordinatorHandle> ChannelServer<C> {
 
     /// Handles one received transmission (a concatenation of frames) at
     /// `now`, returning the reply frames (task assignments for
-    /// check-ins, acks for reports) to put on the downlink.
+    /// check-ins, acks for reports) to put on the downlink. The
+    /// handle's group is committed before the replies are returned, so
+    /// every report an ack covers is written to the event log first.
     pub fn receive(&mut self, bytes: &[u8], now: SimTime) -> Vec<Vec<u8>> {
         let obs = server_obs();
         self.meters.frames_received += 1;
@@ -267,6 +374,7 @@ impl<C: CoordinatorHandle> ChannelServer<C> {
                 }
             }
         }
+        self.coordinator.commit_group();
         replies
     }
 
@@ -299,11 +407,14 @@ impl<C: CoordinatorHandle> ChannelServer<C> {
 
     /// Dedups and (per policy) commits one report copy from a borrowed
     /// frame view. On the immediate path the samples fold straight
-    /// from the wire bytes into the zone sketch — no owned
-    /// `SampleReport`, no `Vec<f64>` (lint rule S004 keeps this
-    /// function allocation-free). The caller acks separately via
-    /// [`encode_ack_one`], whatever the outcome, so the client stops
-    /// retrying.
+    /// from the wire bytes into the zone sketch; on the watermark path
+    /// their raw bytes are copied into a staging chunk. Neither builds
+    /// an owned `SampleReport` or a `Vec<f64>` (lint rule S004 keeps
+    /// this function allocation-free, bar the inventoried chunk). The
+    /// caller acks separately via [`encode_ack_one`], whatever the
+    /// outcome, so the client stops retrying; a caller that does not
+    /// go through [`Self::receive`] commits the handle's group
+    /// ([`CoordinatorHandle::commit_group`]) before its acks leave.
     pub fn handle_report_view(&mut self, view: &ReportView<'_>, now: SimTime) {
         let client = view.client;
         let fresh = self.seen.entry(client).or_default().insert(view.seq);
@@ -311,10 +422,17 @@ impl<C: CoordinatorHandle> ChannelServer<C> {
             match self.policy {
                 CommitPolicy::Immediate => self.commit_view(view),
                 CommitPolicy::Watermark(_) => {
-                    // lint:allow(S004): watermark staging must own the report — the frame buffer dies with this call, the settle window does not; bounded by the window, not the run.
-                    let msg = view.to_msg();
-                    self.staged
-                        .insert((msg.report.t, client, msg.seq), msg.report);
+                    let samples = view.sample_bytes();
+                    // lint:allow(S004): a staging chunk, 1 MiB or one oversize report; added only when every chunk is full or still holds uncommitted reports, so chunks follow the bytes staged at once, not the report count.
+                    let (chunk, at) = self.staging.copy_in(samples, Vec::with_capacity);
+                    let staged = Staged {
+                        zone: view.zone,
+                        network: view.task.network,
+                        chunk,
+                        at,
+                        len: samples.len(),
+                    };
+                    self.staged.insert((view.t, client, view.seq), staged);
                 }
             }
         } else {
@@ -327,35 +445,10 @@ impl<C: CoordinatorHandle> ChannelServer<C> {
     }
 
     /// Folds one deduplicated report into the coordinator's per-zone
-    /// sketch: O(1) state per `(zone, network)` cell and no per-report
-    /// allocation (the ingest path filters and folds the samples in
-    /// place — see `Coordinator::ingest_report`).
-    fn commit(&mut self, report: &SampleReport, seq: u64) {
-        let ok = self
-            .coordinator
-            .ingest_samples_tagged(
-                report.client,
-                seq,
-                report.zone,
-                report.task.network,
-                report.t,
-                report.samples.iter().copied(),
-            )
-            .is_ok();
-        if ok {
-            self.meters.reports_ingested += 1;
-            server_obs().reports_ingested.inc();
-        } else {
-            self.meters.reports_rejected += 1;
-            server_obs().reports_rejected.inc();
-        }
-    }
-
-    /// [`ChannelServer::commit`] for a borrowed view: streams the
-    /// samples from the frame bytes into
-    /// [`Coordinator::ingest_samples`]. Identical counters and bits to
-    /// the owned path (`ingest_report` is the same call over a slice
-    /// iterator).
+    /// sketch, streaming the samples from the frame bytes: O(1) state
+    /// per `(zone, network)` cell and no per-report allocation (the
+    /// ingest path filters and folds the samples in place — see
+    /// `Coordinator::ingest_samples`).
     fn commit_view(&mut self, view: &ReportView<'_>) {
         let ok = self
             .coordinator
@@ -368,6 +461,29 @@ impl<C: CoordinatorHandle> ChannelServer<C> {
                 view.samples(),
             )
             .is_ok();
+        self.note_commit(ok);
+    }
+
+    /// Folds one staged report from its chunk bytes, then frees them.
+    /// Same call, samples and bits as [`Self::commit_view`] on the
+    /// frame the bytes were copied from.
+    fn commit_staged(&mut self, (t, client, seq): StageKey, s: Staged) {
+        let ok = self
+            .coordinator
+            .ingest_samples_tagged(
+                client,
+                seq,
+                s.zone,
+                s.network,
+                t,
+                self.staging.staged_samples(&s),
+            )
+            .is_ok();
+        self.note_commit(ok);
+        self.staging.release(s.chunk);
+    }
+
+    fn note_commit(&mut self, ok: bool) {
         if ok {
             self.meters.reports_ingested += 1;
             server_obs().reports_ingested.inc();
@@ -380,27 +496,24 @@ impl<C: CoordinatorHandle> ChannelServer<C> {
     /// Commits staged reports older than the settle window, in sorted
     /// `(t, client, seq)` order.
     fn advance(&mut self, now: SimTime, settle: SimDuration) {
-        while let Some((&key, _)) = self.staged.iter().next() {
-            if now - key.0 < settle {
+        while let Some(entry) = self.staged.first_entry() {
+            if now - entry.key().0 < settle {
                 break;
             }
-            if let Some(report) = self.staged.remove(&key) {
-                self.commit(&report, key.2);
-            }
+            let (key, staged) = entry.remove_entry();
+            self.commit_staged(key, staged);
         }
     }
 
-    /// Commits every staged report (watermark runs) and finalizes all
-    /// epochs at `end`. Call once, after retransmissions have drained.
+    /// Commits every staged report (watermark runs), in sorted
+    /// `(t, client, seq)` order, returns the staging chunks to the
+    /// allocator, and finalizes all epochs at `end`. Call once, after
+    /// retransmissions have drained.
     pub fn drain(&mut self, end: SimTime) {
-        // Pop-first loop: commits in sorted key order (same order the
-        // collected-keys version used) without materializing the whole
-        // key set — the staging buffer can hold a full settle window.
-        while let Some((&key, _)) = self.staged.iter().next() {
-            if let Some(report) = self.staged.remove(&key) {
-                self.commit(&report, key.2);
-            }
+        while let Some((key, staged)) = self.staged.pop_first() {
+            self.commit_staged(key, staged);
         }
+        self.staging = Staging::default();
         self.coordinator.flush_tagged(end);
     }
 }
@@ -410,8 +523,8 @@ mod tests {
     use super::*;
     use crate::codec::{decode, AckMsg, ReportMsg};
     use wiscape_core::{
-        state_fingerprint, CoordinatorConfig, MeasurementTask, RebalanceMove, ShardSet, ZoneId,
-        ZoneIndex,
+        state_fingerprint, CoordinatorConfig, MeasurementTask, RebalanceMove, SampleReport,
+        ShardSet, ZoneIndex,
     };
     use wiscape_geo::GeoPoint;
     use wiscape_simnet::TransportKind;
@@ -447,22 +560,26 @@ mod tests {
         )
     }
 
+    fn report(zone: ZoneId, client: u32, t: SimTime, samples: &[f64]) -> SampleReport {
+        SampleReport {
+            client: ClientId(client),
+            task: MeasurementTask {
+                zone,
+                network: NetworkId::NetB,
+                kind: TransportKind::Udp,
+                n_packets: 1,
+                packet_bytes: 100,
+            },
+            zone,
+            t,
+            samples: samples.to_vec(),
+        }
+    }
+
     fn report_frame(zone: ZoneId, client: u32, seq: u64, t: SimTime, samples: &[f64]) -> Vec<u8> {
         encode(&WireMessage::Report(ReportMsg {
             seq,
-            report: SampleReport {
-                client: ClientId(client),
-                task: MeasurementTask {
-                    zone,
-                    network: NetworkId::NetB,
-                    kind: TransportKind::Udp,
-                    n_packets: 1,
-                    packet_bytes: 100,
-                },
-                zone,
-                t,
-                samples: samples.to_vec(),
-            },
+            report: report(zone, client, t, samples),
         }))
     }
 
@@ -515,21 +632,111 @@ mod tests {
 
     #[test]
     fn watermark_commits_in_time_order_regardless_of_arrival() {
-        let ingest = |arrival_order: &[u64]| {
+        // `n` samples per report; returns the published estimate, the
+        // state fingerprint, and the staging chunks in use before the
+        // drain.
+        let ingest = |arrival_order: &[u64], n: usize| {
             let mut s = server(CommitPolicy::Watermark(SimDuration::from_hours(100)));
             for &seq in arrival_order {
                 let t = SimTime::from_secs(i64::try_from(seq).unwrap() * 60);
-                let frame = home_frame(seq, t, &[100.0 + 7.0 * (seq as f64)]);
+                let samples: Vec<f64> = (0..n)
+                    .map(|k| 100.0 + 7.0 * (seq as f64) + (k as f64) / 8.0)
+                    .collect();
+                let frame = home_frame(seq, t, &samples);
                 assert_eq!(acked(&mut s, &frame, t), vec![seq]);
             }
-            s.drain(SimTime::from_secs(3600));
+            let chunks = s.staging.chunks.len();
+            s.drain(SimTime::from_secs(100 * 3600));
+            assert_eq!(s.meters().reports_ingested, arrival_order.len() as u64);
             let zone = s.coordinator().index().zone_of(&center());
-            s.coordinator().published(zone, NetworkId::NetB).unwrap()
+            let published = s.coordinator().published(zone, NetworkId::NetB).unwrap();
+            let fingerprint = state_fingerprint(&s.coordinator().export_state());
+            (published, fingerprint, chunks)
         };
-        let a = ingest(&[0, 1, 2, 3, 4]);
-        let b = ingest(&[4, 2, 0, 3, 1]);
+        let (a, fa, _) = ingest(&[0, 1, 2, 3, 4], 1);
+        let (b, fb, _) = ingest(&[4, 2, 0, 3, 1], 1);
         assert_eq!(a, b, "published estimate independent of arrival order");
+        assert_eq!(fa, fb);
         assert_eq!(a.samples, 5);
+
+        // 100 reports of 32 kB each: the staged bytes span four chunks.
+        let forward: Vec<u64> = (0..100).collect();
+        let shuffled: Vec<u64> = (0..100).map(|i| (i * 37) % 100).collect();
+        let (a, fa, chunks_a) = ingest(&forward, 4_000);
+        let (b, fb, chunks_b) = ingest(&shuffled, 4_000);
+        assert!(
+            chunks_a >= 3 && chunks_b >= 3,
+            "{chunks_a}, {chunks_b} chunks"
+        );
+        assert_eq!(a, b, "across chunks too");
+        assert_eq!(fa, fb);
+    }
+
+    /// Reports past the staging's sizes — more sample bytes than one
+    /// chunk, more samples than `u16::MAX`, exactly one chunk — stage
+    /// and commit bitwise like the owned reports they were encoded from.
+    #[test]
+    fn oversize_reports_stage_and_commit_like_owned_reports() {
+        let zone = index().zone_of(&center());
+        let sizes = [3usize, 70_000, 140_000, 5, 131_072, 2];
+        let reports: Vec<SampleReport> = sizes
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| {
+                let t = SimTime::from_secs(60 * i64::try_from(i).unwrap());
+                let samples: Vec<f64> = (0..n).map(|k| 300.0 + (k % 97) as f64 * 0.5).collect();
+                report(zone, 1, t, &samples)
+            })
+            .collect();
+        let mut s = server(CommitPolicy::Watermark(SimDuration::from_hours(100)));
+        for (seq, r) in reports.iter().enumerate().rev() {
+            let frame = encode(&WireMessage::Report(ReportMsg {
+                seq: seq as u64,
+                report: r.clone(),
+            }));
+            s.receive(&frame, r.t);
+        }
+        assert!(
+            s.staging
+                .chunks
+                .iter()
+                .any(|c| c.bytes.len() == 140_000 * 8 && c.bytes.capacity() == c.bytes.len()),
+            "the 1.1 MB report has a chunk of its own size"
+        );
+        let mut owned = Coordinator::new(index(), CoordinatorConfig::default());
+        for r in &reports {
+            owned.ingest_report(r).unwrap();
+        }
+        let end = SimTime::from_secs(100 * 3600);
+        s.drain(end);
+        owned.flush(end);
+        assert_eq!(s.meters().reports_ingested, 6);
+        assert_eq!(
+            state_fingerprint(&s.coordinator().export_state()),
+            state_fingerprint(&owned.export_state())
+        );
+    }
+
+    /// A long stream under a shallow watermark reuses its chunks: the
+    /// chunk count follows the bytes staged at one time (a minute of
+    /// reports), not the 100,000 reports (16 MB of samples) streamed.
+    #[test]
+    fn staging_chunks_stay_bounded_under_a_shallow_watermark() {
+        let mut s = server(CommitPolicy::Watermark(SimDuration::from_secs(60)));
+        let zone = index().zone_of(&center());
+        let samples = [250.0; 20];
+        let mut peak = 0;
+        for i in 0..100_000u64 {
+            let t = SimTime::from_secs(i64::try_from(i).unwrap());
+            let client = u32::try_from(i % 50).unwrap();
+            s.receive(&report_frame(zone, client, i / 50, t, &samples), t);
+            peak = peak.max(s.staging.chunks.len());
+        }
+        assert!(s.staged_len() > 0, "the window still holds reports");
+        assert!(peak <= 2, "{peak} chunks for one minute of reports");
+        s.drain(SimTime::from_secs(200_000));
+        assert_eq!(s.meters().reports_ingested, 100_000);
+        assert_eq!(s.staged_len(), 0);
     }
 
     /// One check-in and report stream over zones spread across the

@@ -745,10 +745,13 @@ pub struct CoordinatorState {
 /// [`Coordinator`] implements it by delegating straight to its
 /// inherent methods; `wiscape-wal`'s `DurableCoordinator` implements
 /// it by appending each mutation to its event log *before* folding it
-/// into the wrapped coordinator (commit-before-fold), which is what
-/// makes snapshot+replay recovery byte-identical. The `client`/`seq`
-/// tags identify the committed report in the log's canonical
-/// `(t, client, seq)` order; the plain coordinator ignores them.
+/// into the wrapped coordinator, which is what makes snapshot+replay
+/// recovery byte-identical, and by writing the appended records to the
+/// OS before anything that depends on them leaves the process
+/// (write-before-ack, see [`CoordinatorHandle::commit_group`]). The
+/// `client`/`seq` tags identify the committed report in the log's
+/// canonical `(t, client, seq)` order; the plain coordinator ignores
+/// them.
 pub trait CoordinatorHandle {
     /// Read-only view of the underlying coordinator.
     fn as_coordinator(&self) -> &Coordinator;
@@ -795,6 +798,13 @@ pub trait CoordinatorHandle {
     /// [`Coordinator::install_cells`], tagged for the event log: the
     /// receiver side of a shard zone-range rebalance.
     fn migrate_in_tagged(&mut self, cells: Vec<ZoneCellState>);
+
+    /// Group commit: writes every event-log record this handle has
+    /// buffered to the OS. The channel server calls it at the end of
+    /// each `receive`, before the acks and tasks of that transmission
+    /// leave, so no ack goes out ahead of the records it acknowledges.
+    /// A handle without a log has nothing to write.
+    fn commit_group(&mut self) {}
 }
 
 impl CoordinatorHandle for Coordinator {

@@ -669,6 +669,13 @@ impl<C: CoordinatorHandle> CoordinatorHandle for ShardSet<C> {
             }
         }
     }
+
+    /// Commits every shard's group.
+    fn commit_group(&mut self) {
+        for c in &mut self.shards {
+            c.commit_group();
+        }
+    }
 }
 
 /// Per-run shard wiring chosen on the command line and read by the

@@ -1,13 +1,21 @@
-//! The durable coordinator: commit-before-fold event sourcing around
-//! the in-memory [`Coordinator`].
+//! The durable coordinator: write-before-ack event sourcing around the
+//! in-memory [`Coordinator`].
 //!
 //! Every mutation that reaches the coordinator through the
 //! [`CoordinatorHandle`] trait is first encoded as a WAL record and
-//! appended to the segmented log, *then* folded into the live sketch
+//! appended to the writer's group, *then* folded into the live sketch
 //! state — the channel's canonical `(t, client, seq)` commit order
-//! becomes the log order. Periodically the full fold state is
-//! snapshotted (bitwise, see [`crate::snapshot`]) and the manifest
-//! advanced, bounding replay length.
+//! becomes the log order. The group reaches the OS in one write before
+//! anything that depends on its records leaves the process: at
+//! [`CoordinatorHandle::commit_group`] (the channel server calls it
+//! before its acks go out), at every non-hot operation (whose tasks or
+//! effects the caller sees on return), before a snapshot, at segment
+//! rotation, at [`DurableCoordinator::shutdown`], and whenever the group
+//! is full. A fold is process-local: a death loses it together with the
+//! unwritten group, and the client of an un-acked report retries.
+//! Periodically the full fold state is snapshotted (bitwise, see
+//! [`crate::snapshot`]) and the manifest advanced, bounding replay
+//! length.
 //!
 //! # Crash model
 //!
@@ -15,7 +23,9 @@
 //! boundary. The *disk* effect happens immediately — a skipped append,
 //! a torn frame prefix, a torn snapshot `.tmp`, an orphan snapshot the
 //! manifest never names — exactly what a process death at that
-//! boundary leaves behind. The *restart* is lazy: the sample-ingest
+//! boundary leaves behind. A record crash cuts the group at its target
+//! record: the records before it are written, then the crash point
+//! decides the target's fate. The *restart* is lazy: the sample-ingest
 //! path is a declared alloc-free hot path (lint rule A001), and
 //! rebuilding a coordinator allocates, so the rebuild runs at the next
 //! non-hot operation (check-in, tuner update, flush, or
@@ -45,7 +55,7 @@ use wiscape_simcore::{SimDuration, SimTime};
 use wiscape_simnet::NetworkId;
 
 use crate::crash::{CrashPlan, CrashPoint};
-use crate::log::{scan_views, WalWriter, DEFAULT_SEGMENT_BYTES};
+use crate::log::{scan_views, wal_obs, WalWriter, DEFAULT_SEGMENT_BYTES};
 use crate::record::{
     decode_record, RecordEncoder, RecordView, WalError, WalRecord, TAG_CHECKIN, TAG_FLUSH,
     TAG_INGEST, TAG_MIGRATE_IN, TAG_MIGRATE_OUT, TAG_SET_EPOCH, TAG_SET_QUOTA,
@@ -54,27 +64,10 @@ use crate::snapshot::{
     encode_state, load_snapshot, read_manifest, write_snapshot, SnapshotWriteMode,
 };
 
-/// Obs handles safe for the hot append path: counters only (their
-/// registration is the already-inventoried alloc-suppressed
-/// `wiscape_obs::counter`, and `inc`/`add` are allocation-free).
-struct WalObs {
-    bytes_appended: wiscape_obs::Counter,
-    records: wiscape_obs::Counter,
-    append_errors: wiscape_obs::Counter,
-}
-
-fn wal_obs() -> &'static WalObs {
-    static M: OnceLock<WalObs> = OnceLock::new();
-    M.get_or_init(|| WalObs {
-        bytes_appended: wiscape_obs::counter("wal/bytes_appended"),
-        records: wiscape_obs::counter("wal/records"),
-        append_errors: wiscape_obs::counter("wal/append_errors"),
-    })
-}
-
-/// Obs handles for the recovery path only. Kept out of [`WalObs`]
-/// because span registration allocates without an A001 suppression —
-/// these must never be touched from the hot append path.
+/// Obs handles for the recovery path only. Kept out of the write
+/// path's counters because span registration allocates without an
+/// A001 suppression — these must never be touched from the hot append
+/// path.
 struct RecoveryObs {
     snapshots: wiscape_obs::Counter,
     replayed_records: wiscape_obs::Counter,
@@ -132,10 +125,14 @@ pub struct RecoveryReport {
 /// Cumulative WAL meters for one coordinator instance.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WalMeters {
-    /// Records appended (durable, post-recovery).
+    /// Records written to the OS (after a restart, what the recovered
+    /// log holds plus what was written since). Records still in the
+    /// writer's group are not counted.
     pub records: u64,
-    /// Bytes appended across all segments.
+    /// Bytes written to the OS across all segments.
     pub bytes_appended: u64,
+    /// Group writes issued: one `write(2)` of whole records each.
+    pub group_writes: u64,
     /// Snapshots fully committed (manifest advanced).
     pub snapshots: u64,
     /// Bytes in the most recent committed snapshot file.
@@ -147,7 +144,8 @@ pub struct WalMeters {
     pub recovery_mismatches: u64,
     /// Records replayed across all in-run restarts.
     pub replayed_records: u64,
-    /// Append attempts that failed at the I/O layer.
+    /// Records lost to a failed group write, plus failed torn appends
+    /// and snapshot writes.
     pub append_errors: u64,
 }
 
@@ -312,6 +310,8 @@ impl DurableCoordinator {
         let mut m = self.meters;
         m.records = self.writer.records();
         m.bytes_appended = self.writer.bytes_appended();
+        m.group_writes += self.writer.group_writes();
+        m.append_errors += self.writer.lost_records();
         m
     }
 
@@ -322,11 +322,9 @@ impl DurableCoordinator {
     }
 
     /// End-of-run: resolves a still-pending crash (restart + proof),
-    /// then syncs the log to disk.
+    /// then writes the group and syncs the log to disk.
     pub fn shutdown(&mut self) -> Result<(), WalError> {
-        if self.crash_pending {
-            self.restart_now();
-        }
+        self.maybe_restart();
         self.writer.sync()
     }
 
@@ -358,56 +356,63 @@ impl DurableCoordinator {
         self.enc.seal_into(&mut self.frame);
     }
 
-    /// Commits the scratch frame: the crash plan decides whether it
-    /// lands whole, torn, or queues for redelivery. Hot: no
+    /// Commits the scratch frame to the group: the crash plan decides
+    /// whether it lands whole, torn, or queues for redelivery. Hot: no
     /// allocation, no restart — restarts run at non-hot boundaries.
+    /// Write failures are counted by the writer.
     fn commit_frame(&mut self) {
         if self.crash_pending {
             self.pending.extend_from_slice(&self.frame);
             return;
         }
-        let op = self.writer.records();
-        if !self.crash_consumed && self.plan.fires_at(op) {
-            self.crash_consumed = true;
-            self.crash_pending = true;
-            match self.plan.point {
-                CrashPoint::PreAppend => {
-                    self.pending.extend_from_slice(&self.frame);
-                }
-                CrashPoint::TornAppend => {
-                    let keep = self.plan.torn_keep(self.frame.len());
-                    if self.writer.append_torn(&self.frame, keep).is_err() {
-                        self.meters.append_errors += 1;
-                        wal_obs().append_errors.inc();
-                    }
-                    self.pending.extend_from_slice(&self.frame);
-                }
-                _ => {
-                    // PostAppend / PostFold: the record is durable.
-                    self.append_now();
-                }
-            }
+        if self.crash_consumed || !self.plan.fires_at(self.writer.next_record()) {
+            let _ = self.writer.append(&self.frame);
             return;
         }
-        self.append_now();
-    }
-
-    /// Unconditional append of the scratch frame. Hot.
-    fn append_now(&mut self) {
-        match self.writer.append(&self.frame) {
-            Ok(()) => {
-                let obs = wal_obs();
-                obs.records.inc();
-                obs.bytes_appended.add(self.frame.len() as u64);
+        // The crash cuts the group at this record: the records before
+        // it reach the OS, then the crash point decides its fate.
+        self.crash_consumed = true;
+        self.crash_pending = true;
+        let _ = self.writer.write_group();
+        match self.plan.point {
+            CrashPoint::PreAppend => {
+                self.pending.extend_from_slice(&self.frame);
             }
-            Err(_) => {
-                self.meters.append_errors += 1;
-                wal_obs().append_errors.inc();
+            CrashPoint::TornAppend => {
+                let keep = self.plan.torn_keep(self.frame.len());
+                if self.writer.append_torn(&self.frame, keep).is_err() {
+                    self.meters.append_errors += 1;
+                    wal_obs().append_errors.inc();
+                }
+                self.pending.extend_from_slice(&self.frame);
+            }
+            _ => {
+                // PostAppend / PostFold: the record is durable.
+                let _ = self.writer.append(&self.frame);
+                let _ = self.writer.write_group();
             }
         }
     }
 
     // ---- non-hot boundaries -------------------------------------------
+
+    /// Logs the scratch frame of a non-hot operation: a pending restart
+    /// and a due rotation run first, then the frame commits and the
+    /// group — this record included — is written, before the
+    /// operation's effects can leave the process.
+    fn log_op(&mut self) {
+        self.maybe_restart();
+        let _ = self.writer.maybe_rotate();
+        self.commit_frame();
+        let _ = self.writer.write_group();
+    }
+
+    /// Ends a non-hot operation: the restart a crash in it left
+    /// pending, then a due snapshot.
+    fn settle(&mut self) {
+        self.maybe_restart();
+        self.maybe_snapshot();
+    }
 
     /// Runs the deferred restart if a crash is pending. Non-hot only.
     fn maybe_restart(&mut self) {
@@ -448,11 +453,7 @@ impl DurableCoordinator {
                 break;
             };
             if let Some(frame) = rest.get(..used) {
-                if fresh.writer.append(frame).is_ok() {
-                    let obs = wal_obs();
-                    obs.records.inc();
-                    obs.bytes_appended.add(used as u64);
-                }
+                let _ = fresh.writer.append(frame);
             }
             replay_into(&mut fresh.inner, &rec);
             off += used;
@@ -468,6 +469,10 @@ impl DurableCoordinator {
             self.meters.recovery_mismatches += 1;
             recovery_obs().recovery_mismatches.inc();
         }
+        // The dead writer's group is empty (the crash wrote it); carry
+        // its write counters over to the new one's.
+        self.meters.group_writes += self.writer.group_writes();
+        self.meters.append_errors += self.writer.lost_records();
         self.inner = fresh.inner;
         self.writer = fresh.writer;
         self.records_at_snapshot = fresh.records_at_snapshot;
@@ -475,9 +480,11 @@ impl DurableCoordinator {
         self.meters.replayed_records += report.replayed;
     }
 
-    /// Takes a snapshot when enough records accumulated since the last
-    /// one. Non-hot only (serialization allocates).
+    /// Writes the group, then takes a snapshot when enough records
+    /// accumulated since the last one. Non-hot only (serialization
+    /// allocates).
     fn maybe_snapshot(&mut self) {
+        let _ = self.writer.write_group();
         let records = self.writer.records();
         if records.saturating_sub(self.records_at_snapshot) < self.snapshot_every {
             return;
@@ -627,13 +634,10 @@ impl CoordinatorHandle for DurableCoordinator {
         networks: &[NetworkId],
         coin: f64,
     ) -> Vec<MeasurementTask> {
-        self.maybe_restart();
-        let _ = self.writer.maybe_rotate();
         self.encode_checkin(client, point, t, networks, coin);
-        self.commit_frame();
+        self.log_op();
         let tasks = self.inner.client_checkin(client, point, t, networks, coin);
-        self.maybe_restart();
-        self.maybe_snapshot();
+        self.settle();
         tasks
     }
 
@@ -655,71 +659,62 @@ impl CoordinatorHandle for DurableCoordinator {
     }
 
     fn set_zone_quota_tagged(&mut self, zone: ZoneId, network: NetworkId, quota: u32) {
-        self.maybe_restart();
-        let _ = self.writer.maybe_rotate();
         self.enc.begin(TAG_SET_QUOTA);
         self.enc.put_zone(zone);
         self.enc.put_network(network);
         self.enc.put_u32(quota);
         self.enc.seal_into(&mut self.frame);
-        self.commit_frame();
+        self.log_op();
         self.inner.set_zone_quota(zone, network, quota);
-        self.maybe_restart();
-        self.maybe_snapshot();
+        self.settle();
     }
 
     fn set_zone_epoch_tagged(&mut self, zone: ZoneId, network: NetworkId, epoch: SimDuration) {
-        self.maybe_restart();
-        let _ = self.writer.maybe_rotate();
         self.enc.begin(TAG_SET_EPOCH);
         self.enc.put_zone(zone);
         self.enc.put_network(network);
         self.enc.put_duration(epoch);
         self.enc.seal_into(&mut self.frame);
-        self.commit_frame();
+        self.log_op();
         self.inner.set_zone_epoch(zone, network, epoch);
-        self.maybe_restart();
-        self.maybe_snapshot();
+        self.settle();
     }
 
     fn migrate_out_tagged(&mut self, lo: ZoneId, hi: ZoneId) -> Vec<ZoneCellState> {
-        self.maybe_restart();
-        let _ = self.writer.maybe_rotate();
         self.enc.begin(TAG_MIGRATE_OUT);
         self.enc.put_zone(lo);
         self.enc.put_zone(hi);
         self.enc.seal_into(&mut self.frame);
-        self.commit_frame();
+        self.log_op();
         let cells = self.inner.take_range(lo, hi);
-        self.maybe_restart();
-        self.maybe_snapshot();
+        self.settle();
         cells
     }
 
     fn migrate_in_tagged(&mut self, cells: Vec<ZoneCellState>) {
-        self.maybe_restart();
-        let _ = self.writer.maybe_rotate();
         self.enc.begin(TAG_MIGRATE_IN);
         self.enc.put_u64(cells.len() as u64);
         for cell in &cells {
             self.enc.put_cell(cell);
         }
         self.enc.seal_into(&mut self.frame);
-        self.commit_frame();
+        self.log_op();
         self.inner.install_cells(cells);
-        self.maybe_restart();
-        self.maybe_snapshot();
+        self.settle();
     }
 
     fn flush_tagged(&mut self, now: SimTime) {
-        self.maybe_restart();
-        let _ = self.writer.maybe_rotate();
         self.enc.begin(TAG_FLUSH);
         self.enc.put_time(now);
         self.enc.seal_into(&mut self.frame);
-        self.commit_frame();
+        self.log_op();
         self.inner.flush(now);
-        self.maybe_restart();
-        self.maybe_snapshot();
+        self.settle();
+    }
+
+    /// Writes the group: every record committed so far reaches the OS.
+    /// Failures are counted in [`WalMeters::append_errors`].
+    fn commit_group(&mut self) {
+        let _ = self.writer.write_group();
     }
 }

@@ -37,7 +37,7 @@ pub mod snapshot;
 
 pub use crash::{CrashPlan, CrashPoint};
 pub use durable::{DurableCoordinator, RecoveryReport, WalMeters, WalOptions};
-pub use log::{scan, scan_views, ScanSummary, WalWriter, DEFAULT_SEGMENT_BYTES};
+pub use log::{scan, scan_views, ScanSummary, WalWriter, DEFAULT_SEGMENT_BYTES, GROUP_BYTES};
 pub use record::{
     decode_record, decode_record_view, IngestView, RecordEncoder, RecordView, SampleIter, WalError,
     WalRecord,

@@ -2,12 +2,16 @@
 //!
 //! Records live in files named `wal-{index:010}.seg`, where `index` is
 //! the global record index of the segment's first record. The writer
-//! appends framed records to the current segment and rotates to a new
-//! one once the segment passes a byte threshold; rotation is deferred
-//! to non-hot call sites (building a filename allocates, and the hot
-//! append path must stay allocation-free).
+//! collects framed records in a fixed-size group buffer and writes each
+//! group to the current segment in one system call (group commit); it
+//! rotates to a new segment once the current one passes a byte
+//! threshold. Rotation is deferred to non-hot call sites (building a
+//! filename allocates, and the hot append path must stay
+//! allocation-free).
 //!
-//! The scanner replays the whole directory in order. Its torn-tail
+//! The scanner replays the whole directory in order, reading each
+//! segment in fixed-size windows, so its memory does not grow with the
+//! segment (a deferred rotation can leave one large). Its torn-tail
 //! policy mirrors journaled filesystems: a truncated frame at the very
 //! end of the *final* segment is treated as an interrupted append and
 //! cleanly dropped; a truncated frame anywhere else, or any corrupt
@@ -15,12 +19,16 @@
 //! [`WalError`] — never a panic, and never a silent skip.
 
 use std::fs::{self, File, OpenOptions};
-use std::io::Write;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 use wiscape_channel::codec::DecodeError;
 
 use crate::record::{decode_record_view, RecordView, WalError, WalRecord};
+
+/// Bytes a scan reads from a segment at a time.
+const SCAN_BYTES: u64 = 1 << 20;
 
 /// Default segment rotation threshold in bytes.
 pub const DEFAULT_SEGMENT_BYTES: u64 = 4 << 20;
@@ -33,6 +41,16 @@ fn io_err(op: &'static str) -> impl FnOnce(std::io::Error) -> WalError {
 /// index `first`.
 pub fn segment_path(dir: &Path, first: u64) -> PathBuf {
     dir.join(format!("wal-{first:010}.seg"))
+}
+
+/// Opens (creating) the segment whose first record has global index
+/// `first`, for appending.
+fn open_segment(dir: &Path, first: u64) -> Result<File, WalError> {
+    OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(segment_path(dir, first))
+        .map_err(io_err("open segment"))
 }
 
 /// Lists the segment files under `dir` as `(first_record_index, path)`
@@ -68,41 +86,67 @@ pub fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>, WalError> {
     Ok(segs)
 }
 
+/// Bytes in one write group: the in-memory buffer a [`WalWriter`]
+/// collects records in before they go to the OS in one `write_all`.
+pub const GROUP_BYTES: usize = 256 << 10;
+
+/// Obs handles of the write path: counters only (registration is the
+/// already-inventoried alloc-suppressed `wiscape_obs::counter`, and
+/// `inc`/`add` are allocation-free).
+pub(crate) struct WalObs {
+    pub(crate) bytes_appended: wiscape_obs::Counter,
+    pub(crate) records: wiscape_obs::Counter,
+    pub(crate) append_errors: wiscape_obs::Counter,
+    pub(crate) group_writes: wiscape_obs::Counter,
+}
+
+pub(crate) fn wal_obs() -> &'static WalObs {
+    static M: OnceLock<WalObs> = OnceLock::new();
+    M.get_or_init(|| WalObs {
+        bytes_appended: wiscape_obs::counter("wal/bytes_appended"),
+        records: wiscape_obs::counter("wal/records"),
+        append_errors: wiscape_obs::counter("wal/append_errors"),
+        group_writes: wiscape_obs::counter("wal/group_writes"),
+    })
+}
+
 /// Append-only writer over the segment files of one WAL directory.
+///
+/// Appends collect in one pre-sized group buffer of [`GROUP_BYTES`];
+/// the group goes to the OS in a single `write_all` when the next frame
+/// would not fit, or when the owner calls [`WalWriter::write_group`]
+/// (directly, or through [`WalWriter::maybe_rotate`],
+/// [`WalWriter::append_torn`] or [`WalWriter::sync`]). Dropping a
+/// writer writes nothing: a drop stands for process death, and the
+/// unwritten group dies with the process.
 #[derive(Debug)]
 pub struct WalWriter {
     dir: PathBuf,
-    file: Option<File>,
-    /// Global record index of the current segment's first record.
-    seg_first: u64,
+    /// The current segment.
+    file: File,
     /// Bytes written to the current segment so far.
     seg_bytes: u64,
-    /// Total records appended across all segments.
+    /// Records written to the OS across all segments.
     records: u64,
-    /// Total bytes appended across all segments.
+    /// Bytes written to the OS across all segments.
     bytes: u64,
+    /// Records whose group write failed.
+    lost_records: u64,
+    /// Writes issued, one per group (or per frame larger than a group).
+    group_writes: u64,
+    /// The group not yet written: whole frames, in append order.
+    group: Vec<u8>,
+    /// Records in `group`.
+    group_records: u64,
     segment_limit: u64,
-    /// Set when the current segment is past the limit; the next
-    /// non-hot `maybe_rotate` call opens a fresh segment.
-    rotate_pending: bool,
 }
 
 impl WalWriter {
     /// A writer positioned at the start of an empty directory.
     pub fn create(dir: &Path, segment_limit: u64) -> Result<Self, WalError> {
         fs::create_dir_all(dir).map_err(io_err("create dir"))?;
-        let mut w = Self {
-            dir: dir.to_path_buf(),
-            file: None,
-            seg_first: 0,
-            seg_bytes: 0,
-            records: 0,
-            bytes: 0,
-            segment_limit: segment_limit.max(1),
-            rotate_pending: false,
-        };
-        w.open_segment(0)?;
-        Ok(w)
+        let file = open_segment(dir, 0)?;
+        Ok(Self::new(dir, file, segment_limit, 0, 0, 0))
     }
 
     /// A writer resuming after `records` already-durable records, with
@@ -117,119 +161,157 @@ impl WalWriter {
         valid_bytes: u64,
     ) -> Result<Self, WalError> {
         let path = segment_path(dir, seg_first);
-        let file = OpenOptions::new()
+        let mut file = OpenOptions::new()
             .create(true)
             .write(true)
             .truncate(false)
             .open(&path)
             .map_err(io_err("reopen"))?;
         file.set_len(valid_bytes).map_err(io_err("truncate"))?;
-        let mut w = Self {
-            dir: dir.to_path_buf(),
-            file: Some(file),
-            seg_first,
-            seg_bytes: valid_bytes,
+        file.seek(SeekFrom::End(0)).map_err(io_err("seek"))?;
+        Ok(Self::new(
+            dir,
+            file,
+            segment_limit,
+            valid_bytes,
             records,
             bytes,
+        ))
+    }
+
+    fn new(
+        dir: &Path,
+        file: File,
+        segment_limit: u64,
+        seg_bytes: u64,
+        records: u64,
+        bytes: u64,
+    ) -> Self {
+        Self {
+            dir: dir.to_path_buf(),
+            file,
+            seg_bytes,
+            records,
+            bytes,
+            lost_records: 0,
+            group_writes: 0,
+            group: Vec::with_capacity(GROUP_BYTES),
+            group_records: 0,
             segment_limit: segment_limit.max(1),
-            rotate_pending: false,
-        };
-        w.seek_end()?;
-        w.rotate_pending = w.seg_bytes >= w.segment_limit;
-        Ok(w)
-    }
-
-    fn seek_end(&mut self) -> Result<(), WalError> {
-        use std::io::Seek;
-        if let Some(f) = self.file.as_mut() {
-            f.seek(std::io::SeekFrom::End(0)).map_err(io_err("seek"))?;
         }
-        Ok(())
     }
 
-    fn open_segment(&mut self, first: u64) -> Result<(), WalError> {
-        let path = segment_path(&self.dir, first);
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .map_err(io_err("open segment"))?;
-        self.file = Some(file);
-        self.seg_first = first;
-        self.seg_bytes = 0;
-        self.rotate_pending = false;
-        Ok(())
-    }
-
-    /// Total records appended.
+    /// Records written to the OS. Records still in the group, and
+    /// records of a failed group write, are not counted.
     pub fn records(&self) -> u64 {
         self.records
     }
 
-    /// Total bytes appended.
+    /// Bytes written to the OS.
     pub fn bytes_appended(&self) -> u64 {
         self.bytes
     }
 
-    /// Rotates to a fresh segment if the current one is past the byte
-    /// limit. Allocates (filename), so callers keep it off the hot
-    /// ingest path; appends simply continue into the oversized segment
-    /// until the next non-hot boundary.
+    /// Global index the next appended record gets: the records written
+    /// plus those waiting in the group.
+    pub fn next_record(&self) -> u64 {
+        self.records + self.group_records
+    }
+
+    /// Records lost to failed group writes.
+    pub fn lost_records(&self) -> u64 {
+        self.lost_records
+    }
+
+    /// Writes issued to the OS.
+    pub fn group_writes(&self) -> u64 {
+        self.group_writes
+    }
+
+    /// Writes the group, then rotates to a fresh segment if the current
+    /// one is past the byte limit. Allocates (filename), so callers
+    /// keep it off the hot ingest path; appends simply continue into
+    /// the oversized segment until the next non-hot boundary.
     pub fn maybe_rotate(&mut self) -> Result<(), WalError> {
-        if self.rotate_pending {
-            if let Some(f) = self.file.as_mut() {
-                f.flush().map_err(io_err("flush"))?;
-            }
-            self.open_segment(self.records)?;
+        self.write_group()?;
+        if self.seg_bytes >= self.segment_limit {
+            self.file = open_segment(&self.dir, self.records)?;
+            self.seg_bytes = 0;
         }
         Ok(())
     }
 
-    /// Appends one framed record. Hot-path safe: no allocation, one
-    /// `write_all` into the already-open segment.
+    /// Adds one framed record to the group. Hot-path safe: no
+    /// allocation, and no system call unless the frame does not fit in
+    /// what is left of the group, in which case the group is written
+    /// first. A frame larger than a whole group is written on its own.
+    /// An `Err` reports a failed write; its records are counted in
+    /// [`Self::lost_records`].
     pub fn append(&mut self, frame: &[u8]) -> Result<(), WalError> {
-        let Some(f) = self.file.as_mut() else {
-            return Err(WalError::Corrupt("append on closed writer"));
-        };
-        f.write_all(frame).map_err(io_err("append"))?;
-        self.note_record(frame.len());
+        let mut out = Ok(());
+        if frame.len() > GROUP_BYTES - self.group.len() {
+            out = self.write_group();
+        }
+        if frame.len() > GROUP_BYTES {
+            return out.and(self.write_out(frame, 1));
+        }
+        self.group.extend_from_slice(frame);
+        self.group_records += 1;
+        out
+    }
+
+    /// Writes the group to the OS in one `write_all`. On failure the
+    /// group's records are dropped and counted in
+    /// [`Self::lost_records`]; [`Self::records`] and
+    /// [`Self::bytes_appended`] stay at what reached the OS before.
+    pub fn write_group(&mut self) -> Result<(), WalError> {
+        if self.group.is_empty() {
+            return Ok(());
+        }
+        let group = std::mem::take(&mut self.group);
+        let records = std::mem::take(&mut self.group_records);
+        let out = self.write_out(&group, records);
+        self.group = group;
+        self.group.clear();
+        out
+    }
+
+    /// One write of `records` whole frames.
+    fn write_out(&mut self, frames: &[u8], records: u64) -> Result<(), WalError> {
+        let obs = wal_obs();
+        if let Err(e) = self.file.write_all(frames) {
+            self.lost_records += records;
+            obs.append_errors.add(records);
+            return Err(io_err("append")(e));
+        }
+        let len = frames.len() as u64;
+        self.records += records;
+        self.bytes += len;
+        self.seg_bytes += len;
+        self.group_writes += 1;
+        obs.records.add(records);
+        obs.bytes_appended.add(len);
+        obs.group_writes.inc();
         Ok(())
     }
 
-    /// Appends only the first `keep` bytes of `frame` — a simulated
-    /// torn write. The writer's record accounting is *not* advanced;
-    /// the torn bytes are an artifact on disk that recovery must drop.
+    /// Writes the group, then only the first `keep` bytes of `frame` —
+    /// a simulated torn write. The writer's record accounting is *not*
+    /// advanced; the torn bytes are an artifact on disk that recovery
+    /// must drop.
     pub fn append_torn(&mut self, frame: &[u8], keep: usize) -> Result<(), WalError> {
+        self.write_group()?;
         let keep = keep.min(frame.len());
         let Some(partial) = frame.get(..keep) else {
             return Err(WalError::Corrupt("torn range"));
         };
-        let Some(f) = self.file.as_mut() else {
-            return Err(WalError::Corrupt("append on closed writer"));
-        };
-        f.write_all(partial).map_err(io_err("append"))?;
-        Ok(())
+        self.file.write_all(partial).map_err(io_err("append"))
     }
 
-    /// Records bookkeeping for a frame appended by other means (used
-    /// when recovery re-appends a pending frame to a rebuilt writer).
-    fn note_record(&mut self, frame_len: usize) {
-        let len = frame_len as u64;
-        self.records = self.records.saturating_add(1);
-        self.bytes = self.bytes.saturating_add(len);
-        self.seg_bytes = self.seg_bytes.saturating_add(len);
-        if self.seg_bytes >= self.segment_limit {
-            self.rotate_pending = true;
-        }
-    }
-
-    /// Flushes the current segment to the OS.
+    /// Writes the group, then syncs the current segment to disk.
     pub fn sync(&mut self) -> Result<(), WalError> {
-        if let Some(f) = self.file.as_mut() {
-            f.flush().map_err(io_err("flush"))?;
-            f.sync_all().map_err(io_err("sync"))?;
-        }
-        Ok(())
+        self.write_group()?;
+        self.file.sync_all().map_err(io_err("sync"))
     }
 }
 
@@ -270,9 +352,11 @@ where
 }
 
 /// Like [`scan`], but delivers borrowed [`RecordView`]s: `Ingest`
-/// samples stay inside the segment buffer, so replay can fold them
+/// samples stay inside the read window, so replay can fold them
 /// without a per-record allocation. Same ordering, skip semantics, and
-/// torn-tail policy as [`scan`].
+/// torn-tail policy as [`scan`]. Each segment is read in windows of
+/// [`SCAN_BYTES`], so a scan holds one window (grown only to fit a
+/// record that is larger), however large the segment.
 pub fn scan_views<F>(dir: &Path, skip: u64, mut visit: F) -> Result<ScanSummary, WalError>
 where
     F: FnMut(u64, RecordView<'_>) -> Result<(), WalError>,
@@ -281,20 +365,24 @@ where
     let mut summary = ScanSummary::default();
     let mut index: u64 = 0;
     let total = segs.len();
+    let mut buf = Vec::new();
     for (pos, (first, path)) in segs.into_iter().enumerate() {
         if first != index {
             return Err(WalError::Corrupt("segment sequence gap"));
         }
         let is_last = pos + 1 == total;
-        let data = fs::read(&path).map_err(io_err("read segment"))?;
+        let mut file = File::open(&path).map_err(io_err("read segment"))?;
+        buf.clear();
         let mut off = 0usize;
+        let mut eof = false;
         summary.last_seg_first = first;
         summary.last_seg_valid_bytes = 0;
-        while let Some(rest) = data.get(off..) {
-            if rest.is_empty() {
+        loop {
+            let rest = buf.get(off..).unwrap_or_default();
+            if rest.is_empty() && eof {
                 break;
             }
-            match decode_record_view(rest) {
+            let cut = match decode_record_view(rest) {
                 Ok((record, used)) => {
                     if index >= skip {
                         visit(index, record)?;
@@ -304,25 +392,48 @@ where
                     summary.records_seen += 1;
                     summary.valid_bytes += used as u64;
                     summary.last_seg_valid_bytes += used as u64;
+                    continue;
                 }
-                Err(WalError::Frame(DecodeError::Truncated { .. })) if is_last => {
-                    // Interrupted append: everything before `off` is
-                    // intact, the tail is dropped.
-                    summary.torn_bytes = (data.len() - off) as u64;
-                    break;
-                }
+                Err(e @ WalError::Frame(DecodeError::Truncated { .. })) => e,
                 Err(e) => return Err(e),
+            };
+            if !eof {
+                // The window ends inside a record: slide it, read on.
+                buf.drain(..off);
+                off = 0;
+                eof = read_window(&mut file, &mut buf)?;
+            } else if is_last {
+                // Interrupted append: everything before `off` is
+                // intact, the tail is dropped.
+                summary.torn_bytes = (buf.len() - off) as u64;
+                break;
+            } else {
+                return Err(cut);
             }
         }
     }
     Ok(summary)
 }
 
+/// Appends up to [`SCAN_BYTES`] more bytes of `file` to `buf`,
+/// returning whether the file is exhausted.
+fn read_window(file: &mut File, buf: &mut Vec<u8>) -> Result<bool, WalError> {
+    let read = file
+        .take(SCAN_BYTES)
+        .read_to_end(buf)
+        .map_err(io_err("read segment"))?;
+    Ok((read as u64) < SCAN_BYTES)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{RecordEncoder, TAG_FLUSH};
+    use crate::record::{RecordEncoder, TAG_FLUSH, TAG_INGEST};
+    use wiscape_core::ZoneId;
+    use wiscape_geo::CellId;
+    use wiscape_mobility::ClientId;
     use wiscape_simcore::SimTime;
+    use wiscape_simnet::NetworkId;
 
     fn flush_frame(t_us: i64) -> Vec<u8> {
         let mut enc = RecordEncoder::with_capacity(16);
@@ -392,6 +503,154 @@ mod tests {
         let summary2 = scan(&dir, 0, |_, _| Ok(())).unwrap();
         assert_eq!(summary2.records_seen, 2);
         assert_eq!(summary2.torn_bytes, 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    fn indices_on_disk(dir: &Path) -> Vec<u64> {
+        let mut seen = Vec::new();
+        let summary = scan(dir, 0, |idx, _| {
+            seen.push(idx);
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(summary.torn_bytes, 0);
+        seen
+    }
+
+    /// A drop stands for process death: the group not yet written dies
+    /// with the writer, and every earlier group stays on disk.
+    #[test]
+    fn dropped_writer_leaves_only_earlier_groups() {
+        let dir = temp_dir("drop");
+        let mut w = WalWriter::create(&dir, u64::MAX).unwrap();
+        for i in 0..3 {
+            w.append(&flush_frame(i)).unwrap();
+        }
+        w.write_group().unwrap();
+        for i in 3..5 {
+            w.append(&flush_frame(i)).unwrap();
+        }
+        assert_eq!((w.records(), w.next_record()), (3, 5));
+        drop(w);
+        assert_eq!(indices_on_disk(&dir), vec![0, 1, 2]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A group goes out when the next frame would not fit, and a frame
+    /// larger than a whole group goes out on its own, after the group
+    /// before it.
+    #[test]
+    fn full_groups_and_oversize_frames_write_in_order() {
+        let dir = temp_dir("full");
+        let mut w = WalWriter::create(&dir, u64::MAX).unwrap();
+        let frame = flush_frame(1);
+        let per_group = GROUP_BYTES / frame.len();
+        for _ in 0..=per_group {
+            w.append(&frame).unwrap();
+        }
+        assert_eq!(w.group_writes(), 1, "the full group went out");
+        assert_eq!(w.records(), per_group as u64);
+        // One ingest record of 40,000 samples: 320 kB, over a group.
+        let mut enc = RecordEncoder::with_capacity(16);
+        let mut big = Vec::new();
+        enc.begin(TAG_INGEST);
+        enc.put_client(ClientId(1));
+        enc.put_u64(0);
+        enc.put_zone(ZoneId(CellId { col: 0, row: 0 }));
+        enc.put_network(NetworkId::NetA);
+        enc.put_time(SimTime::EPOCH);
+        enc.put_u64(40_000);
+        for i in 0..40_000 {
+            enc.put_f64(f64::from(i));
+        }
+        enc.seal_into(&mut big);
+        assert!(big.len() > GROUP_BYTES);
+        w.append(&big).unwrap();
+        assert_eq!(w.group_writes(), 3, "the open group, then the big frame");
+        w.append(&frame).unwrap();
+        w.sync().unwrap();
+        assert_eq!(w.group_writes(), 4);
+        let expect = per_group as u64 + 3;
+        assert_eq!(w.records(), expect);
+        assert_eq!(indices_on_disk(&dir), (0..expect).collect::<Vec<_>>());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A failed group write loses the group: its records are counted,
+    /// and the written totals stay at what reached the OS.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn failed_group_write_counts_its_records() {
+        let dir = temp_dir("enospc");
+        fs::create_dir_all(&dir).unwrap();
+        std::os::unix::fs::symlink("/dev/full", segment_path(&dir, 0)).unwrap();
+        let mut w = WalWriter::create(&dir, u64::MAX).unwrap();
+        for i in 0..3 {
+            w.append(&flush_frame(i)).unwrap();
+        }
+        assert!(w.write_group().is_err());
+        assert_eq!(
+            (w.records(), w.bytes_appended(), w.group_writes()),
+            (0, 0, 0)
+        );
+        assert_eq!((w.lost_records(), w.next_record()), (3, 0));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A segment several windows long, with records straddling every
+    /// window edge, one record larger than a window, and a torn tail,
+    /// scans exactly like the bytes say.
+    #[test]
+    fn scan_windows_carry_records_across_their_edges() {
+        let dir = temp_dir("windows");
+        let mut w = WalWriter::create(&dir, u64::MAX).unwrap();
+        let mut lens = Vec::new();
+        let mut enc = RecordEncoder::with_capacity(16);
+        let mut frame = Vec::new();
+        for (i, n) in (0..400u64)
+            .map(|i| (i, 1 + (i * 7919) % 2_000))
+            .chain([(400, 140_000)])
+        {
+            enc.begin(TAG_INGEST);
+            enc.put_client(ClientId(1));
+            enc.put_u64(i);
+            enc.put_zone(ZoneId(CellId { col: 0, row: 0 }));
+            enc.put_network(NetworkId::NetA);
+            enc.put_time(SimTime::EPOCH);
+            enc.put_u64(n);
+            for k in 0..n {
+                enc.put_f64(k as f64);
+            }
+            enc.seal_into(&mut frame);
+            w.append(&frame).unwrap();
+            lens.push(n);
+        }
+        assert!(
+            frame.len() as u64 > SCAN_BYTES,
+            "the last record outgrows a window"
+        );
+        let tail = flush_frame(9);
+        w.append_torn(&tail, tail.len() - 2).unwrap();
+        w.sync().unwrap();
+        assert!(w.bytes_appended() > 3 * SCAN_BYTES);
+        let mut seen = Vec::new();
+        let summary = scan_views(&dir, 0, |idx, view| {
+            match view {
+                RecordView::Ingest(v) => seen.push((idx, v.samples().len() as u64)),
+                RecordView::Owned(other) => panic!("unexpected {other:?}"),
+            }
+            Ok(())
+        })
+        .unwrap();
+        let expect: Vec<(u64, u64)> = lens
+            .iter()
+            .copied()
+            .enumerate()
+            .map(|(i, n)| (i as u64, n))
+            .collect();
+        assert_eq!(seen, expect);
+        assert_eq!(summary.valid_bytes, w.bytes_appended());
+        assert_eq!(summary.torn_bytes, (tail.len() - 2) as u64);
         let _ = fs::remove_dir_all(&dir);
     }
 

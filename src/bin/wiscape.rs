@@ -8,7 +8,7 @@
 //!                                                           run a deployment, dump the zone map
 //!
 //!   --wal DIR         route the coordinator through the wiscape-wal event
-//!                     log under DIR (commit-before-fold durability)
+//!                     log under DIR (write-before-ack durability)
 //!   --crash-seed N    with --wal: deterministically kill and recover the
 //!                     coordinator mid-run; the map must stay byte-identical
 //!   --recover DIR     skip the simulation entirely: rebuild the coordinator
