@@ -647,7 +647,7 @@ impl Coordinator {
     /// their `raw_parts` surfaces).
     pub fn export_state(&self) -> CoordinatorState {
         let mut cells = Vec::with_capacity(self.cells.tracked());
-        self.cells.walk(|key, s| cells.push(s.to_cell(key)));
+        self.export_cells_into(&mut cells);
         CoordinatorState {
             cells,
             alerts: self.alerts.clone(),
@@ -655,6 +655,13 @@ impl Coordinator {
             malformed_dropped: self.malformed_dropped,
             reports_rejected: self.reports_rejected,
         }
+    }
+
+    /// Appends every tracked cell to `out`, in sorted `(zone, network)`
+    /// order: the one cell walk behind [`Coordinator::export_state`]
+    /// and the shard merge, which walks every shard into one vector.
+    pub(crate) fn export_cells_into(&self, out: &mut Vec<ZoneCellState>) {
+        self.cells.walk(|key, s| out.push(s.to_cell(key)));
     }
 
     /// Replaces the coordinator's dynamic state with an exported

@@ -292,30 +292,31 @@ impl AlertMerge {
     }
 }
 
-/// Folds per-shard exported states into one [`CoordinatorState`]:
-/// cells concatenated and sorted by `(zone, network)` (each cell lives
-/// on exactly one shard), counters summed, the alert stream supplied
-/// by the caller's [`AlertMerge`].
-pub fn merge_states<I>(states: I, alerts: Vec<ChangeAlert>) -> CoordinatorState
-where
-    I: IntoIterator<Item = CoordinatorState>,
-{
+/// Folds the shards' coordinators into one [`CoordinatorState`]: every
+/// shard's cells walked straight into one vector sized for all of them
+/// and stably sorted by `(zone, network)` (each cell lives on exactly
+/// one shard), counters summed, the alert stream supplied by the
+/// caller's [`AlertMerge`]. With shards that own ascending zone ranges
+/// in shard order, as [`ShardAssignment::even`] builds them, the walk
+/// already yields sorted cells and the sort is one linear pass; it
+/// still puts permuted owners and rebalanced ranges into canonical
+/// order.
+pub fn merge_states(shards: &[&Coordinator], alerts: Vec<ChangeAlert>) -> CoordinatorState {
+    let tracked = shards
+        .iter()
+        .fold(0usize, |n, c| n.saturating_add(c.zones_tracked()));
     let mut merged = CoordinatorState {
-        cells: Vec::new(),
+        cells: Vec::with_capacity(tracked),
         alerts,
         packets_requested: 0,
         malformed_dropped: 0,
         reports_rejected: 0,
     };
-    for state in states {
-        merged.cells.extend(state.cells);
-        merged.packets_requested = merged
-            .packets_requested
-            .wrapping_add(state.packets_requested);
-        merged.malformed_dropped = merged
-            .malformed_dropped
-            .wrapping_add(state.malformed_dropped);
-        merged.reports_rejected = merged.reports_rejected.wrapping_add(state.reports_rejected);
+    for c in shards {
+        c.export_cells_into(&mut merged.cells);
+        merged.packets_requested = merged.packets_requested.wrapping_add(c.packets_requested());
+        merged.malformed_dropped = merged.malformed_dropped.wrapping_add(c.malformed_dropped());
+        merged.reports_rejected = merged.reports_rejected.wrapping_add(c.reports_rejected());
     }
     merged.cells.sort_by_key(|c| (c.zone, c.network));
     metrics().merges.inc();
@@ -400,8 +401,11 @@ pub fn state_fingerprint(state: &CoordinatorState) -> String {
 /// owning the call's zone. [`CoordinatorHandle::as_coordinator`] serves
 /// a merged view that each [`CoordinatorHandle::flush_tagged`]
 /// refreshes: the merged state as of the last flush, or an empty
-/// coordinator over the shared index before the first. The view costs
-/// one coordinator slot table, 4 B per index zone and network.
+/// coordinator over the shared index before the first. Until that first
+/// refresh the view costs one coordinator slot table, 4 B per index
+/// zone and network. After it, the view also holds a copy of every
+/// shard's cells: at `nation_shards` scale, 316,875 cells of 148 B,
+/// about 47 MB on top of the shards' own.
 #[derive(Debug, Clone)]
 pub struct ShardSet<C: CoordinatorHandle = Coordinator> {
     shards: Vec<C>,
@@ -561,14 +565,12 @@ impl<C: CoordinatorHandle> ShardSet<C> {
     }
 
     /// The merged dynamic state — provably identical to what a single
-    /// coordinator fed the same operation stream would export.
+    /// coordinator fed the same operation stream would export. One
+    /// [`merge_states`] over the shards' coordinators: their cells are
+    /// copied once, straight into the returned state.
     pub fn merged_state(&self) -> CoordinatorState {
-        merge_states(
-            self.shards
-                .iter()
-                .map(|c| c.as_coordinator().export_state()),
-            self.merge.merged().to_vec(),
-        )
+        let shards: Vec<&Coordinator> = self.shards.iter().map(C::as_coordinator).collect();
+        merge_states(&shards, self.merge.merged().to_vec())
     }
 
     /// Runs `op` on the shard owning `zone`, then notes that shard's

@@ -24,7 +24,7 @@ use serde::{Deserialize, Serialize};
 use wiscape_core::{CoordinatorState, ZoneId};
 use wiscape_stats::MomentSketch;
 
-use crate::quadtree::{RegionId, RegionSet};
+use crate::quadtree::{sort_canonical, Keyed, RegionId, RegionSet};
 
 /// Tuning knobs for chronic-patch (hotspot) detection.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -214,17 +214,21 @@ pub fn locate_surges(
     let m = crate::metrics();
     m.surge_scans.inc();
 
-    // Pool the baseline window onto the current partition. BTreeMap
-    // keys keep the fold order canonical regardless of cell order.
+    // Pool the baseline window onto the current partition. Each zone's
+    // cells fold in the canonical (zone, network) order the region build
+    // uses, and zones pool in ascending order, whatever the cell order.
+    let mut cells: Vec<Keyed<'_>> = baseline.cells.iter().map(Keyed::of).collect();
+    sort_canonical(&mut cells);
     let mut pooled: BTreeMap<RegionId, MomentSketch> = BTreeMap::new();
-    let mut by_zone: BTreeMap<ZoneId, MomentSketch> = BTreeMap::new();
-    for cell in &baseline.cells {
-        by_zone.entry(cell.zone).or_default().merge(&cell.sketch);
-    }
-    for (zone, sketch) in by_zone {
-        if let Some(region) = current.region_of(zone) {
-            pooled.entry(region.id).or_default().merge(&sketch);
+    for zone_cells in cells.chunk_by(|a, b| a.zone == b.zone) {
+        let Some(region) = zone_cells.first().and_then(|c| current.region_of(c.zone)) else {
+            continue;
+        };
+        let mut sketch = MomentSketch::new();
+        for c in zone_cells {
+            sketch.merge(&c.cell.sketch);
         }
+        pooled.entry(region.id).or_default().merge(&sketch);
     }
 
     let mut out = Vec::new();
@@ -464,6 +468,53 @@ mod tests {
         // Differencing a window against itself yields zero drop.
         let none = locate_surges(&set, &surge_state, &SurgeConfig::default());
         assert!(none.is_empty(), "{none:?}");
+    }
+
+    /// Every zone reports on all three networks, with 13, 17 and 29
+    /// samples, so the order a zone's network sketches merge in shows in
+    /// the low bits of its pooled mean.
+    fn three_network_state(index: &ZoneIndex, surged: &[ZoneId]) -> CoordinatorState {
+        let mut coord = Coordinator::new(index.clone(), CoordinatorConfig::default());
+        let t = SimTime::from_secs(60);
+        for zone in index.zones() {
+            let base = if surged.contains(&zone) { 300.0 } else { 800.0 };
+            for (network, n, offset) in [
+                (NetworkId::NetA, 13u32, 40.439),
+                (NetworkId::NetB, 17, -12.317),
+                (NetworkId::NetC, 29, 6.213),
+            ] {
+                let samples = (0..n).map(move |i| base + offset + f64::from(i % 7) * 4.2);
+                coord.ingest_samples(zone, network, t, samples).unwrap();
+            }
+        }
+        coord.export_state()
+    }
+
+    #[test]
+    fn surges_do_not_depend_on_baseline_cell_order() {
+        let index = index();
+        let surged = chronic_zones(&index);
+        let baseline = three_network_state(&index, &[]);
+        let set = RegionSet::build(
+            &three_network_state(&index, &surged),
+            &index,
+            &RegionConfig::default(),
+        );
+        let config = SurgeConfig::default();
+        let bits = |surges: Vec<Surge>| -> Vec<(RegionId, u64, u64, u64)> {
+            surges
+                .iter()
+                .map(|s| {
+                    let (base, cur, drop) = (s.baseline_mean, s.current_mean, s.drop);
+                    (s.region, base.to_bits(), cur.to_bits(), drop.to_bits())
+                })
+                .collect()
+        };
+        let sorted = bits(locate_surges(&set, &baseline, &config));
+        assert!(!sorted.is_empty(), "collapsed patch must be flagged");
+        let mut reversed = baseline.clone();
+        reversed.cells.reverse();
+        assert_eq!(bits(locate_surges(&set, &reversed, &config)), sorted);
     }
 
     #[test]

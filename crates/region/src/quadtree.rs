@@ -1,20 +1,23 @@
 //! Deterministic quadtree regionalization over the zone grid.
 //!
-//! The builder canonicalizes the coordinator's exported cell list into
-//! a `(zone, network)`-sorted map (so any ingest order, worker count,
-//! or shard topology yields the same input), sorts occupied zones by
-//! Morton (Z-order) key, and recurses top-down over an aligned
-//! power-of-two square covering the grid. A node splits into its four
-//! quadrants when it holds enough samples *and* the spatial variation
-//! of its zone means exceeds the homogeneity threshold; otherwise it
-//! becomes a leaf region whose statistics are the exact sketch-merge of
-//! its zones. Quadrant order is fixed (SW, SE, NW, NE — ascending
-//! Morton), so the emitted region list is canonical.
+//! The builder canonicalizes the coordinator's exported cell list with
+//! a stable sort of its in-grid cells by `(zone, network)`, so any
+//! ingest order, worker count, or shard topology yields the same input;
+//! an export is sorted already, and the sort is then one linear pass.
+//! It folds that list in one pass into one record per occupied zone,
+//! sorts the zones' split statistics by Morton (Z-order) key, and
+//! recurses top-down over an aligned power-of-two square covering the
+//! grid. A node splits into its
+//! four quadrants when it holds enough samples *and* the spatial
+//! variation of its zone means exceeds the homogeneity threshold;
+//! otherwise it becomes a leaf region whose statistics are the exact
+//! sketch-merge of its zones. Quadrant order is fixed (SW, SE, NW, NE —
+//! ascending Morton), so the emitted region list is canonical.
 
-use std::collections::BTreeMap;
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
-use wiscape_core::{CoordinatorState, ZoneId, ZoneIndex};
+use wiscape_core::{CoordinatorState, ZoneCellState, ZoneId, ZoneIndex};
 use wiscape_simnet::NetworkId;
 use wiscape_stats::MomentSketch;
 
@@ -182,13 +185,34 @@ pub struct RegionSet {
     pub regions: Vec<Region>,
 }
 
-/// One occupied zone, pre-aggregated across networks.
+/// One occupied zone's sketches, in zone order.
 struct ZoneAgg {
-    key: u64,
-    zone: ZoneId,
+    /// Exact merge of the zone's network sketches, in network order.
     merged: MomentSketch,
-    nets: Vec<(NetworkId, MomentSketch)>,
+    /// The zone's network sketches, ascending by network: a range of
+    /// the build's flat per-network list.
+    nets: Range<usize>,
 }
+
+/// What the split test reads of one occupied zone, computed once. The
+/// recursion runs over these, in Morton order; kept apart from the
+/// zone's sketches, they let the sort and each level's split test move
+/// and read 40 B per zone.
+struct ZoneStat {
+    /// Morton key of the zone.
+    key: u64,
+    /// `merged.count()` of the zone's [`ZoneAgg`].
+    samples: u64,
+    /// `merged.mean()`.
+    mean: f64,
+    /// `merged.rel_std_dev()`.
+    rel_std: f64,
+    /// Position of the zone's [`ZoneAgg`].
+    at: usize,
+}
+
+/// One `(zone, network)` sketch of the flat per-network list.
+type NetSketch = (NetworkId, MomentSketch);
 
 /// Spreads the low 32 bits of `v` into the even bit positions.
 fn spread(v: u32) -> u64 {
@@ -212,10 +236,12 @@ impl RegionSet {
     /// Builds the adaptive partition from a coordinator's exported
     /// sketch state.
     ///
-    /// Deterministic by construction: the input is canonicalized into
-    /// `(zone, network)`-sorted order (duplicate cells merge, so shard
-    /// exports concatenated in any order are fine), recursion order is
-    /// fixed, and every merge folds in ascending order.
+    /// Deterministic by construction: the in-grid cells are stably
+    /// sorted into `(zone, network)` order, and the cells under one key
+    /// fold in input order into a fresh sketch (duplicate cells merge,
+    /// so shard exports concatenated in any order are fine). The
+    /// recursion then takes zones in Morton order, its order is fixed,
+    /// and every merge folds in ascending order.
     pub fn build(state: &CoordinatorState, index: &ZoneIndex, config: &RegionConfig) -> RegionSet {
         let m = crate::metrics();
         m.builds.inc();
@@ -223,48 +249,60 @@ impl RegionSet {
         let grid = index.grid();
         let (cols, rows) = (grid.cols(), grid.rows());
 
-        // Canonicalize: (zone, network) -> merged sketch.
-        let mut canon: BTreeMap<(ZoneId, NetworkId), MomentSketch> = BTreeMap::new();
+        // Canonicalize: in-grid cells in stable (zone, network) order.
+        let mut cells: Vec<Keyed<'_>> = Vec::with_capacity(state.cells.len());
         let mut skipped = 0u64;
         for cell in &state.cells {
             let in_grid = cell.zone.0.col >= 0
                 && cell.zone.0.col < cols
                 && cell.zone.0.row >= 0
                 && cell.zone.0.row < rows;
-            if !in_grid {
+            if in_grid {
+                cells.push(Keyed::of(cell));
+            } else {
                 skipped = skipped.wrapping_add(1);
-                continue;
             }
-            canon
-                .entry((cell.zone, cell.network))
-                .or_default()
-                .merge(&cell.sketch);
         }
         m.cells_skipped.add(skipped);
+        sort_canonical(&mut cells);
 
-        // Group by zone (BTreeMap iteration is zone-ascending, and
-        // network-ascending within a zone).
-        let mut zones: Vec<ZoneAgg> = Vec::new();
-        for ((zone, network), sketch) in canon {
-            let key = morton(zone.0.col.unsigned_abs(), zone.0.row.unsigned_abs());
-            match zones.last_mut() {
-                Some(last) if last.zone == zone => {
-                    last.merged.merge(&sketch);
-                    last.nets.push((network, sketch));
+        // Fold each key's cells, then each zone's networks, in zone order.
+        let zones_max = cells.len().min(index.zone_count());
+        let mut nets: Vec<NetSketch> = Vec::with_capacity(cells.len());
+        let mut zones: Vec<ZoneAgg> = Vec::with_capacity(zones_max);
+        let mut stats: Vec<ZoneStat> = Vec::with_capacity(zones_max);
+        for zone_cells in cells.chunk_by(|a, b| a.zone == b.zone) {
+            let Some(zone) = zone_cells.first().map(|c| c.zone) else {
+                continue;
+            };
+            let start = nets.len();
+            let mut merged = MomentSketch::new();
+            for key_cells in zone_cells.chunk_by(|a, b| a.network == b.network) {
+                let Some(network) = key_cells.first().map(|c| c.network) else {
+                    continue;
+                };
+                let mut sketch = MomentSketch::new();
+                for c in key_cells {
+                    sketch.merge(&c.cell.sketch);
                 }
-                _ => {
-                    let mut merged = MomentSketch::new();
-                    merged.merge(&sketch);
-                    zones.push(ZoneAgg {
-                        key,
-                        zone,
-                        merged,
-                        nets: vec![(network, sketch)],
-                    });
-                }
+                merged.merge(&sketch);
+                nets.push((network, sketch));
             }
+            stats.push(ZoneStat {
+                key: morton(zone.0.col.unsigned_abs(), zone.0.row.unsigned_abs()),
+                samples: merged.count(),
+                mean: merged.mean(),
+                rel_std: merged.rel_std_dev(),
+                at: zones.len(),
+            });
+            zones.push(ZoneAgg {
+                merged,
+                nets: start..nets.len(),
+            });
         }
-        zones.sort_by_key(|z| z.key);
+        // Morton order. Keys are distinct (in-grid coordinates are
+        // non-negative), so the unstable sort is canonical.
+        stats.sort_unstable_by_key(|z| z.key);
 
         let side = cols.max(rows).max(1).unsigned_abs().next_power_of_two();
         let mut out = Vec::new();
@@ -276,7 +314,9 @@ impl RegionSet {
                 size: side,
                 depth: 0,
             },
+            &stats,
             &zones,
+            &nets,
             config,
             &mut splits,
             &mut out,
@@ -331,20 +371,20 @@ struct SpatialStats {
     rel_spread: f64,
 }
 
-fn spatial_stats(slice: &[ZoneAgg]) -> SpatialStats {
+fn spatial_stats(slice: &[ZoneStat]) -> SpatialStats {
     let mut samples = 0u64;
     let mut occupied = 0usize;
     let mut wsum = 0.0f64;
     let mut wrel = 0.0f64;
     for z in slice {
-        let n = z.merged.count();
+        let n = z.samples;
         if n == 0 {
             continue;
         }
         samples = samples.wrapping_add(n);
         occupied += 1;
-        wsum += (n as f64) * z.merged.mean();
-        wrel += (n as f64) * z.merged.rel_std_dev();
+        wsum += (n as f64) * z.mean;
+        wrel += (n as f64) * z.rel_std;
     }
     if samples == 0 {
         return SpatialStats {
@@ -359,13 +399,13 @@ fn spatial_stats(slice: &[ZoneAgg]) -> SpatialStats {
     let mut var = 0.0f64;
     let mut rel_var = 0.0f64;
     for z in slice {
-        let n = z.merged.count();
+        let n = z.samples;
         if n == 0 {
             continue;
         }
-        let d = z.merged.mean() - mean;
+        let d = z.mean - mean;
         var += (n as f64) * d * d;
-        let dr = z.merged.rel_std_dev() - rel_mean;
+        let dr = z.rel_std - rel_mean;
         rel_var += (n as f64) * dr * dr;
     }
     var /= samples as f64;
@@ -392,9 +432,13 @@ struct Node {
     depth: u32,
 }
 
+/// Emits the regions of `node`, whose occupied zones are `slice`;
+/// `zones` and `nets` are the sketches its leaves merge.
 fn build_node(
     node: Node,
-    slice: &[ZoneAgg],
+    slice: &[ZoneStat],
+    zones: &[ZoneAgg],
+    nets: &[NetSketch],
     config: &RegionConfig,
     splits: &mut u64,
     out: &mut Vec<Region>,
@@ -436,6 +480,8 @@ fn build_node(
                         depth: depth + 1,
                     },
                     child,
+                    zones,
+                    nets,
                     config,
                     splits,
                     out,
@@ -447,11 +493,17 @@ fn build_node(
 
     // Leaf: exact pooled statistics, folded in Morton / network order.
     let mut sketch = MomentSketch::new();
-    let mut nets: BTreeMap<NetworkId, MomentSketch> = BTreeMap::new();
-    for z in slice {
-        sketch.merge(&z.merged);
-        for (network, s) in &z.nets {
-            nets.entry(*network).or_default().merge(s);
+    let mut per_network = [None::<MomentSketch>; NetworkId::ALL.len()];
+    for agg in slice.iter().filter_map(|z| zones.get(z.at)) {
+        sketch.merge(&agg.merged);
+        for (network, s) in nets.get(agg.nets.clone()).unwrap_or(&[]) {
+            let slot = NetworkId::ALL
+                .iter()
+                .position(|n| n == network)
+                .and_then(|i| per_network.get_mut(i));
+            if let Some(slot) = slot {
+                slot.get_or_insert_with(MomentSketch::new).merge(s);
+            }
         }
     }
     out.push(Region {
@@ -464,11 +516,43 @@ fn build_node(
         sketch,
         spatial_rel_std: stats.rel_std,
         rel_std_spread: stats.rel_spread,
-        per_network: nets
+        per_network: NetworkId::ALL
             .into_iter()
-            .map(|(network, sketch)| NetworkRegionStat { network, sketch })
+            .zip(per_network)
+            .filter_map(|(network, sketch)| {
+                Some(NetworkRegionStat {
+                    network,
+                    sketch: sketch?,
+                })
+            })
             .collect(),
     });
+}
+
+/// Sorts cells into the canonical `(zone, network)` order every fold of
+/// this crate runs in. The sort is stable, so the cells under one key
+/// keep their input order, and it is one linear pass over a sorted
+/// export.
+pub(crate) fn sort_canonical(cells: &mut [Keyed<'_>]) {
+    cells.sort_by_key(|c| (c.zone, c.network));
+}
+
+/// A cell with its `(zone, network)` key held inline, so that sorting
+/// and grouping read no cell.
+pub(crate) struct Keyed<'a> {
+    pub(crate) zone: ZoneId,
+    pub(crate) network: NetworkId,
+    pub(crate) cell: &'a ZoneCellState,
+}
+
+impl<'a> Keyed<'a> {
+    pub(crate) fn of(cell: &'a ZoneCellState) -> Self {
+        Self {
+            zone: cell.zone,
+            network: cell.network,
+            cell,
+        }
+    }
 }
 
 fn write_sketch(out: &mut String, sketch: &MomentSketch) {

@@ -43,15 +43,19 @@ fn durable(dir: &Path) -> DurableCoordinator {
     .unwrap()
 }
 
-fn recovered_state(dir: &Path) -> CoordinatorState {
-    let (c, _) = DurableCoordinator::recover(
+fn recovered(dir: &Path) -> DurableCoordinator {
+    DurableCoordinator::recover(
         dir,
         index(),
         CoordinatorConfig::default(),
         WalOptions::default(),
     )
-    .unwrap();
-    c.coordinator_ref().export_state()
+    .unwrap()
+    .0
+}
+
+fn recovered_state(dir: &Path) -> CoordinatorState {
+    recovered(dir).coordinator_ref().export_state()
 }
 
 /// 60 reports (seq = position) over zones spread across the index, all
@@ -156,7 +160,9 @@ fn acked_reports_survive_a_drop_without_shutdown_sharded() {
         .iter()
         .all(|d| d.coordinator_ref().zones_tracked() > 0));
     drop(s);
-    let merged = merge_states(dirs.iter().map(|d| recovered_state(d)), Vec::new());
+    let shards: Vec<DurableCoordinator> = dirs.iter().map(|d| recovered(d)).collect();
+    let coordinators: Vec<&Coordinator> = shards.iter().map(|d| d.coordinator_ref()).collect();
+    let merged = merge_states(&coordinators, Vec::new());
     assert_eq!(
         state_fingerprint(&merged),
         state_fingerprint(&acked_state(&acked)),

@@ -574,10 +574,7 @@ fn two_shard_migration_with_seeded_crashes_matches_single() {
         assert_eq!(b.wal_meters().recovery_mismatches, 0, "seed {seed}");
 
         let merged = merge_states(
-            [
-                a.coordinator_ref().export_state(),
-                b.coordinator_ref().export_state(),
-            ],
+            &[a.coordinator_ref(), b.coordinator_ref()],
             merge.merged().to_vec(),
         );
         assert_eq!(

@@ -33,12 +33,14 @@
 # summary lands in $out.shard_topology.json for the CI artifact.
 #
 # A region pass drives the analytics layer end to end through the
-# CLI: `wiscape map --regions/--hotspots` dumps the adaptive partition
-# and the ranked hotspot candidates, then the same deployment re-runs
-# serial (WISCAPE_THREADS=1) and 4-way sharded — both region CSV and
-# hotspot JSON must be byte-identical across topologies (the
-# ANALYTICS.md determinism contract, exercised from the outside). The
-# hotspot report lands in $out.hotspots.json for the CI artifact.
+# CLI: `wiscape map --hours 48 --regions/--hotspots` dumps the adaptive
+# partition and the ranked hotspot candidates, then the same deployment
+# re-runs serial (WISCAPE_THREADS=1), 4-way sharded, and 4-way sharded
+# with the seeded rebalance — both region CSV and hotspot JSON must be
+# byte-identical across topologies (the ANALYTICS.md determinism
+# contract, exercised from the outside), and the hotspot list must not
+# be empty. The hotspot report lands in $out.hotspots.json for the CI
+# artifact.
 #
 # A final CLI WAL pass re-runs that map with `--wal` and a seeded
 # mid-run crash, then rebuilds it with `--recover` from the log alone:
@@ -134,15 +136,25 @@ echo "[verify_results] OK: shard topology report -> $out.shard_topology.json"
 
 # --- region / hotspot pass -------------------------------------------------
 # The analytics layer through the CLI: partition + hotspot ranking must
-# be byte-identical across worker counts and shard topologies.
+# be byte-identical across worker counts and shard topologies. The
+# 2-hour map is the reference of the CLI WAL pass below; the region
+# comparison runs at 48 hours, where the map is dense enough to flag
+# hotspots (a 2-hour map flags none, and `[]` equals `[]` across any
+# topology), and the pass fails if the hotspot list is empty.
 cargo build --release -q --bin wiscape
-./target/release/wiscape map --seed 7 --hours 2 --out "$out.map.csv" \
+./target/release/wiscape map --seed 7 --hours 2 --out "$out.map.csv" >/dev/null
+region_hours=48
+./target/release/wiscape map --seed 7 --hours "$region_hours" \
     --regions "$out.regions.csv" --hotspots "$out.hotspots.json" >/dev/null
-WISCAPE_THREADS=1 ./target/release/wiscape map --seed 7 --hours 2 \
+WISCAPE_THREADS=1 ./target/release/wiscape map --seed 7 --hours "$region_hours" \
     --regions "$out.regions.serial.csv" --hotspots "$out.hotspots.serial.json" >/dev/null
-./target/release/wiscape map --seed 7 --hours 2 --shards 4 \
+./target/release/wiscape map --seed 7 --hours "$region_hours" --shards 4 \
     --regions "$out.regions.shard4.csv" --hotspots "$out.hotspots.shard4.json" >/dev/null
-for variant in serial shard4; do
+./target/release/wiscape map --seed 7 --hours "$region_hours" --shards 4 \
+    --rebalance-seed "$rebalance_seed" \
+    --regions "$out.regions.shard4rebalance.csv" \
+    --hotspots "$out.hotspots.shard4rebalance.json" >/dev/null
+for variant in serial shard4 shard4rebalance; do
     if ! diff -q "$out.regions.csv" "$out.regions.$variant.csv" >/dev/null \
        || ! diff -q "$out.hotspots.json" "$out.hotspots.$variant.json" >/dev/null; then
         echo "[verify_results] FAIL: region/hotspot output drifted in '$variant' pass" >&2
@@ -150,7 +162,12 @@ for variant in serial shard4; do
     fi
 done
 regions=$(($(wc -l < "$out.regions.csv") - 1))
-echo "[verify_results] OK: region pass byte-identical across topologies ($regions regions); hotspot report -> $out.hotspots.json"
+hotspots=$(grep -c '"score"' "$out.hotspots.json" || true)
+if [[ "$hotspots" -eq 0 ]]; then
+    echo "[verify_results] FAIL: the ${region_hours} h map flagged no hotspots; the region pass compares nothing" >&2
+    exit 1
+fi
+echo "[verify_results] OK: region pass byte-identical across topologies ($regions regions, $hotspots hotspots at ${region_hours} h); hotspot report -> $out.hotspots.json"
 
 # --- CLI WAL crash + recover pass -----------------------------------------
 # The same map through `wiscape map --wal` with a seeded mid-run crash,
