@@ -5,17 +5,20 @@
 //! surface ever reports a schedule-dependent value (a worker count, a
 //! wall-clock read, an iteration-order artifact), this test catches it.
 
-use wiscape_experiments::{run_by_name, Scale};
+use wiscape_experiments::{run_many_with_charts, Scale};
 
 /// Runs a representative instrumented workload — fig06 (the heaviest
 /// `simcore::exec` user) and fig15 (the control channel + coordinator
-/// ingest path) — under `threads` workers and returns the timing-free
+/// ingest path) — through one `run_many_with_charts` call under
+/// `threads` workers, so with more than one worker both experiments
+/// update the registry at the same time, and returns the timing-free
 /// snapshot.
 fn snapshot_with_threads(threads: &str) -> String {
     std::env::set_var("WISCAPE_THREADS", threads);
     wiscape_obs::reset();
-    for name in ["fig06", "fig15_overhead"] {
-        run_by_name(name, 7, Scale::Quick).expect("known experiment");
+    let names = ["fig06", "fig15_overhead"].map(String::from);
+    for result in run_many_with_charts(&names, 7, Scale::Quick) {
+        result.expect("known experiment");
     }
     wiscape_obs::snapshot_json(false)
 }

@@ -3,35 +3,40 @@
 //! The simulator's determinism contract — same seed, bit-identical
 //! output — must survive parallelism. This module provides an
 //! order-preserving parallel map whose results are **independent of the
-//! worker count**: work is split into fixed-size chunks whose boundaries
-//! depend only on the input length (never on how many threads run), each
-//! item is evaluated by a pure function of `(index, item)`, and results
-//! are reassembled in input order. Running with 1 thread or 16 produces
-//! the same bytes.
+//! worker count**: each item is evaluated by a pure function of
+//! `(index, item)`, and results are put back in input order by index.
+//! Which worker ran an item, and when, never reaches the output, so
+//! running with 1 thread or 16 produces the same bytes. One worker runs
+//! inline on the calling thread: `WISCAPE_THREADS=1` is the serial
+//! reference.
 //!
-//! For randomized stages, [`par_map_seeded`] derives each item's
-//! [`StreamRng`] by forking a caller-provided stream on the chunk index
-//! and the item's offset within the chunk — an explicit, schedule-free
-//! seeding path, so no thread ever shares (or races on) RNG state.
+//! The schedule is fixed too. Item `i` goes to a worker chosen from `i`
+//! and the worker count alone, so a worker runs the same items in the
+//! same order on every call. The calling thread is worker 0. The other
+//! workers keep their results until the caller has copied them, and then
+//! free them on the thread that allocated them. glibc gives each thread
+//! its own malloc arena and caches small freed blocks per thread. So a
+//! result freed on the caller would stay in the caller's cache while its
+//! worker's arena still counts it as in use. Where such blocks sit would
+//! then depend on timing, and so would the memory that a call leaves
+//! resident. With both rules, each arena sees the same allocations on
+//! every call. A `par_map` inside an item runs inline on its worker.
 //!
 //! The worker count comes from the `WISCAPE_THREADS` environment
 //! variable when set, else from [`std::thread::available_parallelism`].
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
-
-use crate::rng::StreamRng;
+use std::cell::Cell;
+use std::panic::AssertUnwindSafe;
+use std::sync::{Barrier, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Obs handles for the executor, registered once. Everything recorded
-/// here is a function of the input length alone (calls, items, chunk
-/// count under the fixed [`CHUNK_SIZE`]) — never of the worker count —
-/// so the deterministic snapshot sections stay thread-count-invariant.
-/// Wall-clock duration goes through `obs::timing` (the exempt section).
+/// here is a function of the input length alone (calls, items) — never
+/// of the worker count or the schedule — so the deterministic snapshot
+/// sections stay thread-count-invariant. Wall-clock duration goes
+/// through `obs::timing` (the exempt section).
 struct ExecMetrics {
     calls: wiscape_obs::Counter,
     items: wiscape_obs::Counter,
-    chunks: wiscape_obs::Counter,
-    single_chunk_calls: wiscape_obs::Counter,
 }
 
 fn metrics() -> &'static ExecMetrics {
@@ -39,18 +44,8 @@ fn metrics() -> &'static ExecMetrics {
     M.get_or_init(|| ExecMetrics {
         calls: wiscape_obs::counter("exec/par_map_calls"),
         items: wiscape_obs::counter("exec/items"),
-        chunks: wiscape_obs::counter("exec/chunks"),
-        // Calls too small to split (<= one chunk). Derived from the
-        // input length, NOT from the resolved worker count, which
-        // must never leak into a deterministic metric.
-        single_chunk_calls: wiscape_obs::counter("exec/single_chunk_calls"),
     })
 }
-
-/// Items per chunk. Fixed (not derived from the thread count) so the
-/// chunk structure — and therefore every chunk-keyed RNG fork — is a
-/// function of the input length alone.
-const CHUNK_SIZE: usize = 64;
 
 /// Worker threads to use: `WISCAPE_THREADS` if set to a positive
 /// integer, else the machine's available parallelism.
@@ -69,11 +64,12 @@ pub fn thread_count() -> usize {
 /// Maps `f` over `items` in parallel on [`thread_count`] workers,
 /// returning results in input order. `f` must be a pure function of its
 /// arguments; under that contract the output is bitwise identical for
-/// any worker count.
+/// any worker count. Results are `Clone` because the caller copies those
+/// of the other workers (see the module docs).
 pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
-    U: Send,
+    U: Send + Clone,
     F: Fn(usize, &T) -> U + Sync,
 {
     par_map_with_threads(thread_count(), items, f)
@@ -81,75 +77,126 @@ where
 
 /// [`par_map`] with an explicit worker count (the `WISCAPE_THREADS`
 /// override resolved by the caller, or a test pinning both sides of a
-/// determinism comparison).
+/// determinism comparison). Runs on `min(threads, items.len())`
+/// workers, the calling thread among them; with at most one, or when
+/// called from inside a worker, it runs inline. A panic in `f` is
+/// re-raised on the calling thread once every worker has stopped.
 pub fn par_map_with_threads<T, U, F>(threads: usize, items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
-    U: Send,
+    U: Send + Clone,
     F: Fn(usize, &T) -> U + Sync,
 {
-    let n_chunks = items.len().div_ceil(CHUNK_SIZE);
-    let workers = threads.max(1).min(n_chunks);
     let m = metrics();
     m.calls.inc();
     m.items.add(items.len() as u64);
-    m.chunks.add(n_chunks as u64);
-    if n_chunks <= 1 {
-        m.single_chunk_calls.inc();
-    }
     let _wall = wiscape_obs::timing::wall_span("exec/par_map");
+    let workers = if IN_WORKER.get() {
+        1
+    } else {
+        threads.min(items.len())
+    };
     if workers <= 1 {
         return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
     }
 
-    // Workers pull chunk indices from a shared dispenser and push
-    // `(chunk index, chunk results)`; the merge step restores input
-    // order, so scheduling never leaks into the output.
-    let next = AtomicUsize::new(0);
-    let done: Mutex<Vec<(usize, Vec<U>)>> = Mutex::new(Vec::with_capacity(n_chunks));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let c = next.fetch_add(1, Ordering::Relaxed);
-                if c >= n_chunks {
-                    break;
+    // Worker `w` runs the items `owner` deals it, in input order. Panics
+    // are caught so that every thread still reaches both barrier waits.
+    let run = |w: usize| {
+        IN_WORKER.set(true);
+        let out = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            items
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| owner(i, workers) == w)
+                .map(|(i, x)| (i, f(i, x)))
+                .collect::<Vec<_>>()
+        }));
+        IN_WORKER.set(false);
+        out
+    };
+    // Workers 1.. leave their results in `slots`. Between the two waits
+    // the caller copies them; after the second, each worker frees its own.
+    let slots: Vec<Slot<U>> = (1..workers).map(|_| Mutex::new(None)).collect();
+    let barrier = Barrier::new(workers);
+    let (run, slots, barrier) = (&run, &slots, &barrier);
+    let (mut done, panicked) = std::thread::scope(|scope| {
+        let handles: Vec<_> = (1..workers)
+            .zip(slots)
+            .map(|(w, slot)| {
+                scope.spawn(move || {
+                    let out = run(w);
+                    *lock(slot) = Some(out);
+                    barrier.wait();
+                    barrier.wait();
+                    drop(lock(slot).take());
+                })
+            })
+            .collect();
+        let (mut done, mut panicked) = match run(0) {
+            Ok(done) => (done, None),
+            Err(payload) => (Vec::new(), Some(payload)),
+        };
+        barrier.wait();
+        let copied = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            for slot in slots {
+                let mut slot = lock(slot);
+                match slot.as_ref() {
+                    Some(Ok(theirs)) => done.extend(theirs.iter().map(|(i, u)| (*i, u.clone()))),
+                    _ => {
+                        if let Some(Err(payload)) = slot.take() {
+                            panicked.get_or_insert(payload);
+                        }
+                    }
                 }
-                let start = c * CHUNK_SIZE;
-                let end = (start + CHUNK_SIZE).min(items.len());
-                let out: Vec<U> = (start..end).map(|i| f(i, &items[i])).collect();
-                done.lock()
-                    .expect("worker panicked holding lock")
-                    .push((c, out));
-            });
+            }
+        }));
+        if let Err(payload) = copied {
+            panicked.get_or_insert(payload);
         }
+        barrier.wait();
+        // Joining (not just leaving the scope) waits until each worker
+        // thread has exited and handed its arena back.
+        for h in handles {
+            if let Err(payload) = h.join() {
+                panicked.get_or_insert(payload);
+            }
+        }
+        (done, panicked)
     });
-    let mut chunks = done.into_inner().expect("workers joined");
-    chunks.sort_unstable_by_key(|(c, _)| *c);
-    let mut out = Vec::with_capacity(items.len());
-    for (_, chunk) in chunks {
-        out.extend(chunk);
+    if let Some(payload) = panicked {
+        std::panic::resume_unwind(payload);
     }
-    out
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, u)| u).collect()
 }
 
-/// Parallel map for randomized stages: each item's closure receives a
-/// [`StreamRng`] forked from `stream` on `(chunk index, offset within
-/// chunk)`. The chunk structure depends only on the input length, so
-/// the derived streams — and the results — are identical for any worker
-/// count.
-pub fn par_map_seeded<T, U, F>(stream: &StreamRng, items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(StreamRng, usize, &T) -> U + Sync,
-{
-    let stream = *stream;
-    par_map(items, move |i, x| {
-        let node = stream
-            .fork_idx((i / CHUNK_SIZE) as u64)
-            .fork_idx((i % CHUNK_SIZE) as u64);
-        f(node, i, x)
-    })
+/// One worker's results, or the payload of the panic that stopped it.
+type Slot<U> = Mutex<Option<std::thread::Result<Vec<(usize, U)>>>>;
+
+/// Locks a slot. A panic while copying from it leaves its contents
+/// intact, so a poisoned lock is used as it is.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+thread_local! {
+    /// Set while this thread runs items of a parallel call: a `par_map`
+    /// inside an item then runs inline instead of starting workers.
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// The worker that runs item `i` of a call on `workers` workers. Items
+/// are dealt in rounds of `workers`, reversing direction every round
+/// (`0, 1, .., w-1`, then `w-1, .., 1, 0`), so a cost that trends along
+/// the input evens out across workers.
+fn owner(i: usize, workers: usize) -> usize {
+    let (round, seat) = (i / workers, i % workers);
+    if round % 2 == 0 {
+        seat
+    } else {
+        workers - 1 - seat
+    }
 }
 
 /// Mutates each item of `items` in place, in parallel, one worker per
@@ -157,11 +204,11 @@ where
 /// of the item's prior state and the index; under that contract the
 /// result is bitwise identical for any worker count.
 ///
-/// Unlike [`par_map`] this primitive is **panic-free** (no locks, no
-/// `expect`) so it may be called from panic-proved surfaces such as the
-/// shard ingest path. It is intended for small item counts (one
-/// coordinator shard per item), so it spawns one scoped thread per item
-/// rather than chunking.
+/// This primitive is **panic-free** (no locks, no `expect`) so it may
+/// be called from panic-proved surfaces such as the shard ingest path.
+/// It is intended for small item counts (one coordinator shard per
+/// item), so it spawns one scoped thread per item rather than dealing
+/// items to [`thread_count`] workers.
 pub fn par_map_mut<T, F>(items: &mut [T], f: F)
 where
     T: Send,
@@ -184,6 +231,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn matches_serial_map_in_order() {
@@ -209,24 +257,78 @@ mod tests {
         );
     }
 
+    /// Two items on two workers must run at the same time: each waits
+    /// (up to a deadline, so a serial schedule fails instead of
+    /// hanging) until both have started.
     #[test]
-    fn seeded_map_is_thread_count_invariant() {
-        let stream = StreamRng::new(99).fork("exec-test");
-        let items: Vec<u64> = (0..500).collect();
-        // `par_map_seeded` resolves the worker count internally, so pin
-        // both sides through the underlying primitive instead.
-        let stream2 = stream;
-        let run = |threads: usize| {
-            par_map_with_threads(threads, &items, |i, x: &u64| {
-                let node = stream2.fork_idx((i / 64) as u64).fork_idx((i % 64) as u64);
-                node.draw_u64() ^ x
-            })
+    fn small_inputs_run_on_every_worker() {
+        let started = AtomicUsize::new(0);
+        let saw_both = par_map_with_threads(2, &[0u8, 1], |_, _| {
+            started.fetch_add(1, Ordering::SeqCst);
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+            while started.load(Ordering::SeqCst) < 2 && std::time::Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            started.load(Ordering::SeqCst) == 2
+        });
+        assert_eq!(saw_both, vec![true, true]);
+    }
+
+    /// A panic on a spawned worker (item 1) and one on the calling
+    /// thread (item 5, worker 0 of 3) both come back with their payload,
+    /// after the other workers have met at the copy step.
+    #[test]
+    fn worker_panic_reaches_the_caller_with_its_payload() {
+        let items: Vec<u32> = (0..8).collect();
+        for bad in [1, 5] {
+            let caught = std::panic::catch_unwind(|| {
+                par_map_with_threads(3, &items, |i, x| {
+                    assert_ne!(i, bad, "item {bad} fails");
+                    *x
+                })
+            });
+            let payload = caught.expect_err("the panic must propagate");
+            let message = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .unwrap_or_default();
+            assert!(
+                message.contains(&format!("item {bad} fails")),
+                "payload: {message:?}"
+            );
+        }
+        // The calling thread is usable as a parallel caller again.
+        assert_eq!(par_map_with_threads(3, &items, |_, x| *x), items);
+    }
+
+    #[test]
+    fn items_are_dealt_in_alternating_rounds() {
+        let dealt = |workers: usize, n: usize| -> Vec<usize> {
+            (0..n).map(|i| owner(i, workers)).collect()
         };
-        assert_eq!(run(1), run(4));
-        // And the public seeded entry point agrees with the same
-        // derivation.
-        let via_api = par_map_seeded(&stream, &items, |node, _, x| node.draw_u64() ^ x);
-        assert_eq!(via_api, run(1));
+        assert_eq!(dealt(2, 7), [0, 1, 1, 0, 0, 1, 1]);
+        assert_eq!(dealt(3, 8), [0, 1, 2, 2, 1, 0, 0, 1]);
+        for workers in 1..6 {
+            let mut load = vec![0usize; workers];
+            for w in dealt(workers, 19) {
+                load[w] += 1;
+            }
+            let (min, max) = (load.iter().min(), load.iter().max());
+            assert!(max.zip(min).is_some_and(|(a, b)| a - b <= 1), "{load:?}");
+        }
+    }
+
+    /// A `par_map` inside an item stays on the thread running that item.
+    #[test]
+    fn nested_calls_run_inline_on_their_worker() {
+        let outer: Vec<u32> = (0..4).collect();
+        let same_thread = par_map_with_threads(2, &outer, |_, _| {
+            let me = std::thread::current().id();
+            par_map_with_threads(4, &outer, |_, _| std::thread::current().id())
+                .iter()
+                .all(|id| *id == me)
+        });
+        assert_eq!(same_thread, vec![true; 4]);
     }
 
     #[test]

@@ -13,6 +13,12 @@
 # itself lands *next to* the scratch directory, never inside it: its
 # timing section is wall-clock and must not enter the manifest.
 #
+# That pass runs the experiments concurrently on every core. A serial
+# pass re-runs them with WISCAPE_THREADS=1 (one worker, every item
+# inline on the calling thread) and diffs them against the same
+# manifest, so the serial reference and the concurrent run are both
+# gated.
+#
 # A second pass then proves the durability layer is transparent: the
 # same quick run re-executes with every channel-driven coordinator
 # event-sourced through a wiscape-wal log AND a seeded mid-run crash
@@ -59,8 +65,8 @@ wal_crash_seed=11
 rebalance_seed=5
 
 cargo build --release -q -p wiscape-experiments --bin repro
-rm -rf "$out" "$out.wal" "$out.waldir" "$out.shard1" "$out.shard4" "$out.shardwal" "$out.shardwaldir" \
-    "$out.mapwal"
+rm -rf "$out" "$out.serial" "$out.wal" "$out.waldir" "$out.shard1" "$out.shard4" "$out.shardwal" \
+    "$out.shardwaldir" "$out.mapwal"
 ./target/release/repro --seed 7 --quick --out "$out" --obs "$out.obs.json" >/dev/null
 echo "[verify_results] obs snapshot: $out.obs.json"
 
@@ -76,6 +82,17 @@ else
     fi
     echo "[verify_results] OK: $(wc -l < "$manifest") artifacts byte-identical"
 fi
+
+# --- serial pass -----------------------------------------------------------
+# The same quick run on one worker: the serial reference of the
+# concurrent pass above.
+WISCAPE_THREADS=1 ./target/release/repro --seed 7 --quick --out "$out.serial" >/dev/null
+(cd "$out.serial" && sha256sum -- *.json | LC_ALL=C sort -k2) > "$out.serial.artifacts"
+if ! diff -u "$manifest" "$out.serial.artifacts"; then
+    echo "[verify_results] FAIL: serial run (WISCAPE_THREADS=1) drifted from $manifest" >&2
+    exit 1
+fi
+echo "[verify_results] OK: serial pass (WISCAPE_THREADS=1) byte-identical"
 
 # --- crash-recover-verify pass -------------------------------------------
 # Quick run again, WAL-backed, with a deterministic crash per WAL run.
