@@ -9,8 +9,7 @@ use std::collections::BTreeMap;
 
 use wiscape_core::{Coordinator, ZoneEstimate, ZoneId, ZoneIndex};
 use wiscape_geo::GeoPoint;
-use wiscape_simcore::SimTime;
-use wiscape_simnet::{Landscape, NetworkId};
+use wiscape_simnet::NetworkId;
 use wiscape_stats::MeanSketch;
 
 /// Per-zone per-network mean quality: TCP throughput (kbit/s), plus an
@@ -73,38 +72,6 @@ impl ZoneQualityMap {
             map: sums.into_iter().map(|(k, s)| (k, s.mean())).collect(),
             rtt: BTreeMap::new(),
         }
-    }
-
-    /// Builds an idealized ("oracle") map by sampling the landscape's
-    /// ground truth at `points` at time `t`: per-zone TCP throughput
-    /// plus the RTT layer. Networks fan out on the deterministic
-    /// executor ([`wiscape_simcore::exec`]) and each network's points
-    /// are evaluated through the batched field path, so large sample
-    /// lattices stay cheap; the result is independent of the worker
-    /// count.
-    pub fn from_ground_truth(
-        land: &Landscape,
-        index: ZoneIndex,
-        points: &[GeoPoint],
-        t: SimTime,
-    ) -> Self {
-        let nets = land.networks();
-        let queries: Vec<(GeoPoint, SimTime)> = points.iter().map(|p| (*p, t)).collect();
-        let per_net = wiscape_simcore::exec::par_map(&nets, |_, &net| {
-            land.link_quality_batch(net, &queries)
-                .expect("network listed by the landscape")
-        });
-        let mut tput: Vec<(GeoPoint, NetworkId, f64)> =
-            Vec::with_capacity(nets.len() * points.len());
-        let mut rtt: Vec<(GeoPoint, NetworkId, f64)> =
-            Vec::with_capacity(nets.len() * points.len());
-        for (net, qualities) in nets.iter().zip(per_net) {
-            for (p, q) in points.iter().zip(qualities) {
-                tput.push((*p, *net, q.tcp_kbps));
-                rtt.push((*p, *net, q.rtt_ms));
-            }
-        }
-        Self::from_observations(index, &tput).with_rtt_observations(&rtt)
     }
 
     /// Adds per-zone RTT estimates (ms) from raw observations, enabling
@@ -268,49 +235,6 @@ mod tests {
         let m = ZoneQualityMap::from_observations(index(), &obs);
         assert_eq!(m.network_mean(NetworkId::NetA), Some(1500.0));
         assert_eq!(m.network_mean(NetworkId::NetB), None);
-    }
-
-    #[test]
-    fn from_ground_truth_matches_manual_sampling() {
-        use wiscape_simnet::LandscapeConfig;
-        let land = Landscape::new(LandscapeConfig::madison(11));
-        let t = wiscape_simcore::SimTime::at(1, 10.0);
-        let points: Vec<GeoPoint> = (0..40)
-            .map(|i| {
-                land.origin()
-                    .destination(i as f64 * 9.0, 100.0 + i as f64 * 180.0)
-            })
-            .collect();
-        let m = ZoneQualityMap::from_ground_truth(
-            &land,
-            ZoneIndex::around(land.origin(), 10_000.0).unwrap(),
-            &points,
-            t,
-        );
-        // Same estimates as building the observation lists by hand with
-        // per-call link_quality.
-        let mut tput = Vec::new();
-        let mut rtt = Vec::new();
-        for net in land.networks() {
-            for p in &points {
-                let q = land.link_quality(net, p, t).unwrap();
-                tput.push((*p, net, q.tcp_kbps));
-                rtt.push((*p, net, q.rtt_ms));
-            }
-        }
-        let manual = ZoneQualityMap::from_observations(
-            ZoneIndex::around(land.origin(), 10_000.0).unwrap(),
-            &tput,
-        )
-        .with_rtt_observations(&rtt);
-        assert_eq!(m.len(), manual.len());
-        for p in &points {
-            for net in land.networks() {
-                assert_eq!(m.estimate(p, net), manual.estimate(p, net));
-                assert_eq!(m.estimate_rtt_ms(p, net), manual.estimate_rtt_ms(p, net));
-            }
-        }
-        assert!(!m.is_empty());
     }
 
     #[test]

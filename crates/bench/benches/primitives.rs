@@ -93,58 +93,23 @@ fn simulator_benches(c: &mut Criterion) {
             )
         })
     });
-    // The pre-cursor evaluation shape: each metric resolved
-    // independently (what the probe path did before the shared-resolve
-    // refactor). Kept as the denominator for the cursor speedup.
+    // Train shape: one point, 1000 distinct times — what the batched
+    // probe path hands to the evaluator. The SoA train path resolves the
+    // point once and hoists the drift octave forks and event spatial
+    // weights; the resolved scalar path resolves once and then calls
+    // `link_quality_with` per time.
     let field = land.field(NetworkId::NetB).unwrap();
-    c.bench_function("field_per_metric_5_calls", |b| {
-        b.iter(|| {
-            black_box((
-                field.mean_tcp_kbps(black_box(&p), t),
-                field.mean_udp_kbps(&p, t),
-                field.mean_rtt_ms(&p, t),
-                field.mean_jitter_ms(&p, t),
-                field.loss_rate(&p, t),
-            ))
-        })
-    });
-    c.bench_function("field_link_quality_cursor", |b| {
-        let mut cursor = wiscape_simnet::FieldCursor::new(field);
-        let mut k = 0i64;
-        b.iter(|| {
-            k += 1;
-            black_box(cursor.link_quality(
-                black_box(&p),
-                t + wiscape_simcore::SimDuration::from_secs(k % 3600),
-            ))
-        })
-    });
-    let walk: Vec<(wiscape_geo::GeoPoint, SimTime)> = (0..1000)
-        .map(|i| {
-            (
-                land.origin()
-                    .destination(i as f64 * 0.83, 50.0 + (i as f64 * 137.0) % 9000.0),
-                t + wiscape_simcore::SimDuration::from_secs(i % 3600),
-            )
-        })
+    let times: Vec<SimTime> = (0..1000i64)
+        .map(|k| t + wiscape_simcore::SimDuration::from_secs(k))
         .collect();
-    c.bench_function("field_link_quality_batch_1k", |b| {
-        b.iter(|| black_box(field.link_quality_batch(black_box(&walk))))
+    c.bench_function("field_link_quality_train_1k", |b| {
+        b.iter(|| black_box(field.link_quality_train(black_box(&p), black_box(&times))))
     });
-    // Train shape: one point, 1000 distinct times. The SoA batch path
-    // hoists point resolution, drift octave forks, and event spatial
-    // weights once per run, so this is where it beats the cursor.
-    let train: Vec<(wiscape_geo::GeoPoint, SimTime)> = (0..1000i64)
-        .map(|k| (p, t + wiscape_simcore::SimDuration::from_secs(k)))
-        .collect();
-    c.bench_function("field_link_quality_batch_train_1k", |b| {
-        b.iter(|| black_box(field.link_quality_batch(black_box(&train))))
-    });
-    c.bench_function("field_link_quality_cursor_train_1k", |b| {
-        let mut cursor = wiscape_simnet::FieldCursor::new(field);
+    c.bench_function("field_link_quality_resolved_train_1k", |b| {
         b.iter(|| {
-            for (q, tq) in &train {
-                black_box(cursor.link_quality(black_box(q), *tq));
+            let ctx = field.resolve(black_box(&p));
+            for tq in &times {
+                black_box(field.link_quality_with(&ctx, *tq));
             }
         })
     });

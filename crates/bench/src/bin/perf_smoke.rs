@@ -7,8 +7,8 @@
 //! Measures batch field evaluation, wire decode, WAL append/replay,
 //! sharded ingest and adaptive regionalization, prints one `[smoke]`
 //! line per reading, and exits nonzero if any of five floors fails:
-//! owned decode under 2M frames/s, the SoA batch path under 0.95x the
-//! scalar cursor on a train-shaped workload, WAL replay under 1M
+//! owned decode under 2M frames/s, the SoA train path under 0.95x the
+//! resolved scalar path on a 1,000-time probe train, WAL replay under 1M
 //! reports/s, a >= 100k-zone region build over 2 s, or — when at least
 //! 4 workers are configured — the 4-shard batch ingest under 2x the
 //! single-shard rate. It takes no arguments; `WISCAPE_THREADS` pins the
@@ -26,22 +26,24 @@ use std::time::Instant;
 
 use wiscape_bench::{bench_landscape, bench_point};
 use wiscape_simcore::{exec, SimDuration, SimTime};
-use wiscape_simnet::{FieldCursor, NetworkField, NetworkId};
+use wiscape_simnet::{NetworkField, NetworkId};
 
 /// Batch evaluation on the probe-train shape — one point, many
-/// distinct times — where the SoA path hoists the per-run work
+/// distinct times — where the SoA path hoists the per-train work
 /// (point resolution, drift noise octave forks, per-event spatial
-/// weights) once and then sweeps each component across the whole run.
-/// `cursor_eval_s` pushes the identical query list through a
-/// [`FieldCursor`], the best scalar path, so the ratio isolates the
-/// structure-of-arrays win.
+/// weights) once and then sweeps each component across the whole train.
+/// `scalar_eval_s` evaluates the same times through the best scalar
+/// path — [`NetworkField::resolve`] once per train, then
+/// [`NetworkField::link_quality_with`] per time — so the ratio isolates
+/// the structure-of-arrays win.
 struct BatchEval {
-    /// `link_quality_batch` evaluations per second on the train.
+    /// `link_quality_train` evaluations per second on the train.
     batch_eval_s: f64,
-    /// `FieldCursor` evaluations per second on the same queries.
-    cursor_eval_s: f64,
-    /// `batch_eval_s / cursor_eval_s`.
-    batch_speedup_vs_cursor: f64,
+    /// `resolve` + `link_quality_with` evaluations per second on the
+    /// same times.
+    scalar_eval_s: f64,
+    /// `batch_eval_s / scalar_eval_s`.
+    batch_speedup_vs_scalar: f64,
 }
 
 /// Wire-decode throughput: the owned decoder vs the borrowed zero-copy
@@ -121,25 +123,25 @@ fn batch_eval_rates(field: &NetworkField, p: wiscape_geo::GeoPoint) -> BatchEval
     let budget = 0.5;
     // Train shape: one point, 1000 distinct times — exactly what the
     // batched probe path hands to the evaluator.
-    let train: Vec<(wiscape_geo::GeoPoint, SimTime)> = (0..1000i64)
-        .map(|k| (p, t + SimDuration::from_secs(k)))
+    let times: Vec<SimTime> = (0..1000i64)
+        .map(|k| t + SimDuration::from_secs(k))
         .collect();
-    let n = train.len();
+    let n = times.len();
     let batch_eval_s = n as f64
         * rate(budget, || {
-            black_box(field.link_quality_batch(black_box(&train)));
+            black_box(field.link_quality_train(black_box(&p), black_box(&times)));
         });
-    let mut cursor = FieldCursor::new(field);
-    let cursor_eval_s = n as f64
+    let scalar_eval_s = n as f64
         * rate(budget, || {
-            for (q, tq) in &train {
-                black_box(cursor.link_quality(black_box(q), *tq));
+            let ctx = field.resolve(black_box(&p));
+            for tq in &times {
+                black_box(field.link_quality_with(&ctx, *tq));
             }
         });
     BatchEval {
         batch_eval_s,
-        cursor_eval_s,
-        batch_speedup_vs_cursor: batch_eval_s / cursor_eval_s,
+        scalar_eval_s,
+        batch_speedup_vs_scalar: batch_eval_s / scalar_eval_s,
     }
 }
 
@@ -415,8 +417,8 @@ fn main() {
     let field = land.field(NetworkId::NetB).expect("NetB present");
     let batch = batch_eval_rates(field, p);
     eprintln!(
-        "[smoke] batch {:.0}/s vs cursor {:.0}/s ({:.2}x)",
-        batch.batch_eval_s, batch.cursor_eval_s, batch.batch_speedup_vs_cursor,
+        "[smoke] batch {:.0}/s vs scalar {:.0}/s ({:.2}x)",
+        batch.batch_eval_s, batch.scalar_eval_s, batch.batch_speedup_vs_scalar,
     );
     eprintln!("[smoke] wire decode...");
     let decode = decode_rates();
@@ -523,10 +525,10 @@ fn main() {
         ok = false;
     }
     // 5% slack absorbs scheduler noise; the SoA path wins by far more.
-    if batch.batch_eval_s < 0.95 * batch.cursor_eval_s {
+    if batch.batch_eval_s < 0.95 * batch.scalar_eval_s {
         eprintln!(
-            "[smoke] FAIL: batch_eval_s {:.0}/s is slower than cursor_eval_s {:.0}/s",
-            batch.batch_eval_s, batch.cursor_eval_s
+            "[smoke] FAIL: batch_eval_s {:.0}/s is slower than scalar_eval_s {:.0}/s",
+            batch.batch_eval_s, batch.scalar_eval_s
         );
         ok = false;
     }

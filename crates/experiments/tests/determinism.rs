@@ -1,10 +1,7 @@
 //! Regression tests for the determinism contract of the parallel
-//! executor and the cached field-evaluation paths: worker count and
-//! caching must never change a single output byte.
+//! executor: the worker count must never change a single output byte.
 
 use wiscape_experiments::{run_by_name, run_many_with_charts, Scale};
-use wiscape_simcore::SimTime;
-use wiscape_simnet::{FieldCursor, Landscape, LandscapeConfig, NetworkId};
 
 /// fig06 (the heaviest exec user: parallel regions and days) and tab03
 /// must produce byte-identical summaries and JSON with 1 worker and
@@ -66,39 +63,6 @@ fn quick_experiments_are_thread_count_invariant() {
             (&many_4[slot].1, &many_4[slot].2),
             (summary, json),
             "{name}: run_many_with_charts must return payloads in input order"
-        );
-    }
-}
-
-/// The landscape-level cursor and batch APIs agree exactly (bitwise)
-/// with per-call `link_quality` (the field-level equivalence is tested
-/// in `wiscape-simnet`).
-#[test]
-fn landscape_cursor_and_batch_match_uncached() {
-    let land = Landscape::new(LandscapeConfig::madison(7));
-    let net = NetworkId::NetB;
-    let queries: Vec<_> = (0..200)
-        .map(|i| {
-            (
-                land.origin()
-                    .destination(i as f64 * 0.79, 60.0 + (i as f64 * 143.0) % 12_000.0),
-                SimTime::at((i % 7) as i64, (i % 24) as f64),
-            )
-        })
-        .collect();
-    let mut cursor = land.cursor(net).unwrap();
-    let batch = land.link_quality_batch(net, &queries).unwrap();
-    for ((p, t), from_batch) in queries.iter().zip(&batch) {
-        let direct = land.link_quality(net, p, *t).unwrap();
-        assert_eq!(cursor.link_quality(p, *t), direct);
-        assert_eq!(*from_batch, direct);
-    }
-    // A cursor rebuilt from the raw field behaves identically.
-    let mut field_cursor = FieldCursor::new(land.field(net).unwrap());
-    for (p, t) in &queries {
-        assert_eq!(
-            field_cursor.link_quality(p, *t),
-            land.link_quality(net, p, *t).unwrap()
         );
     }
 }

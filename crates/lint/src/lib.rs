@@ -1227,7 +1227,7 @@ pub fn workspace_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
 /// of inventoried `lint:allow` sites in the tree. Adding a suppression
 /// without raising this (and defending the raise in review) fails the
 /// workspace lint.
-pub const ALLOW_BUDGET: usize = 16;
+pub const ALLOW_BUDGET: usize = 10;
 
 /// Builds the interprocedural-analysis configuration for the real
 /// workspace: P001 roots are the ingest/decode surface (coordinator,

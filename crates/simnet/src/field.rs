@@ -8,23 +8,22 @@
 //!
 //! # Evaluation paths
 //!
-//! Every metric is assembled from small `*_value` helpers, so the three
-//! evaluation paths cannot drift apart numerically:
+//! Every metric is assembled from small `*_value` helpers, so the two
+//! evaluation paths — one per query shape — cannot drift apart
+//! numerically:
 //!
-//! * per-metric methods (`mean_udp_kbps`, `mean_rtt_ms`, …) — one metric
-//!   at one `(p, t)`;
-//! * [`NetworkField::link_quality`] — all five metrics at once, sharing
-//!   the resolved point context (projection, drift cell, coherence time,
-//!   degraded flag, spatial factors) across metrics;
-//! * [`FieldCursor`] / [`NetworkField::link_quality_batch`] — repeated
-//!   queries, additionally memoizing per-cell state across points.
+//! * [`NetworkField::link_quality`] — all five metrics at one `(p, t)`,
+//!   sharing the resolved point context (projection, drift track,
+//!   coherence time, degraded flag, spatial factors) across metrics. It
+//!   is [`NetworkField::resolve`] followed by
+//!   [`NetworkField::link_quality_with`];
+//! * [`NetworkField::link_quality_train`] — one point over a train of
+//!   times (the probe-train shape), resolved once and swept
+//!   structure-of-arrays style.
 //!
-//! All three produce bitwise-identical results by construction: they
-//! evaluate the same expression trees in the same order, only the
-//! caching of intermediate inputs differs.
-
-// lint:allow(D001): keyed-lookup memo caches only; these maps are never iterated.
-use std::collections::HashMap;
+//! Both produce bitwise-identical results by construction: they evaluate
+//! the same expression trees in the same order; only the layout of
+//! intermediate inputs differs.
 
 use serde::{Deserialize, Serialize};
 use wiscape_geo::{GeoPoint, LocalProjection, Vec2};
@@ -87,14 +86,13 @@ pub struct DriftCell {
 }
 
 /// Everything about a point that does not depend on time: projected
-/// position, drift cell and its noise track, coherence time, degraded
-/// flag, and the three spatial multipliers. Resolving it once and
-/// reusing it across evaluations skips the RNG forking, hashing, and
-/// `ValueNoise` reconstruction that dominate single-point queries.
+/// position, drift noise track, coherence time, degraded flag, and the
+/// three spatial multipliers. Resolving it once and reusing it across
+/// evaluations skips the RNG forking, hashing, and `ValueNoise`
+/// reconstruction that dominate single-point queries.
 #[derive(Debug, Clone, Copy)]
 pub struct PointCtx {
     p: GeoPoint,
-    cell: DriftCell,
     degraded: bool,
     tau: SimDuration,
     track: ValueNoise1D,
@@ -104,28 +102,6 @@ pub struct PointCtx {
     spatial_tput: f64,
     spatial_rtt: f64,
     spatial_jitter: f64,
-}
-
-impl PointCtx {
-    /// The point this context was resolved at.
-    pub fn point(&self) -> GeoPoint {
-        self.p
-    }
-
-    /// The drift cell containing the point.
-    pub fn cell(&self) -> DriftCell {
-        self.cell
-    }
-
-    /// Whether the point lies in a chronically degraded cell.
-    pub fn is_degraded(&self) -> bool {
-        self.degraded
-    }
-
-    /// The local drift coherence time.
-    pub fn coherence_time(&self) -> SimDuration {
-        self.tau
-    }
 }
 
 fn zigzag(v: i64) -> u64 {
@@ -274,12 +250,6 @@ impl NetworkField {
             * self.coverage_value(v.norm())
     }
 
-    /// Smooth spatial multiplier for throughput at `p` (mean ≈ 1 inside
-    /// the metro area).
-    fn spatial_tput_factor(&self, p: &GeoPoint) -> f64 {
-        self.spatial_tput_value(&self.proj.to_xy(p), p)
-    }
-
     /// Latency spatial multiplier at projected position `v`.
     fn spatial_rtt_value(&self, v: &Vec2) -> f64 {
         1.0 + 0.45
@@ -296,7 +266,11 @@ impl NetworkField {
                 .fbm(v.x / self.spatial_corr_m, v.y / self.spatial_corr_m, 2, 0.5)
     }
 
-    /// Drift multiplier from a resolved cell track. Multi-scale drift
+    /// Zone-coherent temporal drift multiplier (mean ≈ 1) from a resolved
+    /// cell track: a 1-D value-noise track per drift cell, with the time
+    /// axis scaled by the cell's coherence time `tau`, so the track
+    /// decorrelates over roughly one coherence time, which is what the
+    /// Allan-deviation epoch search (Fig 6) recovers. Multi-scale drift
     /// with energy *rising* toward coarse scales (octave spacings τ, 2τ,
     /// 4τ, 8τ with growing amplitude): below the coherence time the
     /// track is smooth, above it the Allan deviation keeps climbing —
@@ -305,21 +279,6 @@ impl NetworkField {
     fn drift_value(&self, track: &ValueNoise1D, tau: SimDuration, amp: f64, t: SimTime) -> f64 {
         let x = t.as_secs_f64() / tau.as_secs_f64();
         (1.0 + amp * track.fbm(x / 16.0, 5, 0.5)).max(0.05)
-    }
-
-    /// Zone-coherent temporal drift multiplier at `(p, t)` (mean ≈ 1).
-    ///
-    /// A 1-D value-noise track per drift cell, with the time axis scaled
-    /// by the cell's coherence time: the track decorrelates over roughly
-    /// one coherence time, which is what the Allan-deviation epoch search
-    /// (Fig 6) recovers.
-    fn drift_factor(&self, p: &GeoPoint, t: SimTime) -> f64 {
-        let c = self.drift_cell(p);
-        let mut amp = self.params.drift_amp;
-        if self.is_degraded(p) {
-            amp *= self.degraded.variability_multiplier;
-        }
-        self.drift_value(&self.cell_track(c), self.cell_coherence(c), amp, t)
     }
 
     /// Centered diurnal multiplier for capacity (long-run mean ≈ 1).
@@ -386,72 +345,9 @@ impl NetworkField {
         (base + event_extra).clamp(0.0, 0.5)
     }
 
-    /// Mean UDP throughput at `(p, t)`, kbit/s, capped at the radio
-    /// technology's rated ceiling.
-    pub fn mean_udp_kbps(&self, p: &GeoPoint, t: SimTime) -> f64 {
-        self.udp_value(
-            self.spatial_tput_factor(p),
-            self.drift_factor(p, t),
-            self.diurnal_tput_factor(t),
-            self.event_tput_factor(p, t),
-            self.is_degraded(p),
-        )
-    }
-
-    /// Mean TCP throughput at `(p, t)`, kbit/s.
-    pub fn mean_tcp_kbps(&self, p: &GeoPoint, t: SimTime) -> f64 {
-        self.tcp_value(self.mean_udp_kbps(p, t))
-    }
-
-    /// Mean RTT at `(p, t)`, ms. Latency moves inversely with the
-    /// capacity drift (congested epochs are both slower and laggier) and
-    /// is multiplied by any active event (Fig 10).
-    pub fn mean_rtt_ms(&self, p: &GeoPoint, t: SimTime) -> f64 {
-        let v = self.proj.to_xy(p);
-        self.rtt_value(
-            self.spatial_rtt_value(&v),
-            self.drift_factor(p, t),
-            self.diurnal_rtt_factor(t),
-            self.event_rtt_factor(p, t),
-        )
-    }
-
-    /// Mean IPDV jitter at `(p, t)`, ms.
-    pub fn mean_jitter_ms(&self, p: &GeoPoint, t: SimTime) -> f64 {
-        let v = self.proj.to_xy(p);
-        self.jitter_value(self.spatial_jitter_value(&v), self.event_rtt_factor(p, t))
-    }
-
     /// Packet-loss probability at `(p, t)`.
     pub fn loss_rate(&self, p: &GeoPoint, t: SimTime) -> f64 {
         self.loss_value(self.is_degraded(p), self.event_rtt_factor(p, t))
-    }
-
-    /// Assembles a context from a point's resolved cell state.
-    fn ctx_from_parts(
-        &self,
-        p: &GeoPoint,
-        v: &Vec2,
-        cell: DriftCell,
-        degraded: bool,
-        track: ValueNoise1D,
-        tau: SimDuration,
-    ) -> PointCtx {
-        let mut drift_amp = self.params.drift_amp;
-        if degraded {
-            drift_amp *= self.degraded.variability_multiplier;
-        }
-        PointCtx {
-            p: *p,
-            cell,
-            degraded,
-            tau,
-            track,
-            drift_amp,
-            spatial_tput: self.spatial_tput_value(v, p),
-            spatial_rtt: self.spatial_rtt_value(v),
-            spatial_jitter: self.spatial_jitter_value(v),
-        }
     }
 
     /// Resolves everything time-independent about `p` once, for reuse
@@ -460,26 +356,29 @@ impl NetworkField {
         let v = self.proj.to_xy(p);
         let cell = self.cell_of_xy(&v);
         let (di, dj) = self.degraded_indices(&v);
-        self.ctx_from_parts(
-            p,
-            &v,
-            cell,
-            self.degraded_cell(di, dj),
-            self.cell_track(cell),
-            self.cell_coherence(cell),
-        )
+        let degraded = self.degraded_cell(di, dj);
+        let mut drift_amp = self.params.drift_amp;
+        if degraded {
+            drift_amp *= self.degraded.variability_multiplier;
+        }
+        PointCtx {
+            p: *p,
+            degraded,
+            tau: self.cell_coherence(cell),
+            track: self.cell_track(cell),
+            drift_amp,
+            spatial_tput: self.spatial_tput_value(&v, p),
+            spatial_rtt: self.spatial_rtt_value(&v),
+            spatial_jitter: self.spatial_jitter_value(&v),
+        }
     }
 
-    /// Drift multiplier at time `t` for a resolved point context.
-    pub fn drift_factor_with(&self, ctx: &PointCtx, t: SimTime) -> f64 {
-        self.drift_value(&ctx.track, ctx.tau, ctx.drift_amp, t)
-    }
-
-    /// Full mean link quality at `(ctx.point(), t)`, bitwise identical
-    /// to [`NetworkField::link_quality`] at the same point and time.
+    /// Full mean link quality at time `t` of the point `ctx` was resolved
+    /// at, bitwise identical to [`NetworkField::link_quality`] at the
+    /// same point and time.
     pub fn link_quality_with(&self, ctx: &PointCtx, t: SimTime) -> LinkQuality {
         let p = &ctx.p;
-        let drift = self.drift_factor_with(ctx, t);
+        let drift = self.drift_value(&ctx.track, ctx.tau, ctx.drift_amp, t);
         let event_rtt = self.event_rtt_factor(p, t);
         let udp_kbps = self.udp_value(
             ctx.spatial_tput,
@@ -507,243 +406,90 @@ impl NetworkField {
         self.link_quality_with(&self.resolve(p), t)
     }
 
-    /// Evaluates link quality for a batch of queries, returning results
-    /// in query order, bitwise identical to calling
-    /// [`NetworkField::link_quality`] per query.
+    /// Mean link quality at `p` for each time of a probe train, in
+    /// `times` order, bitwise identical to calling
+    /// [`NetworkField::link_quality`] per time.
     ///
-    /// The batch is split into *runs* of consecutive queries at the same
-    /// point. Each run is evaluated structure-of-arrays style: every
-    /// component (drift, diurnal, event factors) sweeps the whole run
-    /// through a flat `f64` scratch buffer before the next component
-    /// starts, and [`LinkQuality`] values are only assembled in a final
-    /// combine pass. Point resolution, drift-octave stream forking, and
+    /// The point is resolved once, then the train is evaluated
+    /// structure-of-arrays style: every component (drift, diurnal, event
+    /// factors) sweeps the whole train through a flat `f64` buffer before
+    /// the next component starts, and [`LinkQuality`] values are only
+    /// assembled in a final combine pass. Drift-octave stream forking and
     /// per-event spatial weights are hoisted out of the per-time loop;
-    /// the scalar expression evaluated per element is unchanged, which is
-    /// what keeps the results bitwise identical.
-    pub fn link_quality_batch(&self, queries: &[(GeoPoint, SimTime)]) -> Vec<LinkQuality> {
-        let mut out = Vec::with_capacity(queries.len());
-        let mut scratch = BatchScratch::default();
-        // Cursor only for point/cell resolution: it memoizes per-cell
-        // state across runs that revisit cells.
-        let mut cursor = FieldCursor::new(self);
-        let mut i = 0;
-        while i < queries.len() {
-            let p = queries[i].0;
-            let mut j = i + 1;
-            while j < queries.len() && queries[j].0 == p {
-                j += 1;
-            }
-            let ctx = *cursor.resolve(&p);
-            self.eval_run_into(&ctx, &queries[i..j], &mut scratch, &mut out);
-            i = j;
-        }
-        out
-    }
-
-    /// Evaluates one same-point run of `queries` into `out`, component by
-    /// component over `scratch`. Every element-wise expression is the one
+    /// every element-wise expression is the one
     /// [`NetworkField::link_quality_with`] evaluates, with identical
-    /// inputs and operation order, so the appended results are bitwise
-    /// identical to per-query evaluation.
-    fn eval_run_into(
-        &self,
-        ctx: &PointCtx,
-        run: &[(GeoPoint, SimTime)],
-        s: &mut BatchScratch,
-        out: &mut Vec<LinkQuality>,
-    ) {
-        let n = run.len();
-        s.reset(n);
+    /// inputs and operation order, which is what keeps the results
+    /// bitwise identical.
+    pub fn link_quality_train(&self, p: &GeoPoint, times: &[SimTime]) -> Vec<LinkQuality> {
+        let ctx = self.resolve(p);
+        let n = times.len();
 
         // Drift pass: fork the track's fbm octaves once, then sweep the
-        // run. `drift_value` computes `fbm(x / 16.0, 5, 0.5)` on exactly
+        // train. `drift_value` computes `fbm(x / 16.0, 5, 0.5)` on exactly
         // these layers with exactly this `x`.
         let layers = ctx.track.fbm_layers(5, 0.5);
         let tau_secs = ctx.tau.as_secs_f64();
-        for (k, (_, t)) in run.iter().enumerate() {
-            let x = t.as_secs_f64() / tau_secs;
-            s.drift[k] = (1.0 + ctx.drift_amp * layers.at(x / 16.0)).max(0.05);
-        }
+        let drift: Vec<f64> = times
+            .iter()
+            .map(|t| {
+                let x = t.as_secs_f64() / tau_secs;
+                (1.0 + ctx.drift_amp * layers.at(x / 16.0)).max(0.05)
+            })
+            .collect();
 
         // Diurnal pass: `load(t)` is shared between the throughput and
-        // latency factors (both scalar paths call it with the same `t`).
+        // latency factors (the scalar path calls it twice with the same
+        // `t`).
         let depth = self.params.diurnal.depth;
-        for (k, (_, t)) in run.iter().enumerate() {
+        let mut diurnal_tput = Vec::with_capacity(n);
+        let mut diurnal_rtt = Vec::with_capacity(n);
+        for t in times {
             let load = self.params.diurnal.load(*t);
-            s.diurnal_tput[k] = 1.0 - depth * (load - 0.5);
-            s.diurnal_rtt[k] = 1.0 + depth * (load - 0.5);
+            diurnal_tput.push(1.0 - depth * (load - 0.5));
+            diurnal_rtt.push(1.0 + depth * (load - 0.5));
         }
 
         // Event pass, event-major so each event's spatial weight is
-        // computed once per run. The factor products accumulate in event
-        // order starting from 1.0 — the fold `iter().product()` performs
-        // in the scalar path. An event with zero spatial weight
+        // computed once per train. The factor products accumulate in
+        // event order starting from 1.0 — the fold `iter().product()`
+        // performs in the scalar path. An event with zero spatial weight
         // contributes a factor of exactly 1.0, which multiplication
         // leaves bitwise unchanged, so those events are skipped.
-        let p = &ctx.p;
+        let mut event_rtt = vec![1.0; n];
+        let mut event_tput = vec![1.0; n];
         for e in &self.events {
             let w_spatial = e.spatial_weight(p);
             if w_spatial == 0.0 {
                 continue;
             }
-            for (k, (_, t)) in run.iter().enumerate() {
+            for (k, t) in times.iter().enumerate() {
                 let w = e.activation(*t) * w_spatial;
-                s.event_rtt[k] *= 1.0 + (e.latency_multiplier - 1.0) * w;
-                s.event_tput[k] *= 1.0 + (e.throughput_multiplier - 1.0) * w;
+                event_rtt[k] *= 1.0 + (e.latency_multiplier - 1.0) * w;
+                event_tput[k] *= 1.0 + (e.throughput_multiplier - 1.0) * w;
             }
         }
 
         // Combine pass: assemble each LinkQuality from the precomputed
         // components through the same `*_value` helpers the scalar path
         // uses.
-        for k in 0..n {
-            let udp_kbps = self.udp_value(
-                ctx.spatial_tput,
-                s.drift[k],
-                s.diurnal_tput[k],
-                s.event_tput[k],
-                ctx.degraded,
-            );
-            out.push(LinkQuality {
-                tcp_kbps: self.tcp_value(udp_kbps),
-                udp_kbps,
-                rtt_ms: self.rtt_value(
-                    ctx.spatial_rtt,
-                    s.drift[k],
-                    s.diurnal_rtt[k],
-                    s.event_rtt[k],
-                ),
-                jitter_ms: self.jitter_value(ctx.spatial_jitter, s.event_rtt[k]),
-                loss_rate: self.loss_value(ctx.degraded, s.event_rtt[k]),
-            });
-        }
-    }
-}
-
-/// Flat per-component scratch buffers for one batch run, reused across
-/// runs so a whole batch allocates each buffer at most once.
-#[derive(Debug, Default)]
-struct BatchScratch {
-    drift: Vec<f64>,
-    diurnal_tput: Vec<f64>,
-    diurnal_rtt: Vec<f64>,
-    /// Product of per-event latency factors, accumulated event-major.
-    event_rtt: Vec<f64>,
-    /// Product of per-event throughput factors, accumulated event-major.
-    event_tput: Vec<f64>,
-}
-
-impl BatchScratch {
-    /// Resizes every buffer to `n`, resetting the event products to 1.
-    fn reset(&mut self, n: usize) {
-        self.drift.clear();
-        self.drift.resize(n, 0.0);
-        self.diurnal_tput.clear();
-        self.diurnal_tput.resize(n, 0.0);
-        self.diurnal_rtt.clear();
-        self.diurnal_rtt.resize(n, 0.0);
-        self.event_rtt.clear();
-        self.event_rtt.resize(n, 1.0);
-        self.event_tput.clear();
-        self.event_tput.resize(n, 1.0);
-    }
-}
-
-/// Soft cap on cursor cache maps; far above any realistic region (a
-/// 30 km metro span is ~400 drift cells), it only guards unbounded
-/// growth on adversarial query streams.
-const CURSOR_CACHE_CAP: usize = 1 << 15;
-
-/// A memoizing evaluation handle over one [`NetworkField`].
-///
-/// Caches the resolved [`PointCtx`] of the last point, per-cell drift
-/// tracks / coherence times / degraded flags across points, and the last
-/// `(point, time)` result, so query streams with spatial or temporal
-/// locality (probe trains, mobility traces, grid sweeps) skip most of
-/// the hashing work. Results are bitwise identical to the uncached
-/// [`NetworkField::link_quality`].
-#[derive(Debug, Clone)]
-pub struct FieldCursor<'a> {
-    field: &'a NetworkField,
-    ctx: Option<PointCtx>,
-    memo: Option<(SimTime, LinkQuality)>,
-    // lint:allow(D001): per-cell memo cache, accessed by key only (never iterated).
-    cells: HashMap<DriftCell, (ValueNoise1D, SimDuration)>,
-    // lint:allow(D001): per-cell memo cache, accessed by key only (never iterated).
-    degraded_cells: HashMap<(i64, i64), bool>,
-}
-
-impl<'a> FieldCursor<'a> {
-    /// Creates a cursor over `field` with empty caches.
-    pub fn new(field: &'a NetworkField) -> Self {
-        Self {
-            field,
-            ctx: None,
-            memo: None,
-            // lint:allow(D001): memo cache construction; lookups are by key only.
-            cells: HashMap::new(),
-            // lint:allow(D001): memo cache construction; lookups are by key only.
-            degraded_cells: HashMap::new(),
-        }
-    }
-
-    /// The underlying field.
-    pub fn field(&self) -> &'a NetworkField {
-        self.field
-    }
-
-    /// The context of the current point, resolving it if `p` differs
-    /// from the cached point.
-    fn ensure(&mut self, p: &GeoPoint) -> &PointCtx {
-        let stale = match &self.ctx {
-            Some(ctx) => ctx.p != *p,
-            None => true,
-        };
-        if stale {
-            if self.cells.len() > CURSOR_CACHE_CAP {
-                self.cells.clear();
-            }
-            if self.degraded_cells.len() > CURSOR_CACHE_CAP {
-                self.degraded_cells.clear();
-            }
-            let f = self.field;
-            let v = f.proj.to_xy(p);
-            let cell = f.cell_of_xy(&v);
-            let (di, dj) = f.degraded_indices(&v);
-            let degraded = *self
-                .degraded_cells
-                .entry((di, dj))
-                .or_insert_with(|| f.degraded_cell(di, dj));
-            let (track, tau) = *self
-                .cells
-                .entry(cell)
-                .or_insert_with(|| (f.cell_track(cell), f.cell_coherence(cell)));
-            self.ctx = Some(f.ctx_from_parts(p, &v, cell, degraded, track, tau));
-            self.memo = None;
-        }
-        self.ctx.as_ref().expect("ctx resolved above")
-    }
-
-    /// The resolved context for `p` (cached across calls at the same
-    /// point).
-    pub fn resolve(&mut self, p: &GeoPoint) -> &PointCtx {
-        self.ensure(p)
-    }
-
-    /// Full mean link quality at `(p, t)`, bitwise identical to
-    /// `self.field().link_quality(p, t)`.
-    pub fn link_quality(&mut self, p: &GeoPoint, t: SimTime) -> LinkQuality {
-        self.ensure(p);
-        if let Some((mt, q)) = self.memo {
-            if mt == t {
-                return q;
-            }
-        }
-        let q = self
-            .field
-            .link_quality_with(self.ctx.as_ref().expect("ensured"), t);
-        self.memo = Some((t, q));
-        q
+        (0..n)
+            .map(|k| {
+                let udp_kbps = self.udp_value(
+                    ctx.spatial_tput,
+                    drift[k],
+                    diurnal_tput[k],
+                    event_tput[k],
+                    ctx.degraded,
+                );
+                LinkQuality {
+                    tcp_kbps: self.tcp_value(udp_kbps),
+                    udp_kbps,
+                    rtt_ms: self.rtt_value(ctx.spatial_rtt, drift[k], diurnal_rtt[k], event_rtt[k]),
+                    jitter_ms: self.jitter_value(ctx.spatial_jitter, event_rtt[k]),
+                    loss_rate: self.loss_value(ctx.degraded, event_rtt[k]),
+                }
+            })
+            .collect()
     }
 }
 
@@ -791,7 +537,7 @@ mod tests {
                 continue; // degraded cells are deliberately below base
             }
             let t = SimTime::at((i % 7) as i64, (i % 24) as f64);
-            sum += f.mean_udp_kbps(&p, t);
+            sum += f.link_quality(&p, t).udp_kbps;
             n += 1;
         }
         let mean = sum / n as f64;
@@ -808,12 +554,12 @@ mod tests {
         // same-cell neighbors are required to be close.
         let f = field(NetworkId::NetA);
         let c = madison_center();
-        let mut prev = f.mean_udp_kbps(&c, noon());
+        let mut prev = f.link_quality(&c, noon()).udp_kbps;
         let mut prev_cell = f.drift_cell(&c);
         let mut checked = 0;
         for i in 1..500 {
             let p = c.destination(0.3, i as f64 * 10.0);
-            let cur = f.mean_udp_kbps(&p, noon());
+            let cur = f.link_quality(&p, noon()).udp_kbps;
             let cell = f.drift_cell(&p);
             if cell == prev_cell {
                 assert!(
@@ -837,9 +583,13 @@ mod tests {
         let mut far_diff = 0.0;
         for i in 0..60 {
             let base = c.destination(i as f64 * 0.4, (i as f64 * 211.0) % 7000.0);
-            let q0 = f.mean_udp_kbps(&base, noon());
-            let near = f.mean_udp_kbps(&base.destination(1.0, 100.0), noon());
-            let far = f.mean_udp_kbps(&base.destination(1.0, 4000.0), noon());
+            let q0 = f.link_quality(&base, noon()).udp_kbps;
+            let near = f
+                .link_quality(&base.destination(1.0, 100.0), noon())
+                .udp_kbps;
+            let far = f
+                .link_quality(&base.destination(1.0, 4000.0), noon())
+                .udp_kbps;
             near_diff += (near - q0).abs() / q0;
             far_diff += (far - q0).abs() / q0;
         }
@@ -854,13 +604,15 @@ mod tests {
         let f = field(NetworkId::NetB);
         let p = madison_center().destination(1.3, 1234.0);
         let t0 = noon();
-        let v0 = f.mean_udp_kbps(&p, t0);
-        let v_sec = f.mean_udp_kbps(&p, t0 + SimDuration::from_secs(10));
+        let v0 = f.link_quality(&p, t0).udp_kbps;
+        let v_sec = f.link_quality(&p, t0 + SimDuration::from_secs(10)).udp_kbps;
         assert!((v_sec - v0).abs() / v0 < 0.01, "10 s moved {v0} -> {v_sec}");
         // Across many whole coherence times, drift must visibly move.
         let mut max_rel = 0.0f64;
         for k in 1..40 {
-            let v = f.mean_udp_kbps(&p, t0 + SimDuration::from_mins(75 * k));
+            let v = f
+                .link_quality(&p, t0 + SimDuration::from_mins(75 * k))
+                .udp_kbps;
             max_rel = max_rel.max((v - v0).abs() / v0);
         }
         assert!(max_rel > 0.02, "drift too small: {max_rel}");
@@ -870,16 +622,16 @@ mod tests {
     fn stadium_event_raises_latency_about_3_7x() {
         let f = field(NetworkId::NetB);
         let p = stadium_location();
-        let quiet = f.mean_rtt_ms(&p, SimTime::at(5, 9.0));
-        let game = f.mean_rtt_ms(&p, SimTime::at(5, 12.5));
+        let quiet = f.link_quality(&p, SimTime::at(5, 9.0)).rtt_ms;
+        let game = f.link_quality(&p, SimTime::at(5, 12.5)).rtt_ms;
         let ratio = game / quiet;
         assert!(
             (3.0..=4.5).contains(&ratio),
             "stadium ratio {ratio} (quiet {quiet}, game {game})"
         );
         // Throughput drops during the game.
-        let tq = f.mean_udp_kbps(&p, SimTime::at(5, 9.0));
-        let tg = f.mean_udp_kbps(&p, SimTime::at(5, 12.5));
+        let tq = f.link_quality(&p, SimTime::at(5, 9.0)).udp_kbps;
+        let tg = f.link_quality(&p, SimTime::at(5, 12.5)).udp_kbps;
         assert!(tg < 0.7 * tq, "throughput {tq} -> {tg}");
     }
 
@@ -911,8 +663,9 @@ mod tests {
             for i in 0..200 {
                 let p = c.destination(i as f64, (i as f64 * 131.0) % 8000.0);
                 let t = SimTime::at((i % 7) as i64, (i % 24) as f64);
-                assert!(f.mean_udp_kbps(&p, t) <= net.max_downlink_kbps());
-                assert!(f.mean_tcp_kbps(&p, t) <= net.max_downlink_kbps());
+                let q = f.link_quality(&p, t);
+                assert!(q.udp_kbps <= net.max_downlink_kbps());
+                assert!(q.tcp_kbps <= net.max_downlink_kbps());
             }
         }
     }
@@ -944,9 +697,10 @@ mod tests {
         for i in 0..200 {
             let p = c.destination(i as f64 * 1.1, 150.0 + (i as f64 * 71.0) % 5000.0);
             let t = SimTime::at((i % 5) as i64, 6.0 + (i % 16) as f64);
-            ja += f_a.mean_jitter_ms(&p, t);
-            jb += f_b.mean_jitter_ms(&p, t);
-            rb += f_b.mean_rtt_ms(&p, t);
+            let qb = f_b.link_quality(&p, t);
+            ja += f_a.link_quality(&p, t).jitter_ms;
+            jb += qb.jitter_ms;
+            rb += qb.rtt_ms;
             n += 1;
         }
         let (ja, jb, rb) = (ja / n as f64, jb / n as f64, rb / n as f64);
@@ -972,89 +726,41 @@ mod tests {
     }
 
     #[test]
-    fn per_metric_methods_match_link_quality_bitwise() {
+    fn loss_rate_matches_link_quality_bitwise() {
         for net in NetworkId::ALL {
             let f = field(net);
             for (p, t) in query_walk(60) {
-                let q = f.link_quality(&p, t);
-                assert_eq!(q.tcp_kbps, f.mean_tcp_kbps(&p, t));
-                assert_eq!(q.udp_kbps, f.mean_udp_kbps(&p, t));
-                assert_eq!(q.rtt_ms, f.mean_rtt_ms(&p, t));
-                assert_eq!(q.jitter_ms, f.mean_jitter_ms(&p, t));
-                assert_eq!(q.loss_rate, f.loss_rate(&p, t));
+                assert_eq!(f.loss_rate(&p, t), f.link_quality(&p, t).loss_rate);
             }
         }
     }
 
     #[test]
-    fn cursor_matches_uncached_bitwise() {
+    fn train_matches_individual_queries() {
+        // Long same-point time sweeps exercise the hoisted drift-octave
+        // and event-weight paths.
         let f = field(NetworkId::NetB);
-        let mut cursor = FieldCursor::new(&f);
-        for (p, t) in query_walk(300) {
-            assert_eq!(cursor.link_quality(&p, t), f.link_quality(&p, t));
-        }
-        // Repeated same-(p, t) queries hit the memo and stay identical.
-        let (p, t) = query_walk(1)[0];
-        let q = f.link_quality(&p, t);
-        for _ in 0..3 {
-            assert_eq!(cursor.link_quality(&p, t), q);
-        }
-        // Same point, sweeping time (probe-train shape).
-        for k in 0..50 {
-            let tk = t + SimDuration::from_secs(k * 90);
-            assert_eq!(cursor.link_quality(&p, tk), f.link_quality(&p, tk));
-        }
-    }
-
-    #[test]
-    fn batch_matches_individual_queries() {
-        let f = field(NetworkId::NetC);
-        let queries = query_walk(200);
-        let batch = f.link_quality_batch(&queries);
-        assert_eq!(batch.len(), queries.len());
-        for ((p, t), q) in queries.iter().zip(&batch) {
-            assert_eq!(*q, f.link_quality(p, *t));
-        }
-    }
-
-    #[test]
-    fn batch_matches_individual_queries_on_trains() {
-        // Train-shaped batches — long same-point runs with a time sweep —
-        // exercise the hoisted drift-octave and event-weight paths.
-        let f = field(NetworkId::NetB);
-        let mut queries = Vec::new();
-        for (p, t0) in query_walk(12) {
-            for k in 0..40u64 {
-                queries.push((p, t0 + SimDuration::from_secs_f64(k as f64 * 37.5)));
+        let mut trains: Vec<(GeoPoint, Vec<SimTime>)> = query_walk(12)
+            .into_iter()
+            .map(|(p, t0)| {
+                let times = (0..40u64)
+                    .map(|k| t0 + SimDuration::from_secs_f64(k as f64 * 37.5))
+                    .collect();
+                (p, times)
+            })
+            .collect();
+        // The stadium during a game, so event factors are live.
+        let game = (0..60i64)
+            .map(|k| SimTime::at(5, 12.0) + SimDuration::from_secs(k * 60))
+            .collect();
+        trains.push((stadium_location(), game));
+        trains.push((madison_center(), Vec::new()));
+        for (p, times) in &trains {
+            let train = f.link_quality_train(p, times);
+            assert_eq!(train.len(), times.len());
+            for (t, q) in times.iter().zip(&train) {
+                assert_eq!(*q, f.link_quality(p, *t));
             }
         }
-        // Include the stadium during a game so event factors are live.
-        let stadium = stadium_location();
-        for k in 0..60i64 {
-            queries.push((
-                stadium,
-                SimTime::at(5, 12.0) + SimDuration::from_secs(k * 60),
-            ));
-        }
-        let batch = f.link_quality_batch(&queries);
-        assert_eq!(batch.len(), queries.len());
-        for ((p, t), q) in queries.iter().zip(&batch) {
-            assert_eq!(*q, f.link_quality(p, *t));
-        }
-    }
-
-    #[test]
-    fn resolved_ctx_exposes_cell_state() {
-        let f = field(NetworkId::NetB);
-        let p = madison_center().destination(1.1, 2750.0);
-        let ctx = f.resolve(&p);
-        assert_eq!(ctx.point(), p);
-        assert_eq!(ctx.cell(), f.drift_cell(&p));
-        assert_eq!(ctx.is_degraded(), f.is_degraded(&p));
-        assert_eq!(ctx.coherence_time(), f.coherence_time(&p));
-        assert_eq!(
-            f.drift_factor_with(&ctx, noon()),
-            f.drift_factor(&p, noon())
-        );
     }
 }

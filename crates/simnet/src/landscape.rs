@@ -5,7 +5,7 @@ use wiscape_geo::GeoPoint;
 use wiscape_simcore::{SimDuration, SimTime, StreamRng};
 
 use crate::config::LandscapeConfig;
-use crate::field::{FieldCursor, LinkQuality, NetworkField};
+use crate::field::{LinkQuality, NetworkField};
 use crate::network::NetworkId;
 use crate::probe::{self, PingOutcome, TcpDownload, TransportKind, UdpTrain};
 
@@ -92,23 +92,6 @@ impl Landscape {
         Ok(self.field(net)?.link_quality(p, t))
     }
 
-    /// A memoizing evaluation cursor over one network's field (see
-    /// [`FieldCursor`]); bitwise identical to per-call `link_quality`
-    /// but amortizes point/cell resolution across nearby queries.
-    pub fn cursor(&self, net: NetworkId) -> Result<FieldCursor<'_>, UnknownNetwork> {
-        Ok(FieldCursor::new(self.field(net)?))
-    }
-
-    /// Mean link quality of `net` for a batch of `(point, time)` queries,
-    /// in query order (see [`NetworkField::link_quality_batch`]).
-    pub fn link_quality_batch(
-        &self,
-        net: NetworkId,
-        queries: &[(GeoPoint, SimTime)],
-    ) -> Result<Vec<LinkQuality>, UnknownNetwork> {
-        Ok(self.field(net)?.link_quality_batch(queries))
-    }
-
     /// Whether `p` lies in a chronically degraded zone.
     pub fn is_degraded(&self, p: &GeoPoint) -> bool {
         self.fields
@@ -151,9 +134,9 @@ impl Landscape {
     }
 
     /// Runs one probe train per entry of `starts`, all from point `p`,
-    /// batching the field evaluations (see
-    /// [`probe::probe_trains_with_device`]). Each train is bitwise
-    /// identical to the corresponding [`Landscape::probe_train`] call.
+    /// evaluating the field means as one train (see
+    /// [`probe::probe_trains`]). Each train is bitwise identical to the
+    /// corresponding [`Landscape::probe_train`] call.
     pub fn probe_trains(
         &self,
         net: NetworkId,
@@ -163,7 +146,7 @@ impl Landscape {
         n_packets: u32,
         size_bytes: u32,
     ) -> Result<Vec<UdpTrain>, UnknownNetwork> {
-        Ok(probe::probe_trains_with_device(
+        Ok(probe::probe_trains(
             self.field(net)?,
             &self.probe_stream.fork_idx(net.index()),
             kind,
@@ -171,7 +154,6 @@ impl Landscape {
             starts,
             n_packets,
             size_bytes,
-            1.0,
         ))
     }
 

@@ -42,10 +42,10 @@ pub mod towers;
 
 pub use config::{LandscapeConfig, NetworkParams, RegionPreset};
 pub use events::{DegradedZoneModel, SpecialEvent};
-pub use field::{DriftCell, FieldCursor, LinkQuality, NetworkField, PointCtx};
+pub use field::{DriftCell, LinkQuality, NetworkField, PointCtx};
 pub use landscape::{Landscape, UnknownNetwork};
 pub use network::{NetworkId, Technology};
 pub use probe::{
-    probe_train_with_device, probe_trains_with_device, PacketSample, PingOutcome, TcpDownload,
-    TransportKind, UdpTrain,
+    probe_train_with_device, probe_trains, PacketSample, PingOutcome, TcpDownload, TransportKind,
+    UdpTrain,
 };

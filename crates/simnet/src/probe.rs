@@ -236,15 +236,13 @@ pub fn probe_train_with_device(
     )
 }
 
-/// Generates many probe trains from the same point, one per entry of
-/// `starts`, batching the field evaluations through
-/// [`NetworkField::link_quality_batch`]. Each returned train is bitwise
-/// identical to [`probe_train_with_device`] called with the matching
-/// start time (packet randomness is keyed by send times only, and the
-/// batched field means are bitwise identical to per-query evaluation).
-// lint:allow(S001): probe parameters mirror the wire-level probe train; a struct would obscure the 1:1 mapping.
-#[allow(clippy::too_many_arguments)]
-pub fn probe_trains_with_device(
+/// Generates one probe train per entry of `starts`, all from point `p`,
+/// evaluating the field means through
+/// [`NetworkField::link_quality_train`]. Each returned train is bitwise
+/// identical to [`probe_train`] called with the matching start time
+/// (packet randomness is keyed by send times only, and the train's field
+/// means are bitwise identical to per-time evaluation).
+pub fn probe_trains(
     field: &NetworkField,
     stream: &StreamRng,
     kind: TransportKind,
@@ -252,23 +250,13 @@ pub fn probe_trains_with_device(
     starts: &[SimTime],
     n_packets: u32,
     size_bytes: u32,
-    device_factor: f64,
 ) -> Vec<UdpTrain> {
-    let queries: Vec<(GeoPoint, SimTime)> = starts.iter().map(|t| (*p, *t)).collect();
-    let qualities = field.link_quality_batch(&queries);
     starts
         .iter()
-        .zip(&qualities)
+        .zip(field.link_quality_train(p, starts))
         .map(|(start, quality)| {
             train_from_quality(
-                field,
-                stream,
-                kind,
-                *start,
-                n_packets,
-                size_bytes,
-                device_factor,
-                quality,
+                field, stream, kind, *start, n_packets, size_bytes, 1.0, &quality,
             )
         })
         .collect()
@@ -438,7 +426,7 @@ mod tests {
         let (f, s) = setup();
         let p = healthy_point(&f);
         let t = SimTime::at(2, 10.0);
-        let truth = f.mean_udp_kbps(&p, t);
+        let truth = f.link_quality(&p, t).udp_kbps;
         let train = probe_train(&f, &s, TransportKind::Udp, &p, t, 400, 1200);
         let est = train.estimated_kbps().unwrap();
         assert!(
@@ -455,7 +443,7 @@ mod tests {
         let mut err_large = 0.0;
         for k in 0..40 {
             let t = SimTime::at(2, 8.0) + SimDuration::from_mins(k * 7);
-            let truth = f.mean_udp_kbps(&p, t);
+            let truth = f.link_quality(&p, t).udp_kbps;
             let small = probe_train(
                 &f,
                 &s.fork_idx(k as u64),
@@ -490,7 +478,7 @@ mod tests {
         let t = SimTime::at(2, 10.0);
         let train = probe_train(&f, &s, TransportKind::Udp, &p, t, 600, 1200);
         let est = train.jitter_ms().unwrap();
-        let truth = f.mean_jitter_ms(&p, t);
+        let truth = f.link_quality(&p, t).jitter_ms;
         assert!(
             (est - truth).abs() / truth < 0.15,
             "est {est} truth {truth}"
@@ -520,7 +508,7 @@ mod tests {
         let t = SimTime::at(2, 10.0);
         let train = probe_train(&f, &s, TransportKind::Tcp, &p, t, 300, 1200);
         let est = train.estimated_kbps().unwrap();
-        let truth = f.mean_tcp_kbps(&p, t);
+        let truth = f.link_quality(&p, t).tcp_kbps;
         assert!(
             (est - truth).abs() / truth < 0.06,
             "est {est} truth {truth}"
@@ -563,7 +551,7 @@ mod tests {
             }
         }
         let mean = sum / n as f64;
-        let truth = f.mean_rtt_ms(&p, t);
+        let truth = f.link_quality(&p, t).rtt_ms;
         assert!(
             (mean - truth).abs() / truth < 0.05,
             "mean {mean} truth {truth}"
@@ -600,31 +588,11 @@ mod tests {
         let starts: Vec<SimTime> = (0..25)
             .map(|k| SimTime::at(2, 9.0) + SimDuration::from_mins(k * 11))
             .collect();
-        for device_factor in [1.0, 0.62] {
-            let batched = probe_trains_with_device(
-                &f,
-                &s,
-                TransportKind::Udp,
-                &p,
-                &starts,
-                8,
-                1200,
-                device_factor,
-            );
-            assert_eq!(batched.len(), starts.len());
-            for (start, train) in starts.iter().zip(&batched) {
-                let scalar = probe_train_with_device(
-                    &f,
-                    &s,
-                    TransportKind::Udp,
-                    &p,
-                    *start,
-                    8,
-                    1200,
-                    device_factor,
-                );
-                assert_eq!(train.packets, scalar.packets);
-            }
+        let batched = probe_trains(&f, &s, TransportKind::Udp, &p, &starts, 8, 1200);
+        assert_eq!(batched.len(), starts.len());
+        for (start, train) in starts.iter().zip(&batched) {
+            let scalar = probe_train(&f, &s, TransportKind::Udp, &p, *start, 8, 1200);
+            assert_eq!(train.packets, scalar.packets);
         }
     }
 

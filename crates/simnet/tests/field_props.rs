@@ -1,22 +1,24 @@
-//! Property tests for the SoA batch field evaluator.
+//! Property tests for the SoA train field evaluator.
 //!
-//! The contract under test: [`NetworkField::link_quality_batch`] is
-//! bitwise identical to per-query [`NetworkField::link_quality`] (and to
-//! a [`FieldCursor`] sweep) for *any* mix of run lengths, seeds, and
-//! time orderings — including train-shaped batches (one point, many
-//! times), walk-shaped batches (every point fresh), and batches that
-//! revisit earlier points.
+//! The contract under test: [`NetworkField::link_quality_train`] is
+//! bitwise identical to per-time [`NetworkField::link_quality`] for
+//! *any* point, seed, train length (empty trains included) and time
+//! order.
 
 use proptest::prelude::*;
-use wiscape_simcore::{SimDuration, SimTime};
-use wiscape_simnet::{FieldCursor, LandscapeConfig, NetworkField, NetworkId};
+use wiscape_simcore::SimTime;
+use wiscape_simnet::{LandscapeConfig, NetworkField, NetworkId};
 
-/// A batch built from proptest-chosen run structure: each `(bearing_deg,
-/// dist_m, run_len)` triple contributes one point queried `run_len`
-/// times at successive offsets.
-fn arb_batch() -> impl Strategy<Value = Vec<(f64, f64, usize, i64)>> {
+/// Proptest-chosen trains: each `(bearing_deg, dist_m, secs)` triple is
+/// one point queried at each of `secs` (seconds into the week, in drawn
+/// order, so unsorted and repeated times occur too).
+fn arb_trains() -> impl Strategy<Value = Vec<(f64, f64, Vec<i64>)>> {
     prop::collection::vec(
-        (0.0..360.0f64, 0.0..12_000.0f64, 1..12usize, 0..86_400i64),
+        (
+            0.0..360.0f64,
+            0.0..12_000.0f64,
+            prop::collection::vec(0..7 * 86_400i64, 0..12),
+        ),
         1..12,
     )
 }
@@ -35,36 +37,27 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn batch_is_bitwise_identical_to_scalar_and_cursor(
+    fn train_is_bitwise_identical_to_scalar(
         seed in 0..64u64,
-        runs in arb_batch(),
+        trains in arb_trains(),
     ) {
         let cfg = LandscapeConfig::madison(seed);
         let field = NetworkField::new(&cfg, NetworkId::NetB).expect("NetB present");
-        let origin = cfg.origin;
-        let mut queries = Vec::new();
-        for (bearing, dist, run_len, t0) in &runs {
-            let p = origin.destination(*bearing, *dist);
-            for k in 0..*run_len {
-                let t = SimTime::from_micros(*t0 * 1_000_000)
-                    + SimDuration::from_secs(k as i64 * 37);
-                queries.push((p, t));
+        for (bearing, dist, secs) in &trains {
+            let p = cfg.origin.destination(*bearing, *dist);
+            let times: Vec<SimTime> = secs
+                .iter()
+                .map(|s| SimTime::from_micros(s * 1_000_000))
+                .collect();
+            let train = field.link_quality_train(&p, &times);
+            prop_assert_eq!(train.len(), times.len());
+            for (t, q) in times.iter().zip(&train) {
+                prop_assert_eq!(
+                    quality_bits(q),
+                    quality_bits(&field.link_quality(&p, *t)),
+                    "scalar mismatch at ({:?}, {:?})", p, t
+                );
             }
-        }
-        let batch = field.link_quality_batch(&queries);
-        prop_assert_eq!(batch.len(), queries.len());
-        let mut cursor = FieldCursor::new(&field);
-        for ((p, t), q) in queries.iter().zip(&batch) {
-            prop_assert_eq!(
-                quality_bits(q),
-                quality_bits(&field.link_quality(p, *t)),
-                "scalar mismatch at ({:?}, {:?})", p, t
-            );
-            prop_assert_eq!(
-                quality_bits(q),
-                quality_bits(&cursor.link_quality(p, *t)),
-                "cursor mismatch at ({:?}, {:?})", p, t
-            );
         }
     }
 }

@@ -10,8 +10,8 @@
 # tests), the pipeline benchmark's own tests (pipebench/ is a separate
 # Cargo workspace, so a library change that breaks its build or its
 # correctness checks fails here), and the perf smoke (perf_smoke), which
-# asserts five throughput floors: owned decode >= 2M frames/s, SoA batch
-# evaluation >= 0.95x the scalar cursor, WAL replay >= 1M reports/s, a
+# asserts five throughput floors: owned decode >= 2M frames/s, SoA train
+# evaluation >= 0.95x the resolved scalar path, WAL replay >= 1M reports/s, a
 # >= 100k-zone region build in <= 2 s, and, on >= 4 workers, 4 shards
 # >= 2x a single shard.
 # Set WISCAPE_SKIP_PERF_SMOKE=1 to skip the perf step (e.g. on shared
