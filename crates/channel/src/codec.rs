@@ -17,6 +17,12 @@
 //!   bits in 8 LE bytes (bit-exact round-trips, NaN included);
 //! * `crc32` is the IEEE CRC-32 of the body.
 //!
+//! [`seal_frame`] and [`open_frame`] are the only code that writes or
+//! checks this envelope, and they serve every frame in the workspace:
+//! wire messages (`"WC"`) here, and in `wiscape-wal` the log records
+//! (`"WL"`), snapshots (`"WS"`) and the manifest (`"WM"`), which differ
+//! only in their magic and body.
+//!
 //! Decoding is total: any byte slice either yields a message or a
 //! typed [`DecodeError`] — never a panic, never an allocation larger
 //! than the input. This file is the wire-decode surface guarded by
@@ -151,7 +157,8 @@ impl<'a> ReportView<'a> {
     }
 }
 
-/// Lazy sample decoder over a [`ReportView`]'s raw byte block.
+/// Lazy sample decoder over a raw block of 8-byte LE samples: a
+/// [`ReportView`]'s, a staged report's, or a WAL ingest record's.
 #[derive(Debug, Clone)]
 pub struct SampleIter<'a> {
     chunks: core::slice::ChunksExact<'a, u8>,
@@ -815,15 +822,50 @@ fn decode_body_ref(body: &[u8]) -> Result<WireMessageRef<'_>, DecodeError> {
 // Framing.
 // ---------------------------------------------------------------------
 
+/// Appends one frame around `body` to `out`: `magic`, `version`, the
+/// body length as a varint, the body, and the CRC-32 of the body. The
+/// one frame writer: see the module docs for the layout and its users.
+/// Callers size `out`: reserving here made each fresh ack frame slower
+/// than allocating it with its capacity up front.
+pub fn seal_frame(out: &mut Vec<u8>, magic: [u8; 2], version: u8, body: &[u8]) {
+    out.extend_from_slice(&magic);
+    out.push(version);
+    put_varint(out, u64::try_from(body.len()).unwrap_or(u64::MAX));
+    out.extend_from_slice(body);
+    out.extend_from_slice(&crc32(body).to_le_bytes());
+}
+
+/// Opens the frame at the front of `buf`, checking its magic, version,
+/// length and CRC, and returns the body with the number of bytes the
+/// whole frame took. What follows the frame is the caller's: a stream
+/// reads on, a single-frame file rejects it. The one frame checker
+/// (see [`seal_frame`]); allocates nothing (lint rule S004).
+pub fn open_frame(buf: &[u8], magic: [u8; 2], version: u8) -> Result<(&[u8], usize), DecodeError> {
+    let mut r = Reader::new(buf);
+    if r.take(2)? != magic {
+        return Err(DecodeError::BadMagic);
+    }
+    let found_version = r.u8()?;
+    if found_version != version {
+        return Err(DecodeError::UnsupportedVersion(found_version));
+    }
+    let len = usize::try_from(r.varint()?).map_err(|_| DecodeError::BadValue("frame length"))?;
+    let body = r.take(len)?;
+    let mut crc_bytes = [0u8; 4];
+    crc_bytes.copy_from_slice(r.take(4)?);
+    let expected = u32::from_le_bytes(crc_bytes);
+    let found = crc32(body);
+    if expected != found {
+        return Err(DecodeError::BadChecksum { expected, found });
+    }
+    Ok((body, r.pos))
+}
+
 /// Encodes one message as a self-delimiting frame.
 pub fn encode(msg: &WireMessage) -> Vec<u8> {
     let body = encode_body(msg);
     let mut out = Vec::with_capacity(body.len() + 12);
-    out.extend_from_slice(&MAGIC);
-    out.push(VERSION);
-    put_varint(&mut out, u64::try_from(body.len()).unwrap_or(u64::MAX));
-    out.extend_from_slice(&body);
-    out.extend_from_slice(&crc32(&body).to_le_bytes());
+    seal_frame(&mut out, MAGIC, VERSION, &body);
     out
 }
 
@@ -838,11 +880,7 @@ pub fn encode_ack_one(client: ClientId, seq: u64) -> Vec<u8> {
     put_varint(&mut body, 1);
     put_varint(&mut body, seq);
     let mut out = Vec::with_capacity(body.len() + 12);
-    out.extend_from_slice(&MAGIC);
-    out.push(VERSION);
-    put_varint(&mut out, u64::try_from(body.len()).unwrap_or(u64::MAX));
-    out.extend_from_slice(&body);
-    out.extend_from_slice(&crc32(&body).to_le_bytes());
+    seal_frame(&mut out, MAGIC, VERSION, &body);
     out
 }
 
@@ -851,26 +889,8 @@ pub fn encode_ack_one(client: ClientId, seq: u64) -> Vec<u8> {
 /// concatenated-frame streams). Zero-copy: the returned views slice the
 /// input buffer; nothing is allocated (lint rule S004).
 pub fn decode_prefix_ref(bytes: &[u8]) -> Result<(WireMessageRef<'_>, usize), DecodeError> {
-    let mut r = Reader::new(bytes);
-    let magic = r.take(2)?;
-    if magic != MAGIC {
-        return Err(DecodeError::BadMagic);
-    }
-    let version = r.u8()?;
-    if version != VERSION {
-        return Err(DecodeError::UnsupportedVersion(version));
-    }
-    let len = usize::try_from(r.varint()?).map_err(|_| DecodeError::BadValue("frame length"))?;
-    let body = r.take(len)?;
-    let mut crc_bytes = [0u8; 4];
-    crc_bytes.copy_from_slice(r.take(4)?);
-    let expected = u32::from_le_bytes(crc_bytes);
-    let found = crc32(body);
-    if expected != found {
-        return Err(DecodeError::BadChecksum { expected, found });
-    }
-    let msg = decode_body_ref(body)?;
-    Ok((msg, r.pos))
+    let (body, used) = open_frame(bytes, MAGIC, VERSION)?;
+    Ok((decode_body_ref(body)?, used))
 }
 
 /// Decodes exactly one frame into borrowed views; trailing bytes are an
@@ -1062,11 +1082,7 @@ mod tests {
         put_time(&mut body, SimTime::EPOCH);
         put_varint(&mut body, u64::MAX); // sample count lie
         let mut frame = Vec::new();
-        frame.extend_from_slice(&MAGIC);
-        frame.push(VERSION);
-        put_varint(&mut frame, u64::try_from(body.len()).unwrap());
-        frame.extend_from_slice(&body);
-        frame.extend_from_slice(&crc32(&body).to_le_bytes());
+        seal_frame(&mut frame, MAGIC, VERSION, &body);
         let err = decode(&frame).unwrap_err();
         assert!(
             matches!(

@@ -1134,6 +1134,26 @@ pub const DETERMINISTIC_CRATES: &[&str] = &[
     "experiments",
 ];
 
+/// The declared alloc-free hot functions, by workspace-relative file:
+/// S004 checks each body for allocation tokens, and A001 roots its
+/// transitive call-graph proof at them.
+const ALLOC_FREE_FNS: &[(&str, &[&str])] = &[
+    (
+        "crates/channel/src/codec.rs",
+        &[
+            "crc32",
+            "open_frame",
+            "decode_body_ref",
+            "decode_prefix_ref",
+            "next_frame",
+        ],
+    ),
+    (
+        "crates/channel/src/server.rs",
+        &["handle_report_view", "commit_view"],
+    ),
+];
+
 /// Derives a file's rule scope from its workspace-relative path.
 pub fn scope_for(rel: &Path) -> FileScope {
     let parts: Vec<&str> = rel
@@ -1165,18 +1185,10 @@ pub fn scope_for(rel: &Path) -> FileScope {
         // turn crash leftovers into typed errors, so the whole surface
         // is held to the panic-free + wall-clock-free recovery contract.
         wal_recovery_surface: crate_name == "wal" && !all_test_code,
-        alloc_free_fns: if rel == Path::new("crates/channel/src/codec.rs") {
-            &[
-                "crc32",
-                "decode_body_ref",
-                "decode_prefix_ref",
-                "next_frame",
-            ]
-        } else if rel == Path::new("crates/channel/src/server.rs") {
-            &["handle_report_view", "commit_view"]
-        } else {
-            &[]
-        },
+        alloc_free_fns: ALLOC_FREE_FNS
+            .iter()
+            .find(|(file, _)| rel == Path::new(file))
+            .map_or(&[], |&(_, fns)| fns),
         instrumented_surface: rel == Path::new("crates/simcore/src/exec.rs")
             || rel == Path::new("crates/core/src/coordinator.rs")
             || rel == Path::new("crates/channel/src/server.rs")
@@ -1300,14 +1312,10 @@ pub fn workspace_graph_config(files: &[(String, String)]) -> graph::GraphConfig 
         panic_roots,
         panic_local_files,
         panic_boundaries,
-        alloc_roots: vec![
-            graph::FnSpec::func("crates/channel/src/codec.rs", "crc32"),
-            graph::FnSpec::func("crates/channel/src/codec.rs", "decode_body_ref"),
-            graph::FnSpec::func("crates/channel/src/codec.rs", "decode_prefix_ref"),
-            graph::FnSpec::func("crates/channel/src/codec.rs", "next_frame"),
-            graph::FnSpec::func("crates/channel/src/server.rs", "handle_report_view"),
-            graph::FnSpec::func("crates/channel/src/server.rs", "commit_view"),
-        ],
+        alloc_roots: ALLOC_FREE_FNS
+            .iter()
+            .flat_map(|&(file, fns)| fns.iter().map(move |f| graph::FnSpec::func(file, f)))
+            .collect(),
         deterministic_files,
         taint_source_files,
     }

@@ -57,8 +57,8 @@ use wiscape_simnet::NetworkId;
 use crate::crash::{CrashPlan, CrashPoint};
 use crate::log::{scan_views, wal_obs, WalWriter, DEFAULT_SEGMENT_BYTES};
 use crate::record::{
-    decode_record, RecordEncoder, RecordView, WalError, WalRecord, TAG_CHECKIN, TAG_FLUSH,
-    TAG_INGEST, TAG_MIGRATE_IN, TAG_MIGRATE_OUT, TAG_SET_EPOCH, TAG_SET_QUOTA,
+    decode_record_view, io_err, RecordEncoder, RecordView, WalError, WalRecord, TAG_CHECKIN,
+    TAG_FLUSH, TAG_INGEST, TAG_MIGRATE_IN, TAG_MIGRATE_OUT, TAG_SET_EPOCH, TAG_SET_QUOTA,
 };
 use crate::snapshot::{
     encode_state, load_snapshot, read_manifest, write_snapshot, SnapshotWriteMode,
@@ -186,10 +186,7 @@ impl DurableCoordinator {
         config: CoordinatorConfig,
         opts: WalOptions,
     ) -> Result<Self, WalError> {
-        std::fs::create_dir_all(dir).map_err(|e| WalError::Io {
-            op: "create dir",
-            kind: e.kind(),
-        })?;
+        std::fs::create_dir_all(dir).map_err(io_err("create dir"))?;
         clean_wal_dir(dir)?;
         let writer = WalWriter::create(dir, opts.segment_bytes)?;
         Ok(Self {
@@ -233,27 +230,14 @@ impl DurableCoordinator {
         let mut replayed: u64 = 0;
         let mut first_t: Option<SimTime> = None;
         let mut last_t: Option<SimTime> = None;
-        // View-based replay: ingest records (the bulk of any log) fold
-        // straight from the segment buffer, no per-record allocation.
+        // Ingest records (the bulk of any log) fold straight from the
+        // segment buffer, no per-record allocation.
         let summary = scan_views(dir, snapshot_records, |_, view| {
-            match view {
-                RecordView::Ingest(v) => {
-                    if first_t.is_none() {
-                        first_t = Some(v.t);
-                    }
-                    last_t = Some(v.t);
-                    let _ = inner.ingest_samples(v.zone, v.network, v.t, v.samples());
-                }
-                RecordView::Owned(rec) => {
-                    if let Some(t) = rec.event_time() {
-                        if first_t.is_none() {
-                            first_t = Some(t);
-                        }
-                        last_t = Some(t);
-                    }
-                    replay_into(&mut inner, &rec);
-                }
+            if let Some(t) = view.event_time() {
+                first_t.get_or_insert(t);
+                last_t = Some(t);
             }
+            replay(&mut inner, view);
             replayed += 1;
             Ok(())
         })?;
@@ -440,13 +424,11 @@ impl DurableCoordinator {
             self.pending.clear();
             return;
         };
-        // Re-deliver the frames committed while "down".
+        // Re-deliver the frames committed while "down", decoded and
+        // replayed exactly as recovery replays the log.
         let mut off = 0usize;
-        while let Some(rest) = self.pending.get(off..) {
-            if rest.is_empty() {
-                break;
-            }
-            let Ok((rec, used)) = decode_record(rest) else {
+        while let Some(rest) = self.pending.get(off..).filter(|rest| !rest.is_empty()) {
+            let Ok((view, used)) = decode_record_view(rest) else {
                 // Unreachable: we encoded these frames ourselves.
                 self.meters.recovery_mismatches += 1;
                 recovery_obs().recovery_mismatches.inc();
@@ -455,7 +437,7 @@ impl DurableCoordinator {
             if let Some(frame) = rest.get(..used) {
                 let _ = fresh.writer.append(frame);
             }
-            replay_into(&mut fresh.inner, &rec);
+            replay(&mut fresh.inner, view);
             off += used;
         }
         self.pending.clear();
@@ -531,91 +513,55 @@ impl DurableCoordinator {
             self.restart_now();
         }
     }
-
-    fn encode_checkin(
-        &mut self,
-        client: ClientId,
-        point: &GeoPoint,
-        t: SimTime,
-        networks: &[NetworkId],
-        coin: f64,
-    ) {
-        self.enc.begin(TAG_CHECKIN);
-        self.enc.put_client(client);
-        self.enc.put_point(point);
-        self.enc.put_time(t);
-        self.enc.put_f64(coin);
-        self.enc.put_u64(networks.len() as u64);
-        for n in networks {
-            self.enc.put_network(*n);
-        }
-        self.enc.seal_into(&mut self.frame);
-    }
 }
 
 /// Applies one decoded record to a coordinator — the replay half of
-/// event sourcing. Must mirror the live fold in
-/// [`CoordinatorHandle`] exactly.
-fn replay_into(c: &mut Coordinator, rec: &WalRecord) {
-    match rec {
-        WalRecord::Checkin {
+/// event sourcing, shared by recovery and redelivery. Must mirror the
+/// live fold in [`CoordinatorHandle`] exactly.
+fn replay(c: &mut Coordinator, view: RecordView<'_>) {
+    match view {
+        RecordView::Ingest(v) => {
+            let _ = c.ingest_samples(v.zone, v.network, v.t, v.samples());
+        }
+        RecordView::Owned(WalRecord::Checkin {
             client,
             point,
             t,
             coin,
             networks,
-        } => {
-            let _tasks = c.client_checkin(*client, point, *t, networks, *coin);
+        }) => {
+            let _tasks = c.client_checkin(client, &point, t, &networks, coin);
         }
-        WalRecord::Ingest {
-            zone,
-            network,
-            t,
-            samples,
-            ..
-        } => {
-            let _ = c.ingest_samples(*zone, *network, *t, samples.iter().copied());
-        }
-        WalRecord::SetQuota {
+        RecordView::Owned(WalRecord::SetQuota {
             zone,
             network,
             quota,
-        } => c.set_zone_quota(*zone, *network, *quota),
-        WalRecord::SetEpoch {
+        }) => c.set_zone_quota(zone, network, quota),
+        RecordView::Owned(WalRecord::SetEpoch {
             zone,
             network,
             epoch,
-        } => c.set_zone_epoch(*zone, *network, *epoch),
-        WalRecord::Flush { t } => c.flush(*t),
-        WalRecord::MigrateOut { lo, hi } => {
-            let _ = c.take_range(*lo, *hi);
+        }) => c.set_zone_epoch(zone, network, epoch),
+        RecordView::Owned(WalRecord::Flush { t }) => c.flush(t),
+        RecordView::Owned(WalRecord::MigrateOut { lo, hi }) => {
+            let _ = c.take_range(lo, hi);
         }
-        WalRecord::MigrateIn { cells } => c.install_cells(cells.clone()),
+        RecordView::Owned(WalRecord::MigrateIn { cells }) => c.install_cells(cells),
     }
 }
 
 /// Removes stale WAL artifacts from `dir` (previous runs' segments,
 /// snapshots, manifests, and torn temp files).
 fn clean_wal_dir(dir: &Path) -> Result<(), WalError> {
-    let entries = std::fs::read_dir(dir).map_err(|e| WalError::Io {
-        op: "clean dir",
-        kind: e.kind(),
-    })?;
-    for entry in entries {
-        let entry = entry.map_err(|e| WalError::Io {
-            op: "clean dir",
-            kind: e.kind(),
-        })?;
+    for entry in std::fs::read_dir(dir).map_err(io_err("clean dir"))? {
+        let entry = entry.map_err(io_err("clean dir"))?;
         let name = entry.file_name();
         let Some(name) = name.to_str() else { continue };
         let stale = (name.starts_with("wal-") && name.contains(".seg"))
             || name.starts_with("snap-")
             || name.starts_with("MANIFEST");
         if stale {
-            std::fs::remove_file(entry.path()).map_err(|e| WalError::Io {
-                op: "clean dir",
-                kind: e.kind(),
-            })?;
+            std::fs::remove_file(entry.path()).map_err(io_err("clean dir"))?;
         }
     }
     Ok(())
@@ -634,7 +580,16 @@ impl CoordinatorHandle for DurableCoordinator {
         networks: &[NetworkId],
         coin: f64,
     ) -> Vec<MeasurementTask> {
-        self.encode_checkin(client, point, t, networks, coin);
+        self.enc.begin(TAG_CHECKIN);
+        self.enc.put_client(client);
+        self.enc.put_point(point);
+        self.enc.put_time(t);
+        self.enc.put_f64(coin);
+        self.enc.put_u64(networks.len() as u64);
+        for n in networks {
+            self.enc.put_network(*n);
+        }
+        self.enc.seal_into(&mut self.frame);
         self.log_op();
         let tasks = self.inner.client_checkin(client, point, t, networks, coin);
         self.settle();

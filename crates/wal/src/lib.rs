@@ -7,10 +7,13 @@
 //! * **Event log** ([`log`], [`record`]) — every committed mutation
 //!   (check-ins, sample reports in canonical `(t, client, seq)` order,
 //!   tuner updates, flushes) is appended to a segmented binary log
-//!   before it folds into the sketches. Records reuse the
-//!   `wiscape-channel` frame codec — varint fields, length-prefixed
-//!   frames, the shared CRC-32 — and decoding is total: corrupt or
-//!   torn bytes produce typed [`WalError`]s, never panics.
+//!   before it folds into the sketches. Records, snapshots and the
+//!   manifest are `wiscape-channel` frames, sealed and opened by the
+//!   codec's one frame implementation under their own magic, with the
+//!   codec's varint and raw-bit fields. One decoder,
+//!   [`decode_record_view`], reads every record, and decoding is
+//!   total: corrupt or torn bytes produce typed [`WalError`]s, never
+//!   panics.
 //! * **Snapshots** ([`snapshot`]) — the full fold state serialized
 //!   with exact integers and raw f64 bits, written atomically and
 //!   anchored by a manifest. Recovery is snapshot + log-suffix replay,
@@ -37,11 +40,8 @@ pub mod snapshot;
 
 pub use crash::{CrashPlan, CrashPoint};
 pub use durable::{DurableCoordinator, RecoveryReport, WalMeters, WalOptions};
-pub use log::{scan, scan_views, ScanSummary, WalWriter, DEFAULT_SEGMENT_BYTES, GROUP_BYTES};
-pub use record::{
-    decode_record, decode_record_view, IngestView, RecordEncoder, RecordView, SampleIter, WalError,
-    WalRecord,
-};
+pub use log::{scan_views, ScanSummary, WalWriter, DEFAULT_SEGMENT_BYTES, GROUP_BYTES};
+pub use record::{decode_record_view, IngestView, RecordEncoder, RecordView, WalError, WalRecord};
 pub use snapshot::{
     decode_state, encode_state, load_snapshot, read_manifest, write_snapshot, SnapshotWriteMode,
 };

@@ -9,9 +9,10 @@
 //! filename allocates, and the hot append path must stay
 //! allocation-free).
 //!
-//! The scanner replays the whole directory in order, reading each
-//! segment in fixed-size windows, so its memory does not grow with the
-//! segment (a deferred rotation can leave one large). Its torn-tail
+//! The scanner, [`scan_views`], replays the whole directory in order,
+//! decoding each record with [`decode_record_view`] straight out of a
+//! fixed-size read window, so its memory does not grow with the segment
+//! (a deferred rotation can leave one large). Its torn-tail
 //! policy mirrors journaled filesystems: a truncated frame at the very
 //! end of the *final* segment is treated as an interrupted append and
 //! cleanly dropped; a truncated frame anywhere else, or any corrupt
@@ -25,17 +26,13 @@ use std::sync::OnceLock;
 
 use wiscape_channel::codec::DecodeError;
 
-use crate::record::{decode_record_view, RecordView, WalError, WalRecord};
+use crate::record::{decode_record_view, io_err, RecordView, WalError};
 
 /// Bytes a scan reads from a segment at a time.
 const SCAN_BYTES: u64 = 1 << 20;
 
 /// Default segment rotation threshold in bytes.
 pub const DEFAULT_SEGMENT_BYTES: u64 = 4 << 20;
-
-fn io_err(op: &'static str) -> impl FnOnce(std::io::Error) -> WalError {
-    move |e| WalError::Io { op, kind: e.kind() }
-}
 
 /// Builds the path of the segment whose first record has global
 /// index `first`.
@@ -60,12 +57,7 @@ pub fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>, WalError> {
     let entries = match fs::read_dir(dir) {
         Ok(entries) => entries,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(segs),
-        Err(e) => {
-            return Err(WalError::Io {
-                op: "list",
-                kind: e.kind(),
-            })
-        }
+        Err(e) => return Err(io_err("list")(e)),
     };
     for entry in entries {
         let entry = entry.map_err(io_err("list"))?;
@@ -331,32 +323,20 @@ pub struct ScanSummary {
     pub last_seg_valid_bytes: u64,
 }
 
-/// Scans every segment under `dir` in order, invoking `visit` for each
-/// record whose global index is `>= skip` (records before `skip` are
-/// decoded for integrity but not delivered — they are covered by a
-/// snapshot).
+/// Scans every segment under `dir` in order, invoking `visit` with the
+/// [`RecordView`] of each record whose global index is `>= skip`
+/// (records before `skip` are decoded for integrity but not delivered —
+/// they are covered by a snapshot). `Ingest` samples stay inside the
+/// read window, so replay folds them without a per-record allocation.
+/// Each segment is read in windows of [`SCAN_BYTES`], so a scan holds
+/// one window (grown only to fit a record that is larger), however
+/// large the segment.
 ///
 /// Torn-tail policy: a `Truncated` decode error at the tail of the
 /// final segment is clean truncation (counted in
 /// [`ScanSummary::torn_bytes`]); the same error in an earlier segment,
 /// or any other decode error anywhere, is returned as a typed
 /// [`WalError`].
-pub fn scan<F>(dir: &Path, skip: u64, mut visit: F) -> Result<ScanSummary, WalError>
-where
-    F: FnMut(u64, WalRecord) -> Result<(), WalError>,
-{
-    scan_views(dir, skip, |index, view| match view {
-        RecordView::Ingest(v) => visit(index, v.to_record()),
-        RecordView::Owned(record) => visit(index, record),
-    })
-}
-
-/// Like [`scan`], but delivers borrowed [`RecordView`]s: `Ingest`
-/// samples stay inside the read window, so replay can fold them
-/// without a per-record allocation. Same ordering, skip semantics, and
-/// torn-tail policy as [`scan`]. Each segment is read in windows of
-/// [`SCAN_BYTES`], so a scan holds one window (grown only to fit a
-/// record that is larger), however large the segment.
 pub fn scan_views<F>(dir: &Path, skip: u64, mut visit: F) -> Result<ScanSummary, WalError>
 where
     F: FnMut(u64, RecordView<'_>) -> Result<(), WalError>,
@@ -428,7 +408,7 @@ fn read_window(file: &mut File, buf: &mut Vec<u8>) -> Result<bool, WalError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{RecordEncoder, TAG_FLUSH, TAG_INGEST};
+    use crate::record::{RecordEncoder, WalRecord, TAG_FLUSH, TAG_INGEST};
     use wiscape_core::ZoneId;
     use wiscape_geo::CellId;
     use wiscape_mobility::ClientId;
@@ -462,9 +442,9 @@ mod tests {
         w.sync().unwrap();
         assert!(list_segments(&dir).unwrap().len() > 1, "expected rotation");
         let mut seen = Vec::new();
-        let summary = scan(&dir, 0, |idx, rec| {
-            match rec {
-                WalRecord::Flush { t } => seen.push((idx, t.as_micros())),
+        let summary = scan_views(&dir, 0, |idx, view| {
+            match view {
+                RecordView::Owned(WalRecord::Flush { t }) => seen.push((idx, t.as_micros())),
                 other => panic!("unexpected {other:?}"),
             }
             Ok(())
@@ -485,7 +465,7 @@ mod tests {
         let frame = flush_frame(2);
         w.append_torn(&frame, frame.len() - 3).unwrap();
         w.sync().unwrap();
-        let summary = scan(&dir, 0, |_, _| Ok(())).unwrap();
+        let summary = scan_views(&dir, 0, |_, _| Ok(())).unwrap();
         assert_eq!(summary.records_seen, 1);
         assert_eq!(summary.torn_bytes, (frame.len() - 3) as u64);
         // Resume truncates the tail and the next append lands clean.
@@ -500,7 +480,7 @@ mod tests {
         .unwrap();
         w2.append(&flush_frame(3)).unwrap();
         w2.sync().unwrap();
-        let summary2 = scan(&dir, 0, |_, _| Ok(())).unwrap();
+        let summary2 = scan_views(&dir, 0, |_, _| Ok(())).unwrap();
         assert_eq!(summary2.records_seen, 2);
         assert_eq!(summary2.torn_bytes, 0);
         let _ = fs::remove_dir_all(&dir);
@@ -508,7 +488,7 @@ mod tests {
 
     fn indices_on_disk(dir: &Path) -> Vec<u64> {
         let mut seen = Vec::new();
-        let summary = scan(dir, 0, |idx, _| {
+        let summary = scan_views(dir, 0, |idx, _| {
             seen.push(idx);
             Ok(())
         })
@@ -666,7 +646,7 @@ mod tests {
         let mut data = fs::read(&path).unwrap();
         data[4] ^= 0xFF; // inside the first record's body
         fs::write(&path, &data).unwrap();
-        match scan(&dir, 0, |_, _| Ok(())) {
+        match scan_views(&dir, 0, |_, _| Ok(())) {
             Err(WalError::Frame(_)) => {}
             other => panic!("expected frame error, got {other:?}"),
         }

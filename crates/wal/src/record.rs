@@ -1,28 +1,25 @@
 //! WAL record encoding: the coordinator's mutation events as
 //! length-prefixed, CRC-framed binary records.
 //!
-//! Every field reuses the `wiscape-channel` codec primitives (varints,
-//! zigzag integers, raw-bit f64s), so a record is encoded exactly the
-//! way a wire message is — the WAL is "the channel, persisted". A
-//! record frame is:
+//! A record is a channel frame: [`RecordEncoder::seal_into`] and
+//! [`decode_record_view`] call the codec's `seal_frame` and
+//! `open_frame`, under the magic `"WL"` instead of the wire's `"WC"`,
+//! and every field reuses the codec's primitives (varints, zigzag
+//! integers, raw-bit f64s) — the WAL is "the channel, persisted". The
+//! body is a tag byte followed by the event's fields.
 //!
-//! ```text
-//! +----+----+---------+------------------+----------------+
-//! | 'W'| 'L'| version | varint body_len  | body | crc32   |
-//! +----+----+---------+------------------+------+---------+
-//! ```
-//!
-//! with `crc32` the channel's slicing-by-8 IEEE CRC over the body (the
-//! shared export, not a copy). The body is a tag byte followed by the
-//! event's fields. Decoding is *total*: arbitrary bytes produce a typed
+//! [`decode_record_view`] is the one record decoder: `Ingest` records
+//! (the bulk of any log) come back as an [`IngestView`] whose samples
+//! stay in the frame bytes, the rare control records as an owned
+//! [`WalRecord`]. Decoding is *total*: arbitrary bytes produce a typed
 //! [`WalError`], never a panic, and a frame cut short mid-write (a torn
 //! tail) is distinguishable as a truncation error.
 
 use std::io::ErrorKind;
 
 use wiscape_channel::codec::{
-    crc32, put_f64, put_network, put_point, put_time, put_u32, put_varint, put_zone, DecodeError,
-    Reader,
+    open_frame, put_f64, put_network, put_point, put_time, put_u32, put_varint, put_zone,
+    seal_frame, DecodeError, Reader, SampleIter,
 };
 use wiscape_core::{ZoneCellState, ZoneId};
 use wiscape_geo::GeoPoint;
@@ -34,10 +31,6 @@ use wiscape_simnet::NetworkId;
 pub const WAL_MAGIC: [u8; 2] = [0x57, 0x4C];
 /// WAL format version.
 pub const WAL_VERSION: u8 = 1;
-
-/// Fixed frame overhead around a body: magic + version + crc (the
-/// varint length field adds 1–10 more bytes).
-pub const FRAME_OVERHEAD: usize = 7;
 
 pub(crate) const TAG_CHECKIN: u8 = 1;
 pub(crate) const TAG_INGEST: u8 = 2;
@@ -82,7 +75,13 @@ impl core::fmt::Display for WalError {
 
 impl std::error::Error for WalError {}
 
-/// One decoded coordinator mutation event.
+/// Maps the I/O error of a failed `op` to [`WalError::Io`].
+pub(crate) fn io_err(op: &'static str) -> impl FnOnce(std::io::Error) -> WalError {
+    move |e| WalError::Io { op, kind: e.kind() }
+}
+
+/// One decoded coordinator mutation event other than a sample report
+/// (those decode as an [`IngestView`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
     /// A client check-in (may issue tasks; mutates pacing state).
@@ -97,22 +96,6 @@ pub enum WalRecord {
         coin: f64,
         /// Networks the check-in covers.
         networks: Vec<NetworkId>,
-    },
-    /// A committed sample report (the `(t, client, seq)` identity is
-    /// the channel's canonical commit order).
-    Ingest {
-        /// Reporting client.
-        client: ClientId,
-        /// The client's report sequence number.
-        seq: u64,
-        /// Reported fine zone.
-        zone: ZoneId,
-        /// Measured network.
-        network: NetworkId,
-        /// Measurement time.
-        t: SimTime,
-        /// Per-packet samples (exact bits).
-        samples: Vec<f64>,
     },
     /// A quota-tuner update.
     SetQuota {
@@ -151,22 +134,6 @@ pub enum WalRecord {
         /// The installed cells.
         cells: Vec<ZoneCellState>,
     },
-}
-
-impl WalRecord {
-    /// The event time carried by the record, if it has one (used for
-    /// the virtual-time replay span metric).
-    pub fn event_time(&self) -> Option<SimTime> {
-        match self {
-            WalRecord::Checkin { t, .. } => Some(*t),
-            WalRecord::Ingest { t, .. } => Some(*t),
-            WalRecord::Flush { t } => Some(*t),
-            WalRecord::SetQuota { .. }
-            | WalRecord::SetEpoch { .. }
-            | WalRecord::MigrateOut { .. }
-            | WalRecord::MigrateIn { .. } => None,
-        }
-    }
 }
 
 /// Incremental record encoder holding a reusable body buffer.
@@ -247,79 +214,19 @@ impl RecordEncoder {
         put_varint(&mut self.body, folded);
     }
 
-    /// Frames the accumulated body into `frame` (magic, version,
-    /// varint length, body, CRC-32 over the body). `frame` is cleared
-    /// first so the caller can reuse one scratch buffer per append.
+    /// Frames the accumulated body into `frame` through the codec's
+    /// `seal_frame` under [`WAL_MAGIC`]. `frame` is cleared first so the
+    /// caller can reuse one scratch buffer per append.
     pub fn seal_into(&mut self, frame: &mut Vec<u8>) {
         frame.clear();
-        frame.extend_from_slice(&WAL_MAGIC);
-        frame.push(WAL_VERSION);
-        let len = u64::try_from(self.body.len()).unwrap_or(u64::MAX);
-        put_varint(frame, len);
-        frame.extend_from_slice(&self.body);
-        frame.extend_from_slice(&crc32(&self.body).to_le_bytes());
+        seal_frame(frame, WAL_MAGIC, WAL_VERSION, &self.body);
     }
 }
 
-/// Validates the frame envelope (magic, version, length, CRC) and
-/// returns the body slice plus the bytes the whole frame consumed.
-fn checked_body(buf: &[u8]) -> Result<(&[u8], usize), WalError> {
-    let mut r = Reader::new(buf);
-    let magic = r.take(2)?;
-    if magic != WAL_MAGIC {
-        return Err(WalError::Frame(DecodeError::BadMagic));
-    }
-    let version = r.u8()?;
-    if version != WAL_VERSION {
-        return Err(WalError::Frame(DecodeError::UnsupportedVersion(version)));
-    }
-    let len = r.varint()?;
-    let len = usize::try_from(len).map_err(|_| WalError::Frame(DecodeError::BadValue("length")))?;
-    let body = r.take(len)?;
-    let crc_bytes = r.take(4)?;
-    let mut crc = [0u8; 4];
-    crc.copy_from_slice(crc_bytes);
-    let expected = u32::from_le_bytes(crc);
-    let found = crc32(body);
-    if expected != found {
-        return Err(WalError::Frame(DecodeError::BadChecksum {
-            expected,
-            found,
-        }));
-    }
-    Ok((body, buf.len().saturating_sub(r.remaining())))
-}
-
-/// Decodes one record frame from the front of `buf`, returning the
-/// record and the bytes it consumed.
-///
-/// Total over arbitrary input: truncated bytes yield
-/// `WalError::Frame(DecodeError::Truncated { .. })` (the torn-tail
-/// signal the log scanner truncates on), corrupt bytes a typed magic /
-/// version / checksum / field error. Never panics.
-pub fn decode_record(buf: &[u8]) -> Result<(WalRecord, usize), WalError> {
-    let (body, consumed) = checked_body(buf)?;
-    let record = decode_body(body)?;
-    Ok((record, consumed))
-}
-
-/// The lazy sample iterator of an [`IngestView`]: 8-byte little-endian
-/// chunks of the frame, decoded to `f64` bit patterns on the fly.
-pub type SampleIter<'a> = core::iter::Map<core::slice::ChunksExact<'a, u8>, fn(&[u8]) -> f64>;
-
-fn le_f64(chunk: &[u8]) -> f64 {
-    let mut bits = [0u8; 8];
-    if let Some(c) = chunk.get(..8) {
-        bits.copy_from_slice(c);
-    }
-    f64::from_bits(u64::from_le_bytes(bits))
-}
-
-/// A borrowed `Ingest` record: header fields decoded, samples left as
-/// raw little-endian bytes inside the frame. Replay folds straight
-/// from this view, skipping [`decode_record`]'s per-record `Vec`
-/// allocation — ingest records dominate any real log, so this is the
-/// recovery throughput path.
+/// A committed sample report (the `(t, client, seq)` identity is the
+/// channel's canonical commit order): header fields decoded, samples
+/// left as raw little-endian bytes inside the frame, so replay folds
+/// them without a per-record allocation.
 #[derive(Debug, Clone, Copy)]
 pub struct IngestView<'a> {
     /// Reporting client.
@@ -338,19 +245,7 @@ pub struct IngestView<'a> {
 impl<'a> IngestView<'a> {
     /// The samples, decoded lazily from the raw frame bytes.
     pub fn samples(&self) -> SampleIter<'a> {
-        self.raw.chunks_exact(8).map(le_f64 as fn(&[u8]) -> f64)
-    }
-
-    /// An owned copy of the record.
-    pub fn to_record(&self) -> WalRecord {
-        WalRecord::Ingest {
-            client: self.client,
-            seq: self.seq,
-            zone: self.zone,
-            network: self.network,
-            t: self.t,
-            samples: self.samples().collect(),
-        }
+        SampleIter::new(self.raw)
     }
 }
 
@@ -364,11 +259,27 @@ pub enum RecordView<'a> {
     Owned(WalRecord),
 }
 
-/// Decodes one record frame from the front of `buf` as a borrowed
-/// [`RecordView`]. Identical validation (and identical typed errors)
-/// to [`decode_record`], without the sample allocation.
+impl RecordView<'_> {
+    /// The event time carried by the record, if it has one (used for
+    /// the virtual-time replay span metric).
+    pub fn event_time(&self) -> Option<SimTime> {
+        match self {
+            RecordView::Ingest(v) => Some(v.t),
+            RecordView::Owned(WalRecord::Checkin { t, .. } | WalRecord::Flush { t }) => Some(*t),
+            RecordView::Owned(_) => None,
+        }
+    }
+}
+
+/// Decodes one record frame from the front of `buf`, returning the
+/// record and the bytes it consumed.
+///
+/// Total over arbitrary input: truncated bytes yield
+/// `WalError::Frame(DecodeError::Truncated { .. })` (the torn-tail
+/// signal the log scanner truncates on), corrupt bytes a typed magic /
+/// version / checksum / field error. Never panics.
 pub fn decode_record_view(buf: &[u8]) -> Result<(RecordView<'_>, usize), WalError> {
-    let (body, consumed) = checked_body(buf)?;
+    let (body, consumed) = open_frame(buf, WAL_MAGIC, WAL_VERSION)?;
     if body.first() != Some(&TAG_INGEST) {
         return Ok((RecordView::Owned(decode_body(body)?), consumed));
     }
@@ -401,6 +312,8 @@ pub fn decode_record_view(buf: &[u8]) -> Result<(RecordView<'_>, usize), WalErro
     ))
 }
 
+/// Decodes the body of every record kind but `Ingest`, which
+/// [`decode_record_view`] keeps as an [`IngestView`].
 fn decode_body(body: &[u8]) -> Result<WalRecord, WalError> {
     let mut r = Reader::new(body);
     let tag = r.u8()?;
@@ -428,38 +341,6 @@ fn decode_body(body: &[u8]) -> Result<WalRecord, WalError> {
                 t,
                 coin,
                 networks,
-            }
-        }
-        TAG_INGEST => {
-            let client = r.client()?;
-            let seq = r.varint()?;
-            let zone = r.zone()?;
-            let network = r.network()?;
-            let t = r.time()?;
-            let n = usize::try_from(r.varint()?)
-                .map_err(|_| WalError::Frame(DecodeError::BadValue("sample count")))?;
-            // Each sample is 8 raw bytes; a count the body cannot hold
-            // is a lie, not a reason to allocate.
-            let need = n
-                .checked_mul(8)
-                .ok_or(WalError::Frame(DecodeError::BadValue("sample count")))?;
-            if r.remaining() < need {
-                return Err(WalError::Frame(DecodeError::Truncated {
-                    needed: need,
-                    have: r.remaining(),
-                }));
-            }
-            let mut samples = Vec::with_capacity(n);
-            for _ in 0..n {
-                samples.push(r.f64()?);
-            }
-            WalRecord::Ingest {
-                client,
-                seq,
-                zone,
-                network,
-                t,
-                samples,
             }
         }
         TAG_SET_QUOTA => WalRecord::SetQuota {
@@ -511,7 +392,13 @@ mod tests {
     use super::*;
     use wiscape_geo::CellId;
 
-    fn sample_records() -> Vec<WalRecord> {
+    /// The zone and samples of [`ingest_frame`]: a negative NaN
+    /// included, so comparisons must be bitwise.
+    const ZONE: ZoneId = ZoneId(CellId { col: -3, row: 12 });
+    const SAMPLES: [f64; 4] = [812.5, -f64::NAN, 0.0, 1e-300];
+
+    /// One record of each of the six owned kinds.
+    fn owned_records() -> Vec<WalRecord> {
         vec![
             WalRecord::Checkin {
                 client: ClientId(7),
@@ -519,14 +406,6 @@ mod tests {
                 t: SimTime::from_micros(123_456),
                 coin: 0.3250001,
                 networks: vec![NetworkId::NetA, NetworkId::NetC],
-            },
-            WalRecord::Ingest {
-                client: ClientId(9),
-                seq: 300,
-                zone: ZoneId(CellId { col: -3, row: 12 }),
-                network: NetworkId::NetB,
-                t: SimTime::from_micros(9_999_999),
-                samples: vec![812.5, f64::NAN.copysign(-1.0), 0.0, 1e-300],
             },
             WalRecord::SetQuota {
                 zone: ZoneId(CellId { col: 0, row: 0 }),
@@ -546,33 +425,9 @@ mod tests {
                 hi: ZoneId(CellId { col: 5, row: -5 }),
             },
             WalRecord::MigrateIn {
-                cells: vec![sample_cell()],
+                cells: crate::snapshot::tests::sample_state().cells,
             },
         ]
-    }
-
-    fn sample_cell() -> ZoneCellState {
-        let mut sketch = wiscape_stats::MomentSketch::new();
-        for v in [812.5, 793.25, 1024.0, 640.125] {
-            sketch.push(v);
-        }
-        ZoneCellState {
-            zone: ZoneId(CellId { col: 4, row: -2 }),
-            network: NetworkId::NetB,
-            epoch: SimDuration::from_micros(1_800_000_000),
-            epoch_start: SimTime::from_micros(3_600_000_000),
-            sketch,
-            issued_this_epoch: 7,
-            published: Some(wiscape_core::ZoneEstimate {
-                zone: ZoneId(CellId { col: 4, row: -2 }),
-                network: NetworkId::NetB,
-                mean: 817.46875,
-                std_dev: 161.0220581,
-                samples: 150,
-                formed_at: SimTime::from_micros(3_600_000_000),
-            }),
-            quota: Some(140),
-        }
     }
 
     fn encode(rec: &WalRecord) -> Vec<u8> {
@@ -594,25 +449,6 @@ mod tests {
                 enc.put_u64(networks.len() as u64);
                 for n in networks {
                     enc.put_network(*n);
-                }
-            }
-            WalRecord::Ingest {
-                client,
-                seq,
-                zone,
-                network,
-                t,
-                samples,
-            } => {
-                enc.begin(TAG_INGEST);
-                enc.put_client(*client);
-                enc.put_u64(*seq);
-                enc.put_zone(*zone);
-                enc.put_network(*network);
-                enc.put_time(*t);
-                enc.put_u64(samples.len() as u64);
-                for s in samples {
-                    enc.put_f64(*s);
                 }
             }
             WalRecord::SetQuota {
@@ -656,30 +492,58 @@ mod tests {
         frame
     }
 
+    fn ingest_frame() -> Vec<u8> {
+        let mut enc = RecordEncoder::with_capacity(64);
+        enc.begin(TAG_INGEST);
+        enc.put_client(ClientId(9));
+        enc.put_u64(300);
+        enc.put_zone(ZONE);
+        enc.put_network(NetworkId::NetB);
+        enc.put_time(SimTime::EPOCH);
+        enc.put_u64(SAMPLES.len() as u64);
+        for s in SAMPLES {
+            enc.put_f64(s);
+        }
+        let mut frame = Vec::new();
+        enc.seal_into(&mut frame);
+        frame
+    }
+
+    /// One frame of each of the seven record kinds.
+    fn sample_frames() -> Vec<Vec<u8>> {
+        let mut frames: Vec<Vec<u8>> = owned_records().iter().map(encode).collect();
+        frames.push(ingest_frame());
+        frames
+    }
+
     #[test]
     fn round_trips_every_record_kind() {
-        for rec in sample_records() {
+        for rec in owned_records() {
             let frame = encode(&rec);
-            let (back, used) = decode_record(&frame).unwrap();
+            let (back, used) = decode_record_view(&frame).unwrap();
             assert_eq!(used, frame.len());
-            match (&rec, &back) {
-                (WalRecord::Ingest { samples: a, .. }, WalRecord::Ingest { samples: b, .. }) => {
-                    // NaN-safe bitwise comparison.
-                    let ab: Vec<u64> = a.iter().map(|v| v.to_bits()).collect();
-                    let bb: Vec<u64> = b.iter().map(|v| v.to_bits()).collect();
-                    assert_eq!(ab, bb);
-                }
-                _ => assert_eq!(rec, back),
+            match back {
+                RecordView::Owned(back) => assert_eq!(back, rec),
+                other => panic!("expected {rec:?}, got {other:?}"),
             }
         }
+        let frame = ingest_frame();
+        let Ok((RecordView::Ingest(v), used)) = decode_record_view(&frame) else {
+            panic!("not an ingest view");
+        };
+        assert_eq!(used, frame.len());
+        assert_eq!((v.client, v.seq, v.zone), (ClientId(9), 300, ZONE));
+        assert_eq!((v.network, v.t), (NetworkId::NetB, SimTime::EPOCH));
+        // NaN-safe bitwise comparison.
+        let bits: Vec<u64> = v.samples().map(f64::to_bits).collect();
+        assert_eq!(bits, SAMPLES.map(f64::to_bits));
     }
 
     #[test]
     fn every_truncation_is_a_typed_error() {
-        for rec in sample_records() {
-            let frame = encode(&rec);
+        for frame in sample_frames() {
             for cut in 0..frame.len() {
-                match decode_record(&frame[..cut]) {
+                match decode_record_view(&frame[..cut]) {
                     Err(WalError::Frame(_)) => {}
                     other => panic!("cut at {cut}: {other:?}"),
                 }
@@ -689,22 +553,23 @@ mod tests {
 
     #[test]
     fn corrupt_bytes_are_typed_errors() {
-        let frame = encode(&sample_records()[1]);
-        for bit in 0..frame.len() * 8 {
-            let mut bad = frame.clone();
-            bad[bit / 8] ^= 1 << (bit % 8);
-            // Flipping any single bit must not round-trip silently.
-            match decode_record(&bad) {
-                Ok((rec, used)) => {
-                    // A flip inside the length varint can only shrink
-                    // the claimed body if crc happens to match — it
-                    // cannot: the crc is computed over the body.
-                    let (orig, _) = decode_record(&frame).unwrap();
-                    assert!(used <= bad.len());
-                    assert_ne!(format!("{rec:?}"), format!("{orig:?}"), "bit {bit}");
+        for frame in sample_frames() {
+            let (orig, _) = decode_record_view(&frame).unwrap();
+            for bit in 0..frame.len() * 8 {
+                let mut bad = frame.clone();
+                bad[bit / 8] ^= 1 << (bit % 8);
+                // Flipping any single bit must not round-trip silently.
+                match decode_record_view(&bad) {
+                    Ok((rec, used)) => {
+                        // A flip inside the length varint can only shrink
+                        // the claimed body if crc happens to match — it
+                        // cannot: the crc is computed over the body.
+                        assert!(used <= bad.len());
+                        assert_ne!(format!("{rec:?}"), format!("{orig:?}"), "bit {bit}");
+                    }
+                    Err(WalError::Frame(_)) => {}
+                    Err(other) => panic!("bit {bit}: {other:?}"),
                 }
-                Err(WalError::Frame(_)) => {}
-                Err(other) => panic!("bit {bit}: {other:?}"),
             }
         }
     }

@@ -28,13 +28,14 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use wiscape_channel::codec::{
-    crc32, put_f64, put_i64, put_network, put_time, put_varint, put_zone, DecodeError, Reader,
+    open_frame, put_f64, put_i64, put_network, put_time, put_varint, put_zone, seal_frame,
+    DecodeError, Reader,
 };
 use wiscape_core::{ChangeAlert, CoordinatorState, ZoneCellState, ZoneEstimate};
 use wiscape_simcore::SimDuration;
 use wiscape_stats::{KahanSum, MomentSketch, RunningStats};
 
-use crate::record::WalError;
+use crate::record::{io_err, WalError};
 
 /// Snapshot file magic: `"WS"`.
 pub const SNAP_MAGIC: [u8; 2] = [0x57, 0x53];
@@ -42,10 +43,6 @@ pub const SNAP_MAGIC: [u8; 2] = [0x57, 0x53];
 pub const MANIFEST_MAGIC: [u8; 2] = [0x57, 0x4D];
 /// Snapshot/manifest format version.
 pub const SNAP_VERSION: u8 = 1;
-
-fn io_err(op: &'static str) -> impl FnOnce(std::io::Error) -> WalError {
-    move |e| WalError::Io { op, kind: e.kind() }
-}
 
 /// Path of the snapshot covering the first `records` log records.
 pub fn snapshot_path(dir: &Path, records: u64) -> PathBuf {
@@ -219,43 +216,21 @@ fn take_estimate(r: &mut Reader<'_>) -> Result<ZoneEstimate, WalError> {
     })
 }
 
+/// A snapshot or manifest file: one codec frame under `magic`.
 fn frame(magic: [u8; 2], body: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(body.len() + 16);
-    out.extend_from_slice(&magic);
-    out.push(SNAP_VERSION);
-    put_varint(&mut out, body.len() as u64);
-    out.extend_from_slice(body);
-    out.extend_from_slice(&crc32(body).to_le_bytes());
+    seal_frame(&mut out, magic, SNAP_VERSION, body);
     out
 }
 
-fn unframe(magic: [u8; 2], bytes: &[u8]) -> Result<Vec<u8>, WalError> {
-    let mut r = Reader::new(bytes);
-    if r.take(2)? != magic {
-        return Err(WalError::Frame(DecodeError::BadMagic));
+/// The body of a whole snapshot or manifest file: one codec frame under
+/// `magic`, with nothing after it.
+fn unframe(magic: [u8; 2], bytes: &[u8]) -> Result<&[u8], WalError> {
+    let (body, used) = open_frame(bytes, magic, SNAP_VERSION)?;
+    match bytes.len().saturating_sub(used) {
+        0 => Ok(body),
+        trailing => Err(WalError::Frame(DecodeError::TrailingBytes(trailing))),
     }
-    let version = r.u8()?;
-    if version != SNAP_VERSION {
-        return Err(WalError::Frame(DecodeError::UnsupportedVersion(version)));
-    }
-    let len = usize::try_from(r.varint()?)
-        .map_err(|_| WalError::Frame(DecodeError::BadValue("length")))?;
-    let body = r.take(len)?;
-    let crc_bytes = r.take(4)?;
-    let mut crc = [0u8; 4];
-    crc.copy_from_slice(crc_bytes);
-    let expected = u32::from_le_bytes(crc);
-    let found = crc32(body);
-    if expected != found {
-        return Err(WalError::Frame(DecodeError::BadChecksum {
-            expected,
-            found,
-        }));
-    }
-    if r.remaining() != 0 {
-        return Err(WalError::Frame(DecodeError::TrailingBytes(r.remaining())));
-    }
-    Ok(body.to_vec())
 }
 
 /// How much of a snapshot write completes before the injected crash.
@@ -325,15 +300,9 @@ pub fn read_manifest(dir: &Path) -> Result<Option<u64>, WalError> {
     let bytes = match fs::read(manifest_path(dir)) {
         Ok(b) => b,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => {
-            return Err(WalError::Io {
-                op: "read manifest",
-                kind: e.kind(),
-            })
-        }
+        Err(e) => return Err(io_err("read manifest")(e)),
     };
-    let body = unframe(MANIFEST_MAGIC, &bytes)?;
-    let mut r = Reader::new(&body);
+    let mut r = Reader::new(unframe(MANIFEST_MAGIC, &bytes)?);
     let records = r.varint()?;
     if r.remaining() != 0 {
         return Err(WalError::Frame(DecodeError::TrailingBytes(r.remaining())));
@@ -344,12 +313,11 @@ pub fn read_manifest(dir: &Path) -> Result<Option<u64>, WalError> {
 /// Loads and decodes the snapshot covering `records` records.
 pub fn load_snapshot(dir: &Path, records: u64) -> Result<CoordinatorState, WalError> {
     let bytes = fs::read(snapshot_path(dir, records)).map_err(io_err("read snapshot"))?;
-    let body = unframe(SNAP_MAGIC, &bytes)?;
-    decode_state(&body)
+    decode_state(unframe(SNAP_MAGIC, &bytes)?)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::path::PathBuf;
     use wiscape_core::ZoneId;
@@ -357,7 +325,8 @@ mod tests {
     use wiscape_simcore::SimTime;
     use wiscape_simnet::NetworkId;
 
-    fn sample_state() -> CoordinatorState {
+    /// A one-cell state with an alert (the record tests migrate its cell).
+    pub(crate) fn sample_state() -> CoordinatorState {
         let mut sketch = MomentSketch::new();
         for v in [812.5, 793.25, 1024.0, 640.125] {
             sketch.push(v);

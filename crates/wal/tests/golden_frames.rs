@@ -1,0 +1,132 @@
+//! Golden frame bytes. Every frame the workspace writes has one layout
+//! (magic, version, varint body length, body, CRC-32) and differs only
+//! in its magic: `WC` on the wire, `WL` for WAL records, `WS` for
+//! snapshots, `WM` for the manifest. These tests pin the absolute bytes
+//! of one frame of each kind, so an envelope or body change shows even
+//! when its encoder and decoder still agree, and require `BadMagic`
+//! from every decoder fed another kind's frame.
+
+use std::path::{Path, PathBuf};
+
+use wiscape_channel::codec::{
+    decode_ref, encode, encode_ack_one, CheckinRequest, DecodeError, WireMessage,
+};
+use wiscape_core::{CoordinatorState, ZoneCellState, ZoneId};
+use wiscape_geo::{CellId, GeoPoint};
+use wiscape_mobility::ClientId;
+use wiscape_simcore::{SimDuration, SimTime};
+use wiscape_simnet::NetworkId;
+use wiscape_stats::MomentSketch;
+use wiscape_wal::{
+    decode_record_view, encode_state, load_snapshot, read_manifest, write_snapshot, RecordEncoder,
+    SnapshotWriteMode, WalError,
+};
+
+/// [`checkin`].
+const CHECKIN_HEX: &str = "5743011601070336ab3e575b894540efc9c342ad5956c080890fbe43edf2";
+/// `encode_ack_one(ClientId(9), 300)`.
+const ACK_HEX: &str = "57430105040901ac02a9e6d4a3";
+/// [`ingest_record`].
+const INGEST_HEX: &str = "574c011c0209ac02051801fed9c40902000000000064894000000000000000809844a5b7";
+/// `snap-0000000042.bin` as [`snapshot_files`] writes it.
+const SNAPSHOT_HEX: &str = "575301490108030180c8ceb40d80909de91a03abaaaaaaaa648b4054555555d901e0400000000000ca8840000000000000904000000000808ba44000000000000000000700018c0100b9600308c190b5bc";
+/// `MANIFEST` as [`snapshot_files`] writes it.
+const MANIFEST_HEX: &str = "574d01012a5b26b909";
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+fn checkin() -> Vec<u8> {
+    encode(&WireMessage::Checkin(CheckinRequest {
+        client: ClientId(7),
+        tick: 3,
+        point: GeoPoint::new(43.0731, -89.4012).unwrap(),
+        t: SimTime::from_micros(123_456),
+    }))
+}
+
+fn ingest_record() -> Vec<u8> {
+    let mut enc = RecordEncoder::with_capacity(64);
+    enc.begin(2); // ingest tag
+    enc.put_client(ClientId(9));
+    enc.put_u64(300);
+    enc.put_zone(ZoneId(CellId { col: -3, row: 12 }));
+    enc.put_network(NetworkId::NetB);
+    enc.put_time(SimTime::from_micros(9_999_999));
+    enc.put_u64(2);
+    enc.put_f64(812.5);
+    enc.put_f64(-0.0);
+    let mut frame = Vec::new();
+    enc.seal_into(&mut frame);
+    frame
+}
+
+fn dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("wiscape-golden-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Writes a one-cell snapshot covering 42 records into `dir` and
+/// returns the snapshot file and the manifest.
+fn snapshot_files(dir: &Path) -> (Vec<u8>, Vec<u8>) {
+    let mut sketch = MomentSketch::new();
+    for v in [812.5, 793.25, 1024.0] {
+        sketch.push(v);
+    }
+    let state = CoordinatorState {
+        cells: vec![ZoneCellState {
+            zone: ZoneId(CellId { col: 4, row: -2 }),
+            network: NetworkId::NetB,
+            epoch: SimDuration::from_micros(1_800_000_000),
+            epoch_start: SimTime::from_micros(3_600_000_000),
+            sketch,
+            issued_this_epoch: 7,
+            published: None,
+            quota: Some(140),
+        }],
+        packets_requested: 12_345,
+        malformed_dropped: 3,
+        reports_rejected: 8,
+        ..CoordinatorState::default()
+    };
+    let mut body = Vec::new();
+    encode_state(&state, &mut body);
+    write_snapshot(dir, 42, &body, SnapshotWriteMode::Full).unwrap();
+    let snap = std::fs::read(dir.join("snap-0000000042.bin")).unwrap();
+    (snap, std::fs::read(dir.join("MANIFEST")).unwrap())
+}
+
+#[test]
+fn every_frame_kind_keeps_its_bytes() {
+    assert_eq!(hex(&checkin()), CHECKIN_HEX);
+    assert_eq!(hex(&encode_ack_one(ClientId(9), 300)), ACK_HEX);
+    assert_eq!(hex(&ingest_record()), INGEST_HEX);
+    let dir = dir("bytes");
+    let (snap, manifest) = snapshot_files(&dir);
+    assert_eq!(hex(&snap), SNAPSHOT_HEX);
+    assert_eq!(hex(&manifest), MANIFEST_HEX);
+    assert_eq!(read_manifest(&dir), Ok(Some(42)));
+    assert!(load_snapshot(&dir, 42).is_ok());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn every_decoder_refuses_another_kinds_frame() {
+    let bad_magic = Err(WalError::Frame(DecodeError::BadMagic));
+    assert_eq!(decode_ref(&ingest_record()), Err(DecodeError::BadMagic));
+    assert_eq!(decode_record_view(&checkin()).map(|_| ()), bad_magic);
+    let dir = dir("foreign");
+    let (snap, manifest) = snapshot_files(&dir);
+    for foreign in [&ingest_record(), &snap] {
+        std::fs::write(dir.join("MANIFEST"), foreign).unwrap();
+        assert_eq!(read_manifest(&dir).map(|_| ()), bad_magic);
+    }
+    for foreign in [&ingest_record(), &manifest] {
+        std::fs::write(dir.join("snap-0000000042.bin"), foreign).unwrap();
+        assert_eq!(load_snapshot(&dir, 42).map(|_| ()), bad_magic);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -53,13 +53,20 @@
 # both zone-map CSVs must be byte-identical to the plain run's, and the
 # WAL run must report exactly one recovery.
 #
+# Last, every file the three WAL-writing passes left on disk (the repro
+# crash pass, the sharded WAL pass and the CLI WAL pass: segments,
+# snapshots and manifests) is hashed into one sorted list and diffed
+# against results/WAL_MANIFEST.sha256, so a change to the record,
+# snapshot or manifest encoding cannot pass unseen.
+#
 # Usage:
-#   scripts/verify_results.sh            # verify against the manifest
-#   scripts/verify_results.sh --update   # regenerate the manifest
+#   scripts/verify_results.sh            # verify against the manifests
+#   scripts/verify_results.sh --update   # regenerate the manifests
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 manifest=results/QUICK_MANIFEST.sha256
+wal_manifest=results/WAL_MANIFEST.sha256
 out="${TMPDIR:-/tmp}/wiscape_quick_manifest_check"
 wal_crash_seed=11
 rebalance_seed=5
@@ -207,3 +214,21 @@ for variant in mapwal maprecover; do
 done
 estimates=$(($(wc -l < "$out.map.csv") - 1))
 echo "[verify_results] OK: CLI WAL crash (seed $wal_crash_seed) + --recover byte-identical ($estimates zone estimates)"
+
+# --- WAL byte-identity pass ------------------------------------------------
+# Every WAL file of the crash, sharded-WAL and CLI WAL passes, hashed
+# under a path relative to its pass directory, in one sorted list.
+for pass in waldir shardwaldir mapwal; do
+    (cd "$out.$pass" && find . -type f | LC_ALL=C sort | xargs sha256sum --) \
+        | sed "s|  \./|  $pass/|"
+done | LC_ALL=C sort -k2 > "$out.wal_files.sha256"
+if [[ "${1:-}" == "--update" ]]; then
+    cp "$out.wal_files.sha256" "$wal_manifest"
+    echo "[verify_results] wrote $(wc -l < "$wal_manifest") hashes to $wal_manifest"
+else
+    if ! diff -u "$wal_manifest" "$out.wal_files.sha256"; then
+        echo "[verify_results] FAIL: WAL files drifted from $wal_manifest" >&2
+        exit 1
+    fi
+    echo "[verify_results] OK: $(wc -l < "$wal_manifest") WAL files byte-identical"
+fi
