@@ -52,8 +52,7 @@ pub use epoch::{EpochConfig, EpochEstimator};
 pub use normalize::{learn_scales, CategorySamples, CategoryScales};
 pub use sampling::{packets_for_accuracy, samples_until_similar, AccuracyTarget};
 pub use shard::{
-    merge_states, set_shard_run_config, shard_run_config, state_fingerprint, AlertMerge,
-    RebalanceMove, ShardAssignment, ShardRunConfig, ShardSet,
+    merge_states, state_fingerprint, AlertMerge, RebalanceMove, ShardAssignment, ShardSet,
 };
 pub use tuning::{EpochTuner, HistoryStore, QuotaTuner, ZoneHistory};
 pub use zone::{ZoneId, ZoneIndex};

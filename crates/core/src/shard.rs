@@ -13,6 +13,8 @@
 //! path is the ordinary channel server over it
 //! (`ChannelServer<ShardSet<C>>` in `wiscape-channel`). Each shard is a
 //! plain [`Coordinator`] or a WAL-backed handle with its own event log.
+//! `wiscape map --shards` and `repro --shards` build their sets and
+//! rebalance them mid-run in `wiscape-experiments`' topology runner.
 //!
 //! Why the merge is bitwise-exact:
 //!
@@ -680,32 +682,6 @@ impl<C: CoordinatorHandle> CoordinatorHandle for ShardSet<C> {
     }
 }
 
-/// Per-run shard wiring chosen on the command line and read by the
-/// experiment drivers (the same late-bound pattern as
-/// `wiscape-wal`'s `WalRunConfig`: drivers construct deployments deep
-/// inside deterministic run loops).
-#[derive(Debug, Clone)]
-pub struct ShardRunConfig {
-    /// Number of coordinator shards.
-    pub shards: usize,
-    /// Seed for one mid-stream zone-range rebalance; `None` runs
-    /// without one.
-    pub rebalance_seed: Option<u64>,
-}
-
-static RUN_CONFIG: OnceLock<ShardRunConfig> = OnceLock::new();
-
-/// Installs the process-wide shard run configuration. First caller
-/// wins; returns whether this call installed it.
-pub fn set_shard_run_config(config: ShardRunConfig) -> bool {
-    RUN_CONFIG.set(config).is_ok()
-}
-
-/// The process-wide shard run configuration, if one was installed.
-pub fn shard_run_config() -> Option<&'static ShardRunConfig> {
-    RUN_CONFIG.get()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1023,18 +999,5 @@ mod tests {
             state_fingerprint(&s.merged_state()),
             state_fingerprint(&single.export_state()),
         );
-    }
-
-    #[test]
-    fn run_config_is_installable_once() {
-        assert!(set_shard_run_config(ShardRunConfig {
-            shards: 4,
-            rebalance_seed: Some(9),
-        }));
-        assert!(!set_shard_run_config(ShardRunConfig {
-            shards: 2,
-            rebalance_seed: None,
-        }));
-        assert_eq!(shard_run_config().map(|c| c.shards), Some(4));
     }
 }

@@ -8,15 +8,19 @@
 //! experiment into `DIR` (default `results/`) and prints each markdown
 //! summary to stdout (the content of `EXPERIMENTS.md`).
 //!
-//! `--wal DIR` routes every channel-driven coordinator (fig15) through
-//! the `wiscape-wal` event log under `DIR`; `--wal-crash-seed N`
-//! additionally injects a deterministic crash (kill + recover) into
-//! each such run. `--shards N` runs every channel-driven deployment
-//! N-way sharded (zone-range shards behind a deterministic router;
-//! per-shard logs when combined with `--wal`), and
+//! `--wal`, `--wal-crash-seed`, `--shards` and `--rebalance-seed` pick
+//! one `wiscape_experiments::topology::Topology`, installed once for
+//! the whole run. `--wal DIR` routes every channel-driven coordinator
+//! (fig15) through the `wiscape-wal` event log under `DIR`;
+//! `--wal-crash-seed N` additionally injects a deterministic crash
+//! (kill + recover) into each such run. `--shards N` runs every
+//! channel-driven deployment N-way sharded (zone-range shards behind
+//! the one server; per-shard logs when combined with `--wal`; `1` is a
+//! one-shard set) and fig16's ingest on N shards, and
 //! `--rebalance-seed S` additionally applies one seeded mid-stream
 //! zone-range rebalance. Every combination must stay byte-identical to
-//! a plain run — `scripts/verify_results.sh` enforces it.
+//! a plain run — `scripts/verify_results.sh` enforces it. Flag values
+//! no topology can honour exit 2 before anything runs.
 //!
 //! `--obs PATH` enables the observability registry and dumps its
 //! snapshot (e.g. `results/OBS_repro.json`) after the run. Everything
@@ -26,6 +30,7 @@
 
 use std::io::Write as _;
 
+use wiscape_experiments::topology::{self, Topology};
 use wiscape_experiments::{run_many_with_charts, Scale, ALL_EXPERIMENTS};
 
 fn main() {
@@ -33,7 +38,7 @@ fn main() {
     let mut scale = Scale::Quick;
     let mut out_dir = String::from("results");
     let mut obs_path: Option<String> = None;
-    let mut wal_dir: Option<String> = None;
+    let mut wal_dir: Option<std::path::PathBuf> = None;
     let mut wal_crash_seed: Option<u64> = None;
     let mut shards: Option<usize> = None;
     let mut rebalance_seed: Option<u64> = None;
@@ -42,12 +47,7 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--seed" => {
-                seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--seed needs an integer"));
-            }
+            "--seed" => seed = int(args.next(), "--seed"),
             "--full" => scale = Scale::Full,
             "--quick" => scale = Scale::Quick,
             "--out" => {
@@ -57,29 +57,15 @@ fn main() {
                 obs_path = Some(args.next().unwrap_or_else(|| die("--obs needs a path")));
             }
             "--wal" => {
-                wal_dir = Some(args.next().unwrap_or_else(|| die("--wal needs a path")));
-            }
-            "--wal-crash-seed" => {
-                wal_crash_seed = Some(
+                wal_dir = Some(
                     args.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| die("--wal-crash-seed needs an integer")),
+                        .map(Into::into)
+                        .unwrap_or_else(|| die("--wal needs a path")),
                 );
             }
-            "--shards" => {
-                shards = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| die("--shards needs an integer")),
-                );
-            }
-            "--rebalance-seed" => {
-                rebalance_seed = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| die("--rebalance-seed needs an integer")),
-                );
-            }
+            "--wal-crash-seed" => wal_crash_seed = Some(int(args.next(), "--wal-crash-seed")),
+            "--shards" => shards = Some(int(args.next(), "--shards")),
+            "--rebalance-seed" => rebalance_seed = Some(int(args.next(), "--rebalance-seed")),
             "--svg" => svg = true,
             "--help" | "-h" => {
                 eprintln!(
@@ -100,28 +86,9 @@ fn main() {
     if obs_path.is_some() {
         wiscape_obs::set_enabled(true);
     }
-    if wal_crash_seed.is_some() && wal_dir.is_none() {
-        die("--wal-crash-seed requires --wal DIR");
-    }
-    if let Some(dir) = &wal_dir {
-        wiscape_wal::set_run_config(wiscape_wal::WalRunConfig {
-            dir: std::path::PathBuf::from(dir),
-            crash_seed: wal_crash_seed,
-            snapshot_every: 256,
-        });
-    }
-    if rebalance_seed.is_some() && shards.is_none() {
-        die("--rebalance-seed requires --shards N");
-    }
-    if let Some(n) = shards {
-        if n == 0 {
-            die("--shards must be at least 1");
-        }
-        wiscape_core::set_shard_run_config(wiscape_core::ShardRunConfig {
-            shards: n,
-            rebalance_seed,
-        });
-    }
+    let topology = Topology::new(shards, rebalance_seed, wal_dir, wal_crash_seed)
+        .unwrap_or_else(|e| die(&e.message("--wal-crash-seed")));
+    topology::install(topology);
     std::fs::create_dir_all(&out_dir).unwrap_or_else(|e| die(&format!("mkdir {out_dir}: {e}")));
     println!("# WiScape reproduction run (seed {seed}, scale {scale:?})\n",);
     println!("{}", wiscape_experiments::inventory::table1());
@@ -175,4 +142,11 @@ fn main() {
 fn die(msg: &str) -> ! {
     eprintln!("repro: {msg}");
     std::process::exit(2);
+}
+
+/// The integer value of `flag`, or exit 2.
+fn int<T: std::str::FromStr>(value: Option<String>, flag: &str) -> T {
+    value
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| die(&format!("{flag} needs an integer")))
 }

@@ -21,15 +21,14 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
-use wiscape_channel::{report_loss, ChannelDeployment};
-use wiscape_core::{
-    CoordinatorHandle, RebalanceMove, ShardAssignment, ShardSet, ZoneEstimate, ZoneIndex,
-};
+use wiscape_channel::report_loss;
+use wiscape_core::{ZoneEstimate, ZoneIndex};
 use wiscape_mobility::Fleet;
 use wiscape_simcore::{SimDuration, SimTime};
 use wiscape_simnet::{Landscape, LandscapeConfig};
 
 use crate::common::Scale;
+use crate::topology;
 
 /// Channel cost + accuracy of one delivery discipline in one cell.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -82,49 +81,6 @@ struct RunOutcome {
     abandoned: u64,
 }
 
-/// Runs `d` over `[start, end)` in two segments split on the check-in
-/// boundary nearest the midpoint, applying `mid_run` to the coordinator
-/// handle between them (a split run draws the same task coins as an
-/// unsplit one), and harvests the outcome.
-fn drive<C: CoordinatorHandle>(
-    d: &mut ChannelDeployment<C>,
-    start: SimTime,
-    end: SimTime,
-    mid_run: impl FnOnce(&mut C),
-) -> RunOutcome {
-    let interval = d.checkin_interval();
-    let rounds = (end - start).as_micros() / interval.as_micros().max(1);
-    let mid = start + interval * (rounds / 2);
-    d.run_until(start, mid);
-    mid_run(d.handle_mut());
-    d.run_until(mid, end);
-    d.finish(end);
-    let m = d.meters();
-    RunOutcome {
-        published: d.coordinator().all_published(),
-        control_bytes: m.control_bytes(),
-        retries: m.uplink.retries,
-        abandoned: m.uplink.abandoned,
-    }
-}
-
-/// The seeded mid-stream zone-range rebalance, when configured.
-fn rebalance<C: CoordinatorHandle>(set: &mut ShardSet<C>, seed: Option<u64>) {
-    if let Some(mv) = seed.and_then(|s| RebalanceMove::seeded(s, set.index(), set.assignment())) {
-        set.rebalance(&mv);
-    }
-}
-
-/// Shuts a WAL down and checks that its recovery matched the live run.
-fn close_wal(wal: &mut wiscape_wal::DurableCoordinator) {
-    wal.shutdown().expect("wal shutdown");
-    assert_eq!(
-        wal.wal_meters().recovery_mismatches,
-        0,
-        "WAL recovery diverged from the live coordinator"
-    );
-}
-
 fn run_one(seed: u64, clients: usize, hours: f64, loss: f64, max_attempts: u32) -> RunOutcome {
     let land = Landscape::new(LandscapeConfig::madison(seed));
     let mut fleet = Fleet::new(seed);
@@ -136,57 +92,31 @@ fn run_one(seed: u64, clients: usize, hours: f64, loss: f64, max_attempts: u32) 
     config.uplink.max_attempts = max_attempts;
     let start = SimTime::at(1, 7.0);
     let end = start + SimDuration::from_secs_f64(hours * 3600.0);
-    let coordinator = config.deployment.coordinator.clone();
-    let shard_cfg = wiscape_core::shard_run_config();
-    let rebalance_seed = shard_cfg.and_then(|sc| sc.rebalance_seed);
-    // With `--wal` the coordinator runs event-sourced: every commit is
-    // appended to a per-run log (and, with a crash seed, the run is
-    // killed and recovered mid-flight). With `--shards` the deployment
-    // runs N-way sharded (per-shard logs when both are set). Every
-    // combination must be byte-identical to the plain in-memory path —
-    // CI diffs the artifacts.
-    if let Some(wal) = wiscape_wal::run_config() {
+    // `repro --wal`/`--shards` run every cell on the installed topology
+    // (one WAL subdirectory per run); each must publish the bytes of
+    // the plain in-memory run, and CI diffs the artifacts.
+    let mut topology = topology::installed().cloned().unwrap_or_default();
+    if let Some(wal) = &mut topology.wal {
         let loss_permille = (loss * 1000.0).round() as u64;
-        let sub = wal.dir.join(format!(
+        wal.dir = wal.dir.join(format!(
             "fig15_s{seed}_c{clients}_l{loss_permille}_a{max_attempts}"
         ));
-        let open = |dir: &std::path::Path, i: u64| {
-            let plan = match wal.crash_seed {
-                Some(s) => wiscape_wal::CrashPlan::seeded(s.wrapping_add(i), 500),
-                None => wiscape_wal::CrashPlan::none(),
-            };
-            let opts = wiscape_wal::WalOptions {
-                snapshot_every: wal.snapshot_every,
-                plan,
-                ..wiscape_wal::WalOptions::default()
-            };
-            wiscape_wal::DurableCoordinator::create(dir, index.clone(), coordinator.clone(), opts)
-                .expect("wal directory writable")
-        };
-        if let Some(sc) = shard_cfg {
-            let shards = sc.shards.max(1);
-            let handles = (0..shards)
-                .map(|i| open(&sub.join(format!("shard-{i}")), i as u64))
-                .collect();
-            let assignment = ShardAssignment::even(&index, shards);
-            let set = ShardSet::from_handles(handles, assignment, index, coordinator);
-            let mut d = ChannelDeployment::with_coordinator(land, fleet, set, config);
-            let out = drive(&mut d, start, end, |set| rebalance(set, rebalance_seed));
-            d.handle_mut().shards_mut().for_each(close_wal);
-            return out;
-        }
-        let mut d = ChannelDeployment::with_coordinator(land, fleet, open(&sub, 0), config);
-        let out = drive(&mut d, start, end, |_| {});
-        close_wal(d.handle_mut());
-        return out;
     }
-    if let Some(sc) = shard_cfg {
-        let set = ShardSet::new(index, coordinator, sc.shards.max(1));
-        let mut d = ChannelDeployment::with_coordinator(land, fleet, set, config);
-        return drive(&mut d, start, end, |set| rebalance(set, rebalance_seed));
-    }
-    let mut d = ChannelDeployment::new(land, fleet, index, config);
-    drive(&mut d, start, end, |_| {})
+    topology::run(
+        &topology,
+        land,
+        fleet,
+        index,
+        config,
+        (start, end),
+        |coordinator, run| RunOutcome {
+            published: coordinator.all_published(),
+            control_bytes: run.meters.control_bytes(),
+            retries: run.meters.uplink.retries,
+            abandoned: run.meters.uplink.abandoned,
+        },
+    )
+    .unwrap_or_else(|e| panic!("fig15 on {topology:?}: {e}"))
 }
 
 /// Mean absolute relative error (%) and missing-pair count vs `base`.

@@ -22,13 +22,11 @@
 //!   zones inside the event footprint.
 //!
 //! The ingest path deliberately runs through [`wiscape_core::ShardSet`]
-//! honoring the ambient `--shards` run configuration, so the CI shard
-//! passes gate this figure's byte-identity across topologies too.
+//! on the installed topology's `--shards` count, so the CI shard passes
+//! gate this figure's byte-identity across topologies too.
 
 use serde::{Deserialize, Serialize};
-use wiscape_core::{
-    shard_run_config, CoordinatorConfig, MeasurementTask, SampleReport, ShardSet, ZoneId, ZoneIndex,
-};
+use wiscape_core::{CoordinatorConfig, MeasurementTask, SampleReport, ShardSet, ZoneId, ZoneIndex};
 use wiscape_mobility::ClientId;
 use wiscape_region::{
     locate_hotspots, locate_surges, region_fingerprint, score_patches, HotspotConfig, PatchTruth,
@@ -38,6 +36,7 @@ use wiscape_simcore::{SimDuration, SimTime, StreamRng};
 use wiscape_simnet::{Landscape, LandscapeConfig, NetworkId, TransportKind};
 
 use crate::common::Scale;
+use crate::topology;
 
 /// Probe shapes (paper Table 5 range): the estimation sweep uses the
 /// cheapest viable train — high per-sample noise is exactly the regime
@@ -165,17 +164,17 @@ fn sample_reports(
     reports
 }
 
-/// Folds reports through the sharded ingest path (honoring the ambient
-/// `--shards` run configuration) and returns the merged state.
+/// Folds reports through the sharded ingest path (on the installed
+/// topology's shard count) and returns the merged state.
 fn ingest(index: &ZoneIndex, reports: &[SampleReport]) -> wiscape_core::CoordinatorState {
-    let shards = shard_run_config().map(|c| c.shards).unwrap_or(1);
+    let shards = topology::installed().and_then(|t| t.shards).unwrap_or(1);
     // One epoch spanning the whole simulated week: this experiment
     // studies spatial pooling, not epoch dynamics.
     let config = CoordinatorConfig {
         default_epoch: SimDuration::from_mins(7 * 24 * 60),
         ..CoordinatorConfig::default()
     };
-    let mut set = ShardSet::new(index.clone(), config, shards.max(1));
+    let mut set = ShardSet::new(index.clone(), config, shards);
     set.ingest_batch(reports);
     set.merged_state()
 }

@@ -38,6 +38,7 @@ pub mod tab03;
 pub mod tab04;
 pub mod tab05;
 pub mod tab06;
+pub mod topology;
 
 pub use common::{Experiment, Scale};
 

@@ -199,31 +199,47 @@ fn owner(i: usize, workers: usize) -> usize {
     }
 }
 
-/// Mutates each item of `items` in place, in parallel, one worker per
-/// item. `f` receives `(index, &mut item)` and must be a pure function
-/// of the item's prior state and the index; under that contract the
-/// result is bitwise identical for any worker count.
+/// Mutates each item of `items` in place, in parallel, on at most
+/// [`thread_count`] threads. `f` receives `(index, &mut item)` and must
+/// be a pure function of the item's prior state and the index; under
+/// that contract the result is bitwise identical for any worker count.
+///
+/// The items are cut into contiguous runs of `ceil(items / threads)`,
+/// each folded in index order on its own scoped thread: with no more
+/// items than workers (one coordinator shard per worker) that is one
+/// thread per item. With one worker or one item it runs inline.
 ///
 /// This primitive is **panic-free** (no locks, no `expect`) so it may
 /// be called from panic-proved surfaces such as the shard ingest path.
-/// It is intended for small item counts (one coordinator shard per
-/// item), so it spawns one scoped thread per item rather than dealing
-/// items to [`thread_count`] workers.
 pub fn par_map_mut<T, F>(items: &mut [T], f: F)
 where
     T: Send,
     F: Fn(usize, &mut T) + Sync,
 {
-    if thread_count() <= 1 || items.len() <= 1 {
+    par_map_mut_with_threads(thread_count(), items, f);
+}
+
+/// [`par_map_mut`] with an explicit worker count.
+fn par_map_mut_with_threads<T, F>(threads: usize, items: &mut [T], f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut T) + Sync,
+{
+    if threads <= 1 || items.len() <= 1 {
         for (i, item) in items.iter_mut().enumerate() {
             f(i, item);
         }
         return;
     }
+    let per = items.len().div_ceil(threads);
     let f = &f;
     std::thread::scope(|scope| {
-        for (i, item) in items.iter_mut().enumerate() {
-            scope.spawn(move || f(i, item));
+        for (k, run) in items.chunks_mut(per).enumerate() {
+            scope.spawn(move || {
+                for (j, item) in run.iter_mut().enumerate() {
+                    f(k * per + j, item);
+                }
+            });
         }
     });
 }
@@ -348,5 +364,32 @@ mod tests {
         let mut empty: Vec<u64> = Vec::new();
         par_map_mut(&mut empty, |_, _| {});
         assert!(empty.is_empty());
+    }
+
+    /// More items than workers share the workers' threads, one
+    /// contiguous run per thread; no more items than workers get a
+    /// thread each. Both give the serial result.
+    #[test]
+    fn par_map_mut_starts_at_most_one_thread_per_worker() {
+        for (threads, n, want) in [(2, 8, 2), (4, 3, 3)] {
+            let mut items: Vec<(u64, Option<std::thread::ThreadId>)> =
+                (0..n).map(|x| (x, None)).collect();
+            par_map_mut_with_threads(threads, &mut items, |i, (x, id)| {
+                *x = *x * 7 + i as u64;
+                *id = Some(std::thread::current().id());
+            });
+            let values: Vec<u64> = items.iter().map(|&(x, _)| x).collect();
+            let serial: Vec<u64> = (0..n).map(|x| x * 8).collect();
+            assert_eq!(values, serial, "threads={threads} items={n}");
+            let ids: Vec<String> = items.iter().map(|(_, id)| format!("{id:?}")).collect();
+            let distinct: std::collections::BTreeSet<&String> = ids.iter().collect();
+            // Each thread's items are one contiguous run.
+            let runs = 1 + ids.windows(2).filter(|w| w[0] != w[1]).count();
+            assert_eq!(
+                (distinct.len(), runs),
+                (want, want),
+                "{threads} x {n}: {ids:?}"
+            );
+        }
     }
 }

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use wiscape_simcore::dist::{BoundedPareto, Exponential, LogNormal, Normal, Zipf};
 use wiscape_simcore::noise::{ValueNoise1D, ValueNoise2D};
 use wiscape_simcore::process::DiurnalProfile;
-use wiscape_simcore::{EventQueue, SimDuration, SimTime, StreamRng};
+use wiscape_simcore::{SimDuration, SimTime, StreamRng};
 
 proptest! {
     #[test]
@@ -21,23 +21,6 @@ proptest! {
         let h = t.hour_of_day();
         prop_assert!((0.0..24.0).contains(&h), "h = {h}");
         prop_assert!(t.day_of_week() < 7);
-    }
-
-    #[test]
-    fn event_queue_pops_sorted(times in prop::collection::vec(0i64..1_000_000, 1..200)) {
-        let mut q = EventQueue::new();
-        for (i, &s) in times.iter().enumerate() {
-            q.schedule(SimTime::from_micros(s), i);
-        }
-        let drained = q.drain_ordered();
-        prop_assert_eq!(drained.len(), times.len());
-        for w in drained.windows(2) {
-            prop_assert!(w[0].0 <= w[1].0);
-            if w[0].0 == w[1].0 {
-                // Ties pop in insertion order.
-                prop_assert!(w[0].1 < w[1].1);
-            }
-        }
     }
 
     #[test]

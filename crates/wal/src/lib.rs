@@ -28,6 +28,8 @@
 //! [`DurableCoordinator`] packages the three behind the
 //! [`wiscape_core::CoordinatorHandle`] trait, so the channel server
 //! drives a durable coordinator exactly as it drives a bare one.
+//! `wiscape map --wal` and `repro --wal` build theirs, one directory and
+//! [`WalOptions`] each, in `wiscape-experiments`' topology runner.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -45,33 +47,3 @@ pub use record::{decode_record_view, IngestView, RecordEncoder, RecordView, WalE
 pub use snapshot::{
     decode_state, encode_state, load_snapshot, read_manifest, write_snapshot, SnapshotWriteMode,
 };
-
-use std::path::PathBuf;
-use std::sync::OnceLock;
-
-/// Per-run WAL wiring chosen on the command line and read by the
-/// experiment drivers (which construct their own coordinators deep
-/// inside deterministic run loops, where threading a parameter through
-/// every call site would distort the reproduction code).
-#[derive(Debug, Clone)]
-pub struct WalRunConfig {
-    /// Root directory for WAL subdirectories (one per run).
-    pub dir: PathBuf,
-    /// Seed for the injected crash; `None` runs without one.
-    pub crash_seed: Option<u64>,
-    /// Snapshot cadence in records.
-    pub snapshot_every: u64,
-}
-
-static RUN_CONFIG: OnceLock<WalRunConfig> = OnceLock::new();
-
-/// Installs the process-wide WAL run configuration. First caller wins;
-/// returns whether this call installed it.
-pub fn set_run_config(config: WalRunConfig) -> bool {
-    RUN_CONFIG.set(config).is_ok()
-}
-
-/// The process-wide WAL run configuration, if one was installed.
-pub fn run_config() -> Option<&'static WalRunConfig> {
-    RUN_CONFIG.get()
-}

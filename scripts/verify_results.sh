@@ -53,11 +53,16 @@
 # both zone-map CSVs must be byte-identical to the plain run's, and the
 # WAL run must report exactly one recovery.
 #
-# Last, every file the three WAL-writing passes left on disk (the repro
-# crash pass, the sharded WAL pass and the CLI WAL pass: segments,
-# snapshots and manifests) is hashed into one sorted list and diffed
-# against results/WAL_MANIFEST.sha256, so a change to the record,
-# snapshot or manifest encoding cannot pass unseen.
+# A CLI sharded WAL pass runs the one `wiscape map` topology no pass
+# above runs: four shards with the seeded rebalance, one WAL per shard
+# and a seeded crash. Its zone map must be byte-identical to the plain
+# map of the same window, and a shard's crash must fire.
+#
+# Last, every file the four WAL-writing passes left on disk (the repro
+# crash pass, the sharded WAL pass, the CLI WAL pass and the CLI sharded
+# WAL pass: segments, snapshots and manifests) is hashed into one sorted
+# list and diffed against results/WAL_MANIFEST.sha256, so a change to the
+# record, snapshot or manifest encoding cannot pass unseen.
 #
 # Usage:
 #   scripts/verify_results.sh            # verify against the manifests
@@ -73,7 +78,7 @@ rebalance_seed=5
 
 cargo build --release -q -p wiscape-experiments --bin repro
 rm -rf "$out" "$out.serial" "$out.wal" "$out.waldir" "$out.shard1" "$out.shard4" "$out.shardwal" \
-    "$out.shardwaldir" "$out.mapwal"
+    "$out.shardwaldir" "$out.mapwal" "$out.mapshardwal"
 ./target/release/repro --seed 7 --quick --out "$out" --obs "$out.obs.json" >/dev/null
 echo "[verify_results] obs snapshot: $out.obs.json"
 
@@ -215,10 +220,34 @@ done
 estimates=$(($(wc -l < "$out.map.csv") - 1))
 echo "[verify_results] OK: CLI WAL crash (seed $wal_crash_seed) + --recover byte-identical ($estimates zone estimates)"
 
+# --- CLI sharded WAL crash pass ---------------------------------------------
+# `wiscape map` on four shards with the seeded rebalance, one WAL per
+# shard (DIR/shard-<i>) and the seeded crash: its zone map must equal
+# the plain map of the same window, and the recovery count on stderr
+# proves a shard's crash fired. 0.1 h is six check-in rounds, the
+# shortest window in which one does (at five rounds none fires).
+shard_wal_hours=0.1
+./target/release/wiscape map --seed 7 --hours "$shard_wal_hours" --out "$out.mapshort.csv" >/dev/null
+if ! ./target/release/wiscape map --seed 7 --hours "$shard_wal_hours" --shards 4 \
+        --rebalance-seed "$rebalance_seed" --wal "$out.mapshardwal" \
+        --crash-seed "$wal_crash_seed" --out "$out.mapshardwal.csv" 2> "$out.mapshardwal.log" \
+   || ! grep -Eq ' [1-9][0-9]* recoveries \(4 shards\)$' "$out.mapshardwal.log"; then
+    echo "[verify_results] FAIL: map --shards 4 --wal --crash-seed $wal_crash_seed did not crash and recover:" >&2
+    cat "$out.mapshardwal.log" >&2
+    exit 1
+fi
+if ! cmp -s "$out.mapshort.csv" "$out.mapshardwal.csv"; then
+    echo "[verify_results] FAIL: zone map drifted in the CLI sharded WAL pass" >&2
+    exit 1
+fi
+estimates=$(($(wc -l < "$out.mapshort.csv") - 1))
+echo "[verify_results] OK: CLI sharded WAL crash (4 shards, rebalance seed $rebalance_seed, crash seed $wal_crash_seed, $shard_wal_hours h) byte-identical ($estimates zone estimates)"
+
 # --- WAL byte-identity pass ------------------------------------------------
-# Every WAL file of the crash, sharded-WAL and CLI WAL passes, hashed
-# under a path relative to its pass directory, in one sorted list.
-for pass in waldir shardwaldir mapwal; do
+# Every WAL file of the crash, sharded-WAL, CLI WAL and CLI sharded WAL
+# passes, hashed under a path relative to its pass directory, in one
+# sorted list.
+for pass in waldir shardwaldir mapwal mapshardwal; do
     (cd "$out.$pass" && find . -type f | LC_ALL=C sort | xargs sha256sum --) \
         | sed "s|  \./|  $pass/|"
 done | LC_ALL=C sort -k2 > "$out.wal_files.sha256"

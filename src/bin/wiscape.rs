@@ -30,11 +30,18 @@
 //! wiscape epoch  [--seed N] [--region wi|nj]                Allan-deviation epoch profile
 //! wiscape quality [--seed N] [--lat L --lon L] [--hour H]   ground-truth link quality lookup
 //! ```
+//!
+//! Every `map` run except `--recover` goes through the one topology
+//! runner, `wiscape_experiments::topology::run` (fig15 uses it too): it
+//! builds the coordinator handle that `--shards` and `--wal` pick
+//! (`--shards 1` is the single coordinator), applies `--rebalance-seed`
+//! at the midpoint, drains, and shuts every WAL down. The flag checks
+//! that reject combinations no run can honour live beside it, in
+//! `Topology::new`.
 
-use wiscape::core::{CoordinatorHandle, RebalanceMove, ShardAssignment, ShardSet};
 use wiscape::datasets::{save_csv, short_segment, spot, standalone, wirover};
+use wiscape::experiments::topology::{self, Rebalance, RunSummary, Topology};
 use wiscape::prelude::*;
-use wiscape::wal::DurableCoordinator;
 
 struct Args {
     flags: std::collections::BTreeMap<String, String>,
@@ -60,13 +67,14 @@ impl Args {
     }
 
     fn u64_flag(&self, name: &str, default: u64) -> u64 {
-        self.flags
-            .get(name)
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| die(&format!("--{name}: not an integer: {v}")))
-            })
-            .unwrap_or(default)
+        self.opt_u64(name).unwrap_or(default)
+    }
+
+    fn opt_u64(&self, name: &str) -> Option<u64> {
+        self.flags.get(name).map(|v| {
+            v.parse()
+                .unwrap_or_else(|_| die(&format!("--{name}: not an integer: {v}")))
+        })
     }
 
     fn f64_flag(&self, name: &str, default: f64) -> f64 {
@@ -127,16 +135,16 @@ fn cmd_map(args: &Args) {
         ));
     }
     let window = SimDuration::from_secs_f64(hours * 3600.0);
-    if args.flags.contains_key("crash-seed") && !args.flags.contains_key("wal") {
-        die("--crash-seed requires --wal DIR");
-    }
-    if args.flags.contains_key("rebalance-seed") && !args.flags.contains_key("shards") {
-        die("--rebalance-seed requires --shards N");
-    }
-    let shards = match args.u64_flag("shards", 1) {
-        0 => die("--shards must be at least 1"),
-        n => usize::try_from(n).unwrap_or_else(|_| die(&format!("--shards: too large: {n}"))),
-    };
+    let shards = args
+        .opt_u64("shards")
+        .map(|n| usize::try_from(n).unwrap_or_else(|_| die(&format!("--shards: too large: {n}"))));
+    let wal_dir = args.str_flag("wal").map(std::path::PathBuf::from);
+    let crash_seed = args.opt_u64("crash-seed");
+    let mut topology = Topology::new(shards, args.opt_u64("rebalance-seed"), wal_dir, crash_seed)
+        .unwrap_or_else(|e| die(&e.message("--crash-seed")));
+    // `--shards 1` is the single coordinator here (`repro` keeps it as
+    // a one-shard set).
+    topology.shards = topology.shards.filter(|&n| n > 1);
     // Telemetry comes from the shared obs registry: on for --obs (to
     // dump a snapshot) and for lossy runs (to print the channel/ingest
     // meters below).
@@ -145,6 +153,7 @@ fn cmd_map(args: &Args) {
         wiscape::obs::set_enabled(true);
     }
     let land = landscape(args);
+    let index = ZoneIndex::around(land.origin(), 7000.0).expect("valid zone index");
     let config = if loss > 0.0 {
         report_loss(loss)
     } else {
@@ -154,7 +163,6 @@ fn cmd_map(args: &Args) {
     // WAL directory (latest snapshot + log replay) and dump the zone map
     // it had published — byte-identical to the run that wrote the log.
     if let Some(dir) = args.str_flag("recover") {
-        let index = ZoneIndex::around(land.origin(), 7000.0).expect("valid zone index");
         let (recovered, report) = wiscape::wal::DurableCoordinator::recover(
             std::path::Path::new(dir),
             index,
@@ -173,93 +181,35 @@ fn cmd_map(args: &Args) {
     fleet
         .add_transit_buses(5, land.origin(), 6000.0, 10)
         .add_static_spot(land.origin());
-    let index = ZoneIndex::around(land.origin(), 7000.0).expect("valid zone index");
-    let rebalance_seed = args.flags.get("rebalance-seed").map(|v| {
-        v.parse::<u64>()
-            .unwrap_or_else(|_| die(&format!("--rebalance-seed: not an integer: {v}")))
-    });
-    let crash_plan_for = |i: usize| match args.flags.get("crash-seed") {
-        Some(v) => {
-            let s: u64 = v
-                .parse()
-                .unwrap_or_else(|_| die(&format!("--crash-seed: not an integer: {v}")));
-            wiscape::wal::CrashPlan::seeded(s.wrapping_add(i as u64), 500)
-        }
-        None => wiscape::wal::CrashPlan::none(),
-    };
-    let wal_opts_for = |i: usize| wiscape::wal::WalOptions {
-        snapshot_every: 256,
-        plan: crash_plan_for(i),
-        ..wiscape::wal::WalOptions::default()
-    };
-    let coordinator = config.deployment.coordinator.clone();
-    let open_wal = |dir: &std::path::Path, i: usize| {
-        DurableCoordinator::create(dir, index.clone(), coordinator.clone(), wal_opts_for(i))
-            .unwrap_or_else(|e| die(&format!("wal {}: {e}", dir.display())))
-    };
-    match (args.str_flag("wal"), shards > 1) {
-        (None, false) => {
-            let mut deployment = ChannelDeployment::new(land, fleet, index, config);
-            drive_map(&mut deployment, loss, start, window, |_| {});
-            emit_map(args, deployment.coordinator(), obs_path);
-        }
-        (None, true) => {
-            let set = ShardSet::new(index, coordinator, shards);
-            let mut deployment = ChannelDeployment::with_coordinator(land, fleet, set, config);
-            drive_map(&mut deployment, loss, start, window, |set| {
-                rebalance(set, rebalance_seed)
-            });
-            emit_map(args, deployment.coordinator(), obs_path);
-        }
-        (Some(dir), false) => {
-            let wal = open_wal(std::path::Path::new(dir), 0);
-            let mut deployment = ChannelDeployment::with_coordinator(land, fleet, wal, config);
-            drive_map(&mut deployment, loss, start, window, |_| {});
-            close_wals(std::iter::once(deployment.handle_mut()), "");
-            emit_map(args, deployment.coordinator(), obs_path);
-        }
-        (Some(dir), true) => {
-            // Sharded + durable: each shard logs its own event stream
-            // (including MigrateOut/MigrateIn on a rebalance) under
-            // DIR/shard-<i> and recovers independently.
-            let handles = (0..shards)
-                .map(|i| open_wal(&std::path::Path::new(dir).join(format!("shard-{i}")), i))
-                .collect();
-            let assignment = ShardAssignment::even(&index, shards);
-            let set = ShardSet::from_handles(handles, assignment, index, coordinator);
-            let mut deployment = ChannelDeployment::with_coordinator(land, fleet, set, config);
-            drive_map(&mut deployment, loss, start, window, |set| {
-                rebalance(set, rebalance_seed)
-            });
-            let suffix = format!(" ({shards} shards)");
-            close_wals(deployment.handle_mut().shards_mut(), &suffix);
-            emit_map(args, deployment.coordinator(), obs_path);
-        }
-    }
+    let window_micros = u64::try_from(window.as_micros()).unwrap_or(0);
+    let window = (start, start + window);
+    topology::run(
+        &topology,
+        land,
+        fleet,
+        index,
+        config,
+        window,
+        |coordinator, run| {
+            wiscape::obs::span("map/sim_window").record_micros(window_micros);
+            print_run(run, loss, topology.shards);
+            emit_map(args, coordinator, obs_path);
+        },
+    )
+    .unwrap_or_else(|e| die(&e.to_string()));
 }
 
-/// Runs the deployment over the window in two segments split on the
-/// check-in boundary nearest the midpoint, applying `mid_run` to the
-/// coordinator handle between them (a split run draws the same task
-/// coins as an unsplit one), then prints the run's meters.
-fn drive_map<C: CoordinatorHandle>(
-    deployment: &mut ChannelDeployment<C>,
-    loss: f64,
-    start: SimTime,
-    window: SimDuration,
-    mid_run: impl FnOnce(&mut C),
-) {
-    let end = start + window;
-    let interval = deployment.checkin_interval();
-    let rounds = window.as_micros() / interval.as_micros().max(1);
-    let mid = start + interval * (rounds / 2);
-    deployment.run_until(start, mid);
-    mid_run(deployment.handle_mut());
-    deployment.run_until(mid, end);
-    deployment.finish(end);
-    wiscape::obs::span("map/sim_window")
-        .record_micros(u64::try_from(window.as_micros()).unwrap_or(0));
-    let stats = deployment.stats();
+/// The run's stderr report: the rebalance, the deployment counters, the
+/// channel and ingest meters of a lossy run, and the summed WAL meters.
+fn print_run(run: &RunSummary, loss: f64, shards: Option<usize>) {
+    match run.rebalance {
+        Some(Rebalance::Moved { cells, from, to }) => {
+            eprintln!("rebalance: moved {cells} cells from shard {from} to shard {to}")
+        }
+        Some(Rebalance::NoMove) => eprintln!("rebalance: no applicable move (single range?)"),
+        None => {}
+    }
+    let stats = run.stats;
     eprintln!(
         "deployment: {} checkins, {} tasks, {} packets requested",
         stats.checkins, stats.tasks_issued, stats.packets_requested
@@ -269,13 +219,12 @@ fn drive_map<C: CoordinatorHandle>(
         // the same counters every instrumented layer reports through —
         // so the CLI shows the server's dedup drops *and* the
         // coordinator's malformed-sample drops side by side.
-        let m = deployment.meters();
         eprintln!(
             "channel: {} control bytes, {} retries, {} duplicates dropped, {} reports pending",
-            m.control_bytes(),
+            run.meters.control_bytes(),
             wiscape::obs::counter("channel/uplink_retries").get(),
             wiscape::obs::counter("channel/server_duplicates_dropped").get(),
-            deployment.pending_reports()
+            run.pending_reports
         );
         eprintln!(
             "ingest: {} reports ingested, {} rejected, {} malformed samples dropped",
@@ -284,43 +233,13 @@ fn drive_map<C: CoordinatorHandle>(
             wiscape::obs::counter("coordinator/malformed_dropped").get()
         );
     }
-}
-
-/// `--rebalance-seed`: the seeded zone-range move, applied mid-run.
-fn rebalance<C: CoordinatorHandle>(set: &mut ShardSet<C>, seed: Option<u64>) {
-    let Some(seed) = seed else { return };
-    match RebalanceMove::seeded(seed, set.index(), set.assignment()) {
-        Some(mv) => {
-            let moved = set.rebalance(&mv);
-            eprintln!(
-                "rebalance: moved {moved} cells from shard {} to shard {}",
-                mv.from, mv.to
-            );
-        }
-        None => eprintln!("rebalance: no applicable move (single range?)"),
+    if let Some(m) = run.wal {
+        let suffix = shards.map(|n| format!(" ({n} shards)")).unwrap_or_default();
+        eprintln!(
+            "wal: {} records, {} bytes, {} snapshots, {} recoveries{suffix}",
+            m.records, m.bytes_appended, m.snapshots, m.recoveries
+        );
     }
-}
-
-/// Shuts every WAL down, dies if a recovery diverged from the live
-/// run, and prints the WAL meters summed over them.
-fn close_wals<'a>(wals: impl Iterator<Item = &'a mut DurableCoordinator>, suffix: &str) {
-    let mut totals = (0u64, 0u64, 0u64, 0u64);
-    for wal in wals {
-        wal.shutdown()
-            .unwrap_or_else(|e| die(&format!("wal shutdown: {e}")));
-        let m = wal.wal_meters();
-        if m.recovery_mismatches != 0 {
-            die("wal recovery diverged from the live run");
-        }
-        totals.0 += m.records;
-        totals.1 += m.bytes_appended;
-        totals.2 += m.snapshots;
-        totals.3 += m.recoveries;
-    }
-    eprintln!(
-        "wal: {} records, {} bytes, {} snapshots, {} recoveries{suffix}",
-        totals.0, totals.1, totals.2, totals.3
-    );
 }
 
 fn emit_map(args: &Args, coordinator: &Coordinator, obs_path: Option<&str>) {

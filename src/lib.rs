@@ -12,8 +12,8 @@
 //!
 //! * [`geo`] — geodesy (points, projections, routes, grids);
 //! * [`stats`] — statistics (moments, ECDF, Allan deviation, NKLD);
-//! * [`simcore`] — deterministic simulation kernel (clock, events, RNG
-//!   streams, noise, diurnal processes);
+//! * [`simcore`] — deterministic simulation kernel (clock, RNG streams,
+//!   noise, diurnal processes, the deterministic parallel executor);
 //! * [`simnet`] — the cellular landscape simulator and probe engine;
 //! * [`mobility`] — buses, cars, and static clients;
 //! * [`datasets`] — regenerators for the paper's seven datasets;
