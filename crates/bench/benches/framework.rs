@@ -3,11 +3,11 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use wiscape_bench::bench_landscape;
+use wiscape_bench::{bench_landscape, bench_point};
 use wiscape_channel::{perfect_link, ChannelDeployment};
 use wiscape_core::ZoneIndex;
-use wiscape_datasets::{standalone, wirover};
-use wiscape_mobility::Fleet;
+use wiscape_datasets::{spot, standalone, wirover};
+use wiscape_mobility::{ClientId, Fleet};
 use wiscape_simcore::{SimDuration, SimTime};
 
 fn dataset_benches(c: &mut Criterion) {
@@ -40,6 +40,23 @@ fn dataset_benches(c: &mut Criterion) {
                     buses: 2,
                     include_intercity: false,
                     ping_interval_s: 60,
+                    ..Default::default()
+                },
+            ))
+        })
+    });
+    // One day of 10 s rounds (Table 4's cadence) at one point on all
+    // three networks, with the default 20-packet trains.
+    let point = bench_point(&land);
+    group.bench_function("spot_1day_10s", |b| {
+        b.iter(|| {
+            black_box(spot::generate(
+                &land,
+                ClientId(700),
+                point,
+                &spot::SpotParams {
+                    days: 1,
+                    interval_s: 10,
                     ..Default::default()
                 },
             ))

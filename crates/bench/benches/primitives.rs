@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 use wiscape_bench::{bench_landscape, bench_point, bench_pools, bench_series};
-use wiscape_core::sampling::sample_nkld;
+use wiscape_core::sampling::{nkld_curve_mode, sample_nkld, WindowMode};
 use wiscape_core::{ZoneId, ZoneIndex};
 use wiscape_simcore::noise::ValueNoise2D;
 use wiscape_simcore::{SimTime, StreamRng};
@@ -24,6 +24,26 @@ fn stats_benches(c: &mut Criterion) {
     let (pool_a, pool_b) = bench_pools(5_000);
     c.bench_function("nkld_5k_vs_5k", |b| {
         b.iter(|| sample_nkld(black_box(&pool_a), black_box(&pool_b)).unwrap())
+    });
+
+    // Fig 7's quick shape: 30 checkpoints of 40 scattered draws each,
+    // from a 7,390-sample pool, against a 7,670-sample reference.
+    let (reference, mut incoming) = bench_pools(7_670);
+    incoming.truncate(7_390);
+    let checkpoints: Vec<usize> = (1..=30).map(|k| k * 10).collect();
+    c.bench_function("nkld_curve_fig07_quick", |b| {
+        b.iter(|| {
+            let mut rng = StreamRng::new(7).rng();
+            nkld_curve_mode(
+                black_box(&reference),
+                black_box(&incoming),
+                &checkpoints,
+                40,
+                WindowMode::Scattered,
+                &mut rng,
+            )
+            .unwrap()
+        })
     });
 
     let values: Vec<f64> = pool_a.clone();

@@ -31,15 +31,35 @@ pub fn sample_nkld(a: &[f64], b: &[f64]) -> Result<f64, StatsError> {
     if a.is_empty() || b.is_empty() {
         return Err(StatsError::NotEnoughSamples { needed: 1, got: 0 });
     }
-    let lo = a.iter().chain(b).cloned().fold(f64::INFINITY, f64::min);
-    let hi = a.iter().chain(b).cloned().fold(f64::NEG_INFINITY, f64::max);
-    let hi = if hi > lo { hi } else { lo + 1.0 };
-    let ha = Histogram::from_samples(lo, hi, NKLD_BINS, a)?;
-    let hb = Histogram::from_samples(lo, hi, NKLD_BINS, b)?;
-    nkld(
-        &ha.pmf_smoothed(NKLD_SMOOTHING),
-        &hb.pmf_smoothed(NKLD_SMOOTHING),
-    )
+    let range = pooled_range(bounds(NO_BOUNDS, a), b);
+    nkld(&smoothed_pmf(range, a)?, &smoothed_pmf(range, b)?)
+}
+
+/// The `(min, max)` of no samples: the identity of [`bounds`].
+const NO_BOUNDS: (f64, f64) = (f64::INFINITY, f64::NEG_INFINITY);
+
+/// Folds `samples` into running `(min, max)` bounds, in slice order
+/// (`f64::min` and `f64::max` skip NaN). Folding `a` and then `b` is
+/// the one fold over `a` chained with `b`, so bounds computed once for
+/// a fixed `a` can be extended per `b` with bitwise the same result.
+fn bounds((lo, hi): (f64, f64), samples: &[f64]) -> (f64, f64) {
+    samples
+        .iter()
+        .fold((lo, hi), |(lo, hi), &x| (f64::min(lo, x), f64::max(hi, x)))
+}
+
+/// The binning range `[lo, hi)` of `samples` pooled with the samples
+/// whose bounds are `pooled`: their joint min and max, widened to one
+/// unit when every pooled sample is equal.
+fn pooled_range(pooled: (f64, f64), samples: &[f64]) -> (f64, f64) {
+    let (lo, hi) = bounds(pooled, samples);
+    (lo, if hi > lo { hi } else { lo + 1.0 })
+}
+
+/// The one NKLD binning: `samples` in [`NKLD_BINS`] bins over `range`,
+/// Laplace-smoothed by [`NKLD_SMOOTHING`].
+fn smoothed_pmf((lo, hi): (f64, f64), samples: &[f64]) -> Result<Vec<f64>, StatsError> {
+    Ok(Histogram::from_samples(lo, hi, NKLD_BINS, samples)?.pmf_smoothed(NKLD_SMOOTHING))
 }
 
 /// How [`nkld_curve_mode`] draws an `n`-sample subset from the incoming
@@ -60,6 +80,13 @@ pub enum WindowMode {
 /// The Fig 7 curve: average NKLD between `n` samples drawn from
 /// `incoming` (per `mode`) and the `reference` distribution, for each
 /// `n` in `checkpoints`, averaged over `iterations` random draws.
+///
+/// Every draw's NKLD is bitwise [`sample_nkld`]`(reference, draw)`, but
+/// the reference is not re-scanned per draw: its bounds are folded
+/// once, and it is re-binned only when a draw's pooled range differs
+/// bitwise from the previous draw's. A draw whose samples lie inside
+/// the reference's range, which is most of them, pools to the
+/// reference's own range and reuses its pmf.
 pub fn nkld_curve_mode<R: Rng>(
     reference: &[f64],
     incoming: &[f64],
@@ -74,24 +101,37 @@ pub fn nkld_curve_mode<R: Rng>(
             got: reference.len().min(incoming.len()),
         });
     }
+    let reference_bounds = bounds(NO_BOUNDS, reference);
+    // The reference pmf of the last pooled range, keyed by its bits.
+    let mut binned: Option<([u64; 2], Vec<f64>)> = None;
     let mut out = Vec::with_capacity(checkpoints.len());
     for &n in checkpoints {
         let n = n.max(1);
         let mut acc = 0.0;
         let mut cnt = 0;
         for _ in 0..iterations.max(1) {
-            let take: Vec<f64> = if n >= incoming.len() {
-                incoming.to_vec()
+            let scattered: Vec<f64>;
+            let take: &[f64] = if n >= incoming.len() {
+                incoming
             } else {
                 match mode {
                     WindowMode::Contiguous => {
                         let start = rng.gen_range(0..=incoming.len() - n);
-                        incoming[start..start + n].to_vec()
+                        &incoming[start..start + n]
                     }
-                    WindowMode::Scattered => incoming.choose_multiple(rng, n).copied().collect(),
+                    WindowMode::Scattered => {
+                        scattered = incoming.choose_multiple(rng, n).copied().collect();
+                        &scattered
+                    }
                 }
             };
-            acc += sample_nkld(reference, &take)?;
+            let range = pooled_range(reference_bounds, take);
+            let key = [range.0.to_bits(), range.1.to_bits()];
+            let reference_pmf = match &mut binned {
+                Some((k, pmf)) if *k == key => pmf,
+                slot => &slot.insert((key, smoothed_pmf(range, reference)?)).1,
+            };
+            acc += nkld(reference_pmf, &smoothed_pmf(range, take)?)?;
             cnt += 1;
         }
         out.push((n, acc / cnt as f64));
@@ -331,6 +371,148 @@ mod tests {
             &mut r,
         );
         assert_eq!(res, None);
+    }
+
+    type Curve = Result<Vec<(usize, f64)>, StatsError>;
+
+    /// The loop [`nkld_curve_mode`] replaced: each draw through
+    /// [`sample_nkld`], re-binning the reference every time. Also returns
+    /// each draw's pooled `(min, max)`, folded over the reference chained
+    /// with the draw as `sample_nkld` used to fold it.
+    fn per_draw_curve(
+        reference: &[f64],
+        incoming: &[f64],
+        checkpoints: &[usize],
+        iterations: usize,
+        mode: WindowMode,
+        rng: &mut ChaCha8Rng,
+    ) -> (Curve, Vec<(f64, f64)>) {
+        let mut ranges = Vec::new();
+        let mut out = Vec::new();
+        for &n in checkpoints {
+            let n = n.max(1);
+            let mut acc = 0.0;
+            let mut cnt = 0;
+            for _ in 0..iterations.max(1) {
+                let take: Vec<f64> = if n >= incoming.len() {
+                    incoming.to_vec()
+                } else {
+                    match mode {
+                        WindowMode::Contiguous => {
+                            let start = rng.gen_range(0..=incoming.len() - n);
+                            incoming[start..start + n].to_vec()
+                        }
+                        WindowMode::Scattered => {
+                            incoming.choose_multiple(rng, n).copied().collect()
+                        }
+                    }
+                };
+                let pooled = || reference.iter().chain(&take).copied();
+                ranges.push((
+                    pooled().fold(f64::INFINITY, f64::min),
+                    pooled().fold(f64::NEG_INFINITY, f64::max),
+                ));
+                match sample_nkld(reference, &take) {
+                    Ok(v) => acc += v,
+                    Err(e) => return (Err(e), ranges),
+                }
+                cnt += 1;
+            }
+            out.push((n, acc / cnt as f64));
+        }
+        (Ok(out), ranges)
+    }
+
+    fn bits(curve: Curve) -> Result<Vec<(usize, u64)>, StatsError> {
+        curve.map(|c| c.into_iter().map(|(n, v)| (n, v.to_bits())).collect())
+    }
+
+    #[test]
+    fn reference_memo_matches_per_draw_nkld_bitwise() {
+        // Integers 0..=10 on the reference's bin edges, a -0.0 beside its
+        // 0.0s, and NaN; the incoming pool reaches one unit past either
+        // end, so some draws widen the pooled range and most keep it.
+        let edges: Vec<f64> = (0..400)
+            .map(|i| match i {
+                0 => -0.0,
+                _ if i % 37 == 5 => f64::NAN,
+                _ => (i % 11) as f64,
+            })
+            .collect();
+        let wider: Vec<f64> = (0..300)
+            .map(|i| match i {
+                _ if i % 41 == 3 => f64::NAN,
+                _ if i % 29 == 0 => -0.0,
+                _ => ((i * 7) % 25) as f64 * 0.5 - 1.0,
+            })
+            .collect();
+        // Widening only the top of the range keeps `lo` while `hi`
+        // moves, so a memo keyed on one end alone reuses a stale pmf.
+        let above: Vec<f64> = (0..300)
+            .map(|i| {
+                if i % 23 == 0 {
+                    14.0 + (i % 5) as f64
+                } else {
+                    (i % 10) as f64
+                }
+            })
+            .collect();
+        // A constant reference pools to `[5, 6)` whether or not a draw
+        // holds a 6.0.
+        let constant = vec![5.0; 64];
+        let mostly_constant: Vec<f64> = (0..80)
+            .map(|i| if i % 9 == 0 { 6.0 } else { 5.0 })
+            .collect();
+        // An infinite sample fails the first draw that holds it.
+        let with_inf: Vec<f64> = (0..300)
+            .map(|i| {
+                if i == 250 {
+                    f64::INFINITY
+                } else {
+                    (i % 10) as f64
+                }
+            })
+            .collect();
+        let lognormal = (pool(1000.0, 0.1, 2000, 21), pool(1000.0, 0.1, 1500, 22));
+        let cases: [(&str, &[f64], &[f64]); 7] = [
+            ("edges/wider", &edges, &wider),
+            ("edges/above", &edges, &above),
+            ("wider/edges", &wider, &edges),
+            ("constant", &constant, &mostly_constant),
+            ("edges/inf", &edges, &with_inf),
+            ("inf/edges", &with_inf, &edges),
+            ("lognormal", &lognormal.0, &lognormal.1),
+        ];
+        let (mut kept, mut changed, mut errors) = (0, 0, 0);
+        for mode in [WindowMode::Contiguous, WindowMode::Scattered] {
+            for (name, reference, incoming) in cases {
+                let checkpoints = [1, 2, 5, 20, 100, incoming.len() - 1, incoming.len() + 3];
+                let seed = 7 + reference.len() as u64;
+                let mut r = ChaCha8Rng::seed_from_u64(seed);
+                let memo = nkld_curve_mode(reference, incoming, &checkpoints, 25, mode, &mut r);
+                let mut r = ChaCha8Rng::seed_from_u64(seed);
+                let (direct, ranges) =
+                    per_draw_curve(reference, incoming, &checkpoints, 25, mode, &mut r);
+                errors += usize::from(direct.is_err());
+                assert_eq!(bits(memo), bits(direct), "{name} {mode:?}");
+                for w in ranges.windows(2) {
+                    let same = w[0].0.to_bits() == w[1].0.to_bits()
+                        && w[0].1.to_bits() == w[1].1.to_bits();
+                    if same {
+                        kept += 1;
+                    } else {
+                        changed += 1;
+                    }
+                }
+            }
+        }
+        // Both memo paths ran: draws that reuse the last pooled range
+        // and draws that re-bin the reference; so did the error path.
+        assert!(
+            kept > 100 && changed > 100,
+            "kept {kept}, changed {changed}"
+        );
+        assert_eq!(errors, 4);
     }
 
     #[test]

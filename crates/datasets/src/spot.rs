@@ -7,7 +7,7 @@
 use wiscape_geo::GeoPoint;
 use wiscape_mobility::ClientId;
 use wiscape_simcore::{SimDuration, SimTime};
-use wiscape_simnet::{Landscape, TransportKind};
+use wiscape_simnet::{Landscape, TransportKind, UdpTrain};
 
 use crate::record::{Dataset, MeasurementRecord, Metric};
 
@@ -36,11 +36,19 @@ impl Default for SpotParams {
     }
 }
 
+/// Round start times probed per batched call: one field resolution of
+/// the fixed point serves a block of trains, and the trains held at once
+/// stay bounded (networks × 2 transports × `ROUND_BLOCK`).
+const ROUND_BLOCK: usize = 64;
+
 /// Generates a Spot dataset at one static location, measuring every
 /// network present in the landscape.
 ///
 /// Produces [`Metric::TcpKbps`], [`Metric::UdpKbps`], [`Metric::JitterMs`],
-/// and [`Metric::LossRate`] records each round.
+/// and [`Metric::LossRate`] records each round, in (round, network,
+/// transport) order. Each (network, transport) pair probes a block of
+/// rounds through [`Landscape::probe_trains`], whose trains are bitwise
+/// the per-round [`Landscape::probe_train`] calls.
 pub fn generate(
     land: &Landscape,
     client: ClientId,
@@ -48,67 +56,69 @@ pub fn generate(
     params: &SpotParams,
 ) -> Dataset {
     let mut ds = Dataset::new("Static");
-    for day in 0..params.days {
-        let day_start = SimTime::at(day, 0.0);
+    let networks = land.networks();
+    let step = SimDuration::from_secs(params.interval_s);
+    let mut rounds = (0..params.days).flat_map(|day| {
         let day_end = SimTime::at(day + 1, 0.0);
-        let mut t = day_start;
-        while t < day_end {
-            for net in land.networks() {
-                for (kind, metric) in [
-                    (TransportKind::Tcp, Metric::TcpKbps),
-                    (TransportKind::Udp, Metric::UdpKbps),
-                ] {
-                    let train = land
-                        .probe_train(
-                            net,
-                            kind,
-                            &point,
-                            t,
-                            params.train_packets,
-                            params.packet_bytes,
-                        )
-                        .expect("network present");
-                    if let Some(est) = train.estimated_kbps() {
-                        ds.records.push(MeasurementRecord {
-                            client,
-                            network: net,
-                            metric,
-                            t,
-                            point,
-                            speed_mps: 0.0,
-                            value: est,
-                        });
-                    }
-                    // Jitter and loss ride on the UDP train (RFC 3393
-                    // IPDV is defined on the probe stream).
-                    if kind == TransportKind::Udp {
-                        if let Some(j) = train.jitter_ms() {
-                            ds.records.push(MeasurementRecord {
-                                client,
-                                network: net,
-                                metric: Metric::JitterMs,
-                                t,
-                                point,
-                                speed_mps: 0.0,
-                                value: j,
-                            });
-                        }
-                        ds.records.push(MeasurementRecord {
-                            client,
-                            network: net,
-                            metric: Metric::LossRate,
-                            t,
-                            point,
-                            speed_mps: 0.0,
-                            value: train.loss_rate(),
-                        });
-                    }
+        std::iter::successors(Some(SimTime::at(day, 0.0)), move |t| Some(*t + step))
+            .take_while(move |t| *t < day_end)
+    });
+    let mut starts = Vec::with_capacity(ROUND_BLOCK);
+    loop {
+        starts.clear();
+        starts.extend(rounds.by_ref().take(ROUND_BLOCK));
+        if starts.is_empty() {
+            return ds;
+        }
+        let probe = |net, kind| {
+            land.probe_trains(
+                net,
+                kind,
+                &point,
+                &starts,
+                params.train_packets,
+                params.packet_bytes,
+            )
+            .expect("network present")
+        };
+        let trains: Vec<[Vec<UdpTrain>; 2]> = networks
+            .iter()
+            .map(|&net| {
+                [
+                    probe(net, TransportKind::Tcp),
+                    probe(net, TransportKind::Udp),
+                ]
+            })
+            .collect();
+        for (k, &t) in starts.iter().enumerate() {
+            for (&network, [tcp, udp]) in networks.iter().zip(&trains) {
+                let mut push = |metric, value| {
+                    ds.records.push(MeasurementRecord {
+                        client,
+                        network,
+                        metric,
+                        t,
+                        point,
+                        speed_mps: 0.0,
+                        value,
+                    })
+                };
+                if let Some(est) = tcp[k].estimated_kbps() {
+                    push(Metric::TcpKbps, est);
                 }
+                let udp = &udp[k];
+                if let Some(est) = udp.estimated_kbps() {
+                    push(Metric::UdpKbps, est);
+                }
+                // Jitter and loss ride on the UDP train (RFC 3393 IPDV
+                // is defined on the probe stream).
+                if let Some(j) = udp.jitter_ms() {
+                    push(Metric::JitterMs, j);
+                }
+                push(Metric::LossRate, udp.loss_rate());
             }
-            t = t + SimDuration::from_secs(params.interval_s);
         }
     }
-    ds
 }
 
 #[cfg(test)]
@@ -178,6 +188,102 @@ mod tests {
         let b = small(&land);
         assert_eq!(a.len(), b.len());
         assert_eq!(a.records[42], b.records[42]);
+    }
+
+    /// The loop [`generate`] replaced, verbatim: one
+    /// [`Landscape::probe_train`] call per (round, network, transport),
+    /// each resolving the point again.
+    fn per_round(
+        land: &Landscape,
+        client: ClientId,
+        point: GeoPoint,
+        params: &SpotParams,
+    ) -> Dataset {
+        let mut ds = Dataset::new("Static");
+        for day in 0..params.days {
+            let day_start = SimTime::at(day, 0.0);
+            let day_end = SimTime::at(day + 1, 0.0);
+            let mut t = day_start;
+            while t < day_end {
+                for net in land.networks() {
+                    for (kind, metric) in [
+                        (TransportKind::Tcp, Metric::TcpKbps),
+                        (TransportKind::Udp, Metric::UdpKbps),
+                    ] {
+                        let train = land
+                            .probe_train(
+                                net,
+                                kind,
+                                &point,
+                                t,
+                                params.train_packets,
+                                params.packet_bytes,
+                            )
+                            .expect("network present");
+                        if let Some(est) = train.estimated_kbps() {
+                            ds.records.push(MeasurementRecord {
+                                client,
+                                network: net,
+                                metric,
+                                t,
+                                point,
+                                speed_mps: 0.0,
+                                value: est,
+                            });
+                        }
+                        // Jitter and loss ride on the UDP train (RFC 3393
+                        // IPDV is defined on the probe stream).
+                        if kind == TransportKind::Udp {
+                            if let Some(j) = train.jitter_ms() {
+                                ds.records.push(MeasurementRecord {
+                                    client,
+                                    network: net,
+                                    metric: Metric::JitterMs,
+                                    t,
+                                    point,
+                                    speed_mps: 0.0,
+                                    value: j,
+                                });
+                            }
+                            ds.records.push(MeasurementRecord {
+                                client,
+                                network: net,
+                                metric: Metric::LossRate,
+                                t,
+                                point,
+                                speed_mps: 0.0,
+                                value: train.loss_rate(),
+                            });
+                        }
+                    }
+                }
+                t = t + SimDuration::from_secs(params.interval_s);
+            }
+        }
+        ds
+    }
+
+    #[test]
+    fn batched_rounds_match_per_round_probes_bitwise() {
+        let land = land();
+        assert_eq!(land.networks().len(), 3);
+        // 87 rounds a day: two days are two full blocks and a partial one.
+        let params = SpotParams {
+            days: 2,
+            interval_s: 1000,
+            train_packets: 6,
+            ..Default::default()
+        };
+        assert_ne!(2 * 87 % ROUND_BLOCK, 0);
+        let point = healthy_point(&land);
+        let batched = generate(&land, ClientId(9), point, &params);
+        let direct = per_round(&land, ClientId(9), point, &params);
+        assert_eq!(batched.records.len(), direct.records.len());
+        assert!(batched.records.len() >= 2 * 87 * 3 * 3);
+        for (i, (a, b)) in batched.records.iter().zip(&direct.records).enumerate() {
+            assert_eq!(a, b, "record {i}");
+            assert_eq!(a.value.to_bits(), b.value.to_bits(), "record {i}");
+        }
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //!                     coordinator mid-run; the map must stay byte-identical
 //!   --recover DIR     skip the simulation entirely: rebuild the coordinator
 //!                     from the WAL under DIR (snapshot + replay) and dump
-//!                     the zone map it had published
+//!                     the zone map it had published; a DIR with no WAL of
+//!                     its own (such as a --shards run's) exits 2
 //!   --shards N        shard the coordinator into N zone ranges behind the
 //!                     one channel server; the map is byte-identical to
 //!                     the single-coordinator run for any N. With --wal,
@@ -25,6 +26,8 @@
 //!                     region map as CSV (see ANALYTICS.md)
 //!   --hotspots PATH   also run the chronic-patch localizer over the adaptive
 //!                     regions and write the ranked hotspot report as JSON
+//!
+//!   Any other flag exits 2.
 //! wiscape trace  <standalone|wirover|spot|short-segment>
 //!                [--seed N] [--days D] [--out trace.csv]    regenerate a dataset as CSV
 //! wiscape epoch  [--seed N] [--region wi|nj]                Allan-deviation epoch profile
@@ -90,6 +93,18 @@ impl Args {
     fn str_flag(&self, name: &str) -> Option<&str> {
         self.flags.get(name).map(|s| s.as_str())
     }
+
+    /// Exits 2 on a flag that `command`'s usage line (`known`) does not
+    /// list, so a misspelt flag fails instead of being ignored.
+    fn reject_unknown(&self, command: &str, known: &[&str]) {
+        if let Some(name) = self.flags.keys().find(|n| !known.contains(&n.as_str())) {
+            let known: Vec<String> = known.iter().map(|n| format!("--{n}")).collect();
+            die(&format!(
+                "{command}: unknown flag --{name} (it takes {})",
+                known.join(", ")
+            ));
+        }
+    }
 }
 
 fn die(msg: &str) -> ! {
@@ -118,7 +133,24 @@ fn landscape(args: &Args) -> Landscape {
     }
 }
 
+/// The flags of `map`'s usage line.
+const MAP_FLAGS: [&str; 12] = [
+    "seed",
+    "hours",
+    "loss",
+    "out",
+    "obs",
+    "wal",
+    "crash-seed",
+    "recover",
+    "shards",
+    "rebalance-seed",
+    "regions",
+    "hotspots",
+];
+
 fn cmd_map(args: &Args) {
+    args.reject_unknown("map", &MAP_FLAGS);
     let seed = args.u64_flag("seed", 7);
     let hours = args.f64_flag("hours", 8.0);
     let loss = args.f64_flag("loss", 0.0);
@@ -163,6 +195,7 @@ fn cmd_map(args: &Args) {
     // WAL directory (latest snapshot + log replay) and dump the zone map
     // it had published — byte-identical to the run that wrote the log.
     if let Some(dir) = args.str_flag("recover") {
+        reject_non_wal_dir(dir);
         let (recovered, report) = wiscape::wal::DurableCoordinator::recover(
             std::path::Path::new(dir),
             index,
@@ -197,6 +230,46 @@ fn cmd_map(args: &Args) {
         },
     )
     .unwrap_or_else(|e| die(&e.to_string()));
+}
+
+/// Exits 2 when `dir` exists but holds no single coordinator's WAL
+/// (neither a manifest nor a segment), before recovery would write a
+/// fresh segment into it and dump an empty map. A `--shards N --wal DIR`
+/// run leaves only one `shard-<i>` WAL directory per shard in DIR; those
+/// are named, since `--recover` does not rebuild a sharded map. A
+/// missing `dir` is left to recovery's own typed error.
+fn reject_non_wal_dir(dir: &str) {
+    let path = std::path::Path::new(dir);
+    let Ok(entries) = std::fs::read_dir(path) else {
+        return;
+    };
+    let segments = wiscape::wal::log::list_segments(path)
+        .unwrap_or_else(|e| die(&format!("recover {dir}: {e}")));
+    if !segments.is_empty() || wiscape::wal::snapshot::manifest_path(path).exists() {
+        return;
+    }
+    let mut shards: Vec<(u64, std::path::PathBuf)> = entries
+        .filter_map(|entry| {
+            let path = entry.ok()?.path();
+            let shard = path.file_name()?.to_str()?.strip_prefix("shard-")?;
+            Some((shard.parse().ok()?, path)).filter(|(_, p)| p.is_dir())
+        })
+        .collect();
+    if shards.is_empty() {
+        die(&format!(
+            "recover {dir}: no WAL here (no MANIFEST and no wal-*.seg segment)"
+        ));
+    }
+    shards.sort();
+    let names: Vec<String> = shards
+        .iter()
+        .map(|(_, p)| p.display().to_string())
+        .collect();
+    die(&format!(
+        "recover {dir}: holds only the per-shard WALs of a --shards run ({}); \
+         --recover rebuilds one coordinator's WAL, not a sharded map",
+        names.join(", ")
+    ));
 }
 
 /// The run's stderr report: the rebalance, the deployment counters, the
