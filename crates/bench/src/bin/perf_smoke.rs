@@ -266,7 +266,7 @@ fn region_state() -> (wiscape_core::ZoneIndex, wiscape_core::CoordinatorState) {
     use wiscape_core::coordinator::{CoordinatorState, ZoneCellState};
     use wiscape_core::ZoneIndex;
     use wiscape_geo::{BoundingBox, GeoPoint};
-    use wiscape_stats::MomentSketch;
+    use wiscape_stats::RunningStats;
 
     let origin = GeoPoint::new(39.0, -77.0).expect("valid origin");
     let bounds = BoundingBox::around(origin, 71_000.0);
@@ -283,7 +283,7 @@ fn region_state() -> (wiscape_core::ZoneIndex, wiscape_core::CoordinatorState) {
                 800.0 + 250.0 * (f64::from(col) / 37.0).sin() * (f64::from(row) / 29.0).cos();
             let noisy = (col * 31 + row * 17).rem_euclid(23) == 0;
             let swing = if noisy { 300.0 } else { 20.0 };
-            let mut sketch = MomentSketch::new();
+            let mut sketch = RunningStats::new();
             for k in 0..4 {
                 let sign = if k % 2 == 0 { 1.0 } else { -1.0 };
                 sketch.push(base + sign * swing);

@@ -34,7 +34,7 @@
 //! has committed, so no staged report allocates.
 //!
 //! Committed samples land in the coordinator's per-zone
-//! `MomentSketch`es (`wiscape_stats::sketch`) — constant state per
+//! `wiscape_stats::RunningStats` moments — constant state per
 //! `(zone, network)` cell. Server memory is O(zones), plus the staging
 //! map and chunks, which hold what the settle window holds (the
 //! production configurations settle for one year, so in practice every

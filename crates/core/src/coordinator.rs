@@ -20,7 +20,7 @@ use serde::{Deserialize, Serialize};
 use wiscape_mobility::ClientId;
 use wiscape_simcore::{SimDuration, SimTime};
 use wiscape_simnet::{NetworkId, TransportKind};
-use wiscape_stats::MomentSketch;
+use wiscape_stats::RunningStats;
 
 use crate::zone::{ZoneId, ZoneIndex};
 
@@ -147,14 +147,14 @@ pub struct ChangeAlert {
 
 /// Per-(zone, network) epoch state.
 ///
-/// Fixed size: the epoch's samples live in a [`MomentSketch`], never a
+/// Fixed size: the epoch's samples live in a [`RunningStats`], never a
 /// buffer, so coordinator memory is O(tracked zones) no matter how many
 /// reports stream through (lint rule D005 enforces this).
 #[derive(Debug, Clone, Copy)]
 struct ZoneState {
     epoch: SimDuration,
     epoch_start: SimTime,
-    current: MomentSketch,
+    current: RunningStats,
     issued_this_epoch: u32,
     published: Option<ZoneEstimate>,
     /// Per-zone sample quota override (from the NKLD tuner); falls back
@@ -167,7 +167,7 @@ impl ZoneState {
         Self {
             epoch,
             epoch_start,
-            current: MomentSketch::new(),
+            current: RunningStats::new(),
             issued_this_epoch: 0,
             published: None,
             quota: None,
@@ -383,7 +383,7 @@ impl Coordinator {
                     t,
                 );
                 state.epoch_start = t;
-                state.current = MomentSketch::new();
+                state.current = RunningStats::new();
                 state.issued_this_epoch = 0;
             }
             let target = state.quota.unwrap_or(self.config.target_samples_per_epoch);
@@ -541,7 +541,7 @@ impl Coordinator {
                 t,
             );
             state.epoch_start = t;
-            state.current = MomentSketch::new();
+            state.current = RunningStats::new();
             state.issued_this_epoch = 0;
         }
         // Fold pass: valid samples stream straight into the sketch, in
@@ -607,9 +607,9 @@ impl Coordinator {
         self.reports_rejected
     }
 
-    /// The current epoch's moment sketch for a zone/network, if the
+    /// The current epoch's moments for a zone/network, if the
     /// coordinator tracks it (monitoring/diagnostics surface).
-    pub fn current_sketch(&self, zone: ZoneId, network: NetworkId) -> Option<&MomentSketch> {
+    pub fn current_sketch(&self, zone: ZoneId, network: NetworkId) -> Option<&RunningStats> {
         self.cells.cell((zone, network)).map(|s| &s.current)
     }
 
@@ -719,8 +719,8 @@ pub struct ZoneCellState {
     pub epoch: SimDuration,
     /// When the current epoch started.
     pub epoch_start: SimTime,
-    /// The current epoch's moment sketch.
-    pub sketch: MomentSketch,
+    /// The current epoch's moments.
+    pub sketch: RunningStats,
     /// Tasks issued so far this epoch.
     pub issued_this_epoch: u32,
     /// The published estimate, if any.

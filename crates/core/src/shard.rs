@@ -334,13 +334,11 @@ pub fn state_fingerprint(state: &CoordinatorState) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     for c in &state.cells {
-        let (core, kahan) = c.sketch.raw_parts();
-        let (count, mean, m2, min, max) = core.raw_parts();
-        let (sum, comp) = kahan.raw_parts();
+        let (count, mean, m2, min, max) = c.sketch.raw_parts();
         let _ = write!(
             out,
             "cell {:?} {:?} epoch={:?} start={:?} \
-             sketch=({count},{:x},{:x},{:x},{:x},{:x},{:x}) issued={}",
+             sketch=({count},{:x},{:x},{:x},{:x}) issued={}",
             c.zone,
             c.network,
             c.epoch,
@@ -349,8 +347,6 @@ pub fn state_fingerprint(state: &CoordinatorState) -> String {
             m2.to_bits(),
             min.to_bits(),
             max.to_bits(),
-            sum.to_bits(),
-            comp.to_bits(),
             c.issued_this_epoch,
         );
         match c.published {
@@ -406,8 +402,8 @@ pub fn state_fingerprint(state: &CoordinatorState) -> String {
 /// coordinator over the shared index before the first. Until that first
 /// refresh the view costs one coordinator slot table, 4 B per index
 /// zone and network. After it, the view also holds a copy of every
-/// shard's cells: at `nation_shards` scale, 316,875 cells of 148 B,
-/// about 47 MB on top of the shards' own.
+/// shard's cells: at `nation_shards` scale, 316,875 cells of 132 B,
+/// about 42 MB on top of the shards' own.
 #[derive(Debug, Clone)]
 pub struct ShardSet<C: CoordinatorHandle = Coordinator> {
     shards: Vec<C>,

@@ -1,7 +1,7 @@
 //! Per-zone sample aggregation.
 //!
 //! [`ZoneAggregator`] bins arbitrary observations into zones and keeps
-//! one constant-size [`MomentSketch`] per `(zone, network)` — it never
+//! one constant-size [`RunningStats`] per `(zone, network)` — it never
 //! retains raw samples, so memory is O(populated zones) regardless of
 //! how many observations stream through. It backs the paper's §3.1
 //! homogeneity analysis (CDF of per-zone relative standard deviation,
@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 use wiscape_geo::GeoPoint;
 use wiscape_simcore::SimTime;
 use wiscape_simnet::NetworkId;
-use wiscape_stats::MomentSketch;
+use wiscape_stats::RunningStats;
 
 use crate::zone::{ZoneId, ZoneIndex};
 
@@ -38,7 +38,7 @@ pub struct Observation {
 #[derive(Debug, Clone)]
 pub struct ZoneAggregator {
     index: ZoneIndex,
-    stats: BTreeMap<(ZoneId, NetworkId), MomentSketch>,
+    stats: BTreeMap<(ZoneId, NetworkId), RunningStats>,
 }
 
 impl ZoneAggregator {
@@ -74,7 +74,7 @@ impl ZoneAggregator {
     }
 
     /// Statistics for one zone/network, if any samples landed there.
-    pub fn stats(&self, zone: ZoneId, network: NetworkId) -> Option<&MomentSketch> {
+    pub fn stats(&self, zone: ZoneId, network: NetworkId) -> Option<&RunningStats> {
         self.stats.get(&(zone, network))
     }
 
@@ -116,8 +116,8 @@ impl ZoneAggregator {
     /// Total resident bytes of the per-zone sketches — O(populated
     /// cells), never O(samples).
     pub fn sketch_bytes(&self) -> usize {
-        self.stats.values().map(|s| s.mem_bytes()).sum::<usize>()
-            + self.stats.len() * std::mem::size_of::<(ZoneId, NetworkId)>()
+        self.stats.len()
+            * (std::mem::size_of::<RunningStats>() + std::mem::size_of::<(ZoneId, NetworkId)>())
     }
 
     /// Per-zone mean map for one network (Fig 1's dots): zone id, zone

@@ -54,7 +54,7 @@ proptest! {
         // No raw retention: the aggregator's footprint is one cell.
         prop_assert_eq!(
             agg.sketch_bytes(),
-            std::mem::size_of::<wiscape_stats::MomentSketch>()
+            std::mem::size_of::<wiscape_stats::RunningStats>()
                 + std::mem::size_of::<(wiscape_core::ZoneId, NetworkId)>()
         );
     }
@@ -66,7 +66,7 @@ proptest! {
         // Streaming a series through the sketch must be *bit-identical*
         // to the batch Welford pass over the retained slice — this is
         // the byte-identity contract of the refactor.
-        let mut sk = wiscape_stats::MomentSketch::new();
+        let mut sk = wiscape_stats::RunningStats::new();
         for &v in &values {
             sk.push(v);
         }
@@ -91,7 +91,7 @@ proptest! {
         // round-off.
         let cut = cut % values.len();
         let shard = |r: &[f64]| {
-            let mut s = wiscape_stats::MomentSketch::new();
+            let mut s = wiscape_stats::RunningStats::new();
             for &v in r {
                 s.push(v);
             }

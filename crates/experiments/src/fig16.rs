@@ -263,7 +263,7 @@ pub fn run(seed: u64, scale: Scale) -> Fig16 {
             },
         );
         let state = ingest(&index, &reports);
-        let by_zone: std::collections::BTreeMap<ZoneId, &wiscape_stats::MomentSketch> =
+        let by_zone: std::collections::BTreeMap<ZoneId, &wiscape_stats::RunningStats> =
             state.cells.iter().map(|c| (c.zone, &c.sketch)).collect();
         let set = RegionSet::build(&state, &index, &est_cfg);
         let mut fixed = Vec::new();

@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 use wiscape_core::{CoordinatorState, ZoneId};
-use wiscape_stats::MomentSketch;
+use wiscape_stats::RunningStats;
 
 use crate::quadtree::{sort_canonical, Keyed, RegionId, RegionSet};
 
@@ -219,12 +219,12 @@ pub fn locate_surges(
     // uses, and zones pool in ascending order, whatever the cell order.
     let mut cells: Vec<Keyed<'_>> = baseline.cells.iter().map(Keyed::of).collect();
     sort_canonical(&mut cells);
-    let mut pooled: BTreeMap<RegionId, MomentSketch> = BTreeMap::new();
+    let mut pooled: BTreeMap<RegionId, RunningStats> = BTreeMap::new();
     for zone_cells in cells.chunk_by(|a, b| a.zone == b.zone) {
         let Some(region) = zone_cells.first().and_then(|c| current.region_of(c.zone)) else {
             continue;
         };
-        let mut sketch = MomentSketch::new();
+        let mut sketch = RunningStats::new();
         for c in zone_cells {
             sketch.merge(&c.cell.sketch);
         }

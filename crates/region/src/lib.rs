@@ -4,10 +4,11 @@
 //! as the *atomic* spatial unit and derives a coarser, data-driven
 //! partition on top of it: a deterministic quadtree over zone indices
 //! that keeps homogeneous areas merged (pooling their samples) and
-//! splits heterogeneous ones down to single zones. Merging is free and
-//! exact because the coordinator's per-zone state is a mergeable
-//! [`wiscape_stats::MomentSketch`] — merging two regions is a sketch
-//! merge, bit-identical to having folded every sample into one sketch.
+//! splits heterogeneous ones down to single zones. Merging is cheap
+//! because the coordinator's per-zone state is a mergeable
+//! [`wiscape_stats::RunningStats`]: merging two regions merges their
+//! moments (count, mean, M2, min, max) in a fixed order, and no raw
+//! sample is needed.
 //!
 //! On top of the region partition sit two localizers that consume only
 //! aggregated per-region metrics (never raw samples, so the layer is

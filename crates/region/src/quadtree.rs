@@ -19,7 +19,7 @@ use std::ops::Range;
 use serde::{Deserialize, Serialize};
 use wiscape_core::{CoordinatorState, ZoneCellState, ZoneId, ZoneIndex};
 use wiscape_simnet::NetworkId;
-use wiscape_stats::MomentSketch;
+use wiscape_stats::RunningStats;
 
 /// Tuning knobs for the quadtree regionalizer.
 ///
@@ -104,7 +104,7 @@ pub struct NetworkRegionStat {
     pub network: NetworkId,
     /// Exact merge of this network's per-zone sketches, in ascending
     /// zone order.
-    pub sketch: MomentSketch,
+    pub sketch: RunningStats,
 }
 
 /// One leaf of the quadtree: a merged group of zones and its pooled,
@@ -118,7 +118,7 @@ pub struct Region {
     pub zones: usize,
     /// Exact merge of every zone's all-network sketch, in ascending
     /// Morton order — bit-identical to folding all samples directly.
-    pub sketch: MomentSketch,
+    pub sketch: RunningStats,
     /// Sample-weighted relative standard deviation of the per-zone
     /// means inside this region (the split criterion's view of it).
     pub spatial_rel_std: f64,
@@ -188,7 +188,7 @@ pub struct RegionSet {
 /// One occupied zone's sketches, in zone order.
 struct ZoneAgg {
     /// Exact merge of the zone's network sketches, in network order.
-    merged: MomentSketch,
+    merged: RunningStats,
     /// The zone's network sketches, ascending by network: a range of
     /// the build's flat per-network list.
     nets: Range<usize>,
@@ -212,7 +212,7 @@ struct ZoneStat {
 }
 
 /// One `(zone, network)` sketch of the flat per-network list.
-type NetSketch = (NetworkId, MomentSketch);
+type NetSketch = (NetworkId, RunningStats);
 
 /// Spreads the low 32 bits of `v` into the even bit positions.
 fn spread(v: u32) -> u64 {
@@ -276,12 +276,12 @@ impl RegionSet {
                 continue;
             };
             let start = nets.len();
-            let mut merged = MomentSketch::new();
+            let mut merged = RunningStats::new();
             for key_cells in zone_cells.chunk_by(|a, b| a.network == b.network) {
                 let Some(network) = key_cells.first().map(|c| c.network) else {
                     continue;
                 };
-                let mut sketch = MomentSketch::new();
+                let mut sketch = RunningStats::new();
                 for c in key_cells {
                     sketch.merge(&c.cell.sketch);
                 }
@@ -492,8 +492,8 @@ fn build_node(
     }
 
     // Leaf: exact pooled statistics, folded in Morton / network order.
-    let mut sketch = MomentSketch::new();
-    let mut per_network = [None::<MomentSketch>; NetworkId::ALL.len()];
+    let mut sketch = RunningStats::new();
+    let mut per_network = [None::<RunningStats>; NetworkId::ALL.len()];
     for agg in slice.iter().filter_map(|z| zones.get(z.at)) {
         sketch.merge(&agg.merged);
         for (network, s) in nets.get(agg.nets.clone()).unwrap_or(&[]) {
@@ -502,7 +502,7 @@ fn build_node(
                 .position(|n| n == network)
                 .and_then(|i| per_network.get_mut(i));
             if let Some(slot) = slot {
-                slot.get_or_insert_with(MomentSketch::new).merge(s);
+                slot.get_or_insert_with(RunningStats::new).merge(s);
             }
         }
     }
@@ -555,20 +555,16 @@ impl<'a> Keyed<'a> {
     }
 }
 
-fn write_sketch(out: &mut String, sketch: &MomentSketch) {
+fn write_sketch(out: &mut String, sketch: &RunningStats) {
     use std::fmt::Write as _;
-    let (core, kahan) = sketch.raw_parts();
-    let (count, mean, m2, min, max) = core.raw_parts();
-    let (sum, comp) = kahan.raw_parts();
+    let (count, mean, m2, min, max) = sketch.raw_parts();
     let _ = write!(
         out,
-        "({count},{:x},{:x},{:x},{:x},{:x},{:x})",
+        "({count},{:x},{:x},{:x},{:x})",
         mean.to_bits(),
         m2.to_bits(),
         min.to_bits(),
         max.to_bits(),
-        sum.to_bits(),
-        comp.to_bits(),
     );
 }
 

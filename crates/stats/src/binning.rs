@@ -92,6 +92,13 @@ mod tests {
         assert_eq!(bins[0].mean(), 1.5);
         assert_eq!(bins[1].count(), 1);
         assert_eq!(bins[1].mean(), 3.0);
+
+        // A bin's min and max come from its own samples, never from the
+        // zeros of an empty accumulator.
+        let s = [tv(0.0, 5.0), tv(1.0, 7.0), tv(10.0, -3.0)];
+        let bins = bin_series(&s, 10.0).unwrap();
+        assert_eq!((bins[0].min(), bins[0].max()), (Some(5.0), Some(7.0)));
+        assert_eq!((bins[1].min(), bins[1].max()), (Some(-3.0), Some(-3.0)));
     }
 
     #[test]

@@ -5,8 +5,10 @@ use serde::{Deserialize, Serialize};
 /// Numerically stable running mean/variance/min/max accumulator
 /// (Welford's algorithm), mergeable for parallel aggregation.
 ///
-/// This is the workhorse of zone statistics: WiScape's coordinator keeps
-/// one `RunningStats` per (zone, network, metric, epoch).
+/// This is the workhorse of zone statistics and the one mergeable
+/// moment type: WiScape's coordinator keeps one `RunningStats` per
+/// (zone, network) cell and epoch, and the region layer pools zones by
+/// merging them.
 ///
 /// ```
 /// use wiscape_stats::RunningStats;
@@ -17,13 +19,21 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.mean(), 5.0);
 /// assert!((s.population_std_dev() - 2.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RunningStats {
     count: u64,
     mean: f64,
     m2: f64,
     min: f64,
     max: f64,
+}
+
+impl Default for RunningStats {
+    /// The empty accumulator of [`RunningStats::new`]: its min and max
+    /// start at +∞ and −∞, so the first sample sets both.
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl RunningStats {
@@ -216,6 +226,7 @@ mod tests {
         assert_eq!(s.rel_std_dev(), 0.0);
         assert_eq!(s.min(), None);
         assert_eq!(s.max(), None);
+        assert_eq!(RunningStats::default(), s);
     }
 
     #[test]

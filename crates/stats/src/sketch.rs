@@ -1,10 +1,12 @@
 //! Constant-memory, mergeable streaming sketches.
 //!
-//! This module is the streaming backbone of the estimation pipeline:
-//! every hot-path consumer (zone aggregation, the coordinator's epoch
-//! state, the channel server's commit fold, anomaly binning) holds one
-//! of these fixed-size accumulators instead of retaining raw samples.
-//! All sketches share three properties:
+//! This module and [`RunningStats`] are the streaming backbone of the
+//! estimation pipeline: every hot-path consumer holds a fixed-size
+//! accumulator instead of retaining raw samples. Zone aggregation, the
+//! coordinator's epoch state and the region layer hold a
+//! [`RunningStats`], the one mergeable moment type; the map builders,
+//! latency binning and the epoch search hold the sketches below. All of
+//! them share three properties:
 //!
 //! 1. **Incremental** — `push` is `O(1)` and allocation-free (the
 //!    quantile sketch allocates only when a value lands in a new bin,
@@ -22,11 +24,10 @@
 //! output bit, so each sketch reproduces the *exact* floating-point
 //! operation sequence of the batch code it replaces:
 //!
-//! * [`MomentSketch`] runs the same Welford update as
-//!   [`RunningStats`] (it embeds one), so streamed moments are
-//!   bit-identical to `RunningStats::from_slice` on the same values in
-//!   the same order. A Neumaier-compensated sum rides alongside for
-//!   merge-heavy shard topologies where plain summation would drift.
+//! * [`RunningStats`] is its own batch form: a cell folds each sample
+//!   with the same Welford `push` that `RunningStats::from_slice` runs,
+//!   so streamed moments are bit-identical to the batch ones on the
+//!   same values in the same order.
 //! * [`MeanSketch`] is the naive `(sum, count)` fold used by the map
 //!   builders and latency binning — same adds, same divide, same bits.
 //! * [`AllanSketch`] replays `allan_deviation_profile` as a left fold
@@ -48,228 +49,12 @@ use serde::{Deserialize, Serialize};
 
 use crate::{AllanPoint, RunningStats, StatsError};
 
-/// Neumaier-compensated (improved Kahan) running sum.
-///
-/// Tracks a correction term alongside the naive sum so that long
-/// streams and merges of many shards do not lose low-order bits.
-///
-/// ```
-/// use wiscape_stats::KahanSum;
-/// let mut s = KahanSum::new();
-/// for _ in 0..10 {
-///     s.add(0.1);
-/// }
-/// assert!((s.total() - 1.0).abs() < 1e-15);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct KahanSum {
-    sum: f64,
-    compensation: f64,
-}
-
-impl KahanSum {
-    /// An empty (zero) sum.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one value (Neumaier's branch keeps the correction valid
-    /// even when the addend exceeds the running sum).
-    pub fn add(&mut self, value: f64) {
-        let t = self.sum + value;
-        if self.sum.abs() >= value.abs() {
-            self.compensation += (self.sum - t) + value;
-        } else {
-            self.compensation += (value - t) + self.sum;
-        }
-        self.sum = t;
-    }
-
-    /// Merges another compensated sum into this one. Merge shards in a
-    /// fixed order for deterministic results.
-    pub fn merge(&mut self, other: &KahanSum) {
-        self.add(other.sum);
-        self.compensation += other.compensation;
-    }
-
-    /// The compensated total.
-    pub fn total(&self) -> f64 {
-        self.sum + self.compensation
-    }
-
-    /// Exact internal representation `(sum, compensation)` — the WAL
-    /// snapshot surface; store the raw f64 bits and rebuild with
-    /// [`KahanSum::from_raw_parts`] for a bitwise round-trip.
-    pub fn raw_parts(&self) -> (f64, f64) {
-        (self.sum, self.compensation)
-    }
-
-    /// Rebuilds a sum from [`KahanSum::raw_parts`] output, verbatim.
-    pub fn from_raw_parts(sum: f64, compensation: f64) -> Self {
-        Self { sum, compensation }
-    }
-}
-
-/// Compensated running moments: the mergeable moment sketch held per
-/// `(zone, network)` by the aggregation pipeline.
-///
-/// The moment core is the exact Welford recurrence of [`RunningStats`]
-/// — streamed `mean`/`sample_std_dev`/`rel_std_dev` are bit-identical
-/// to `RunningStats::from_slice` over the same push order — plus a
-/// [`KahanSum`] of the accepted values for merge-robust totals.
-///
-/// Non-finite pushes are ignored, like [`RunningStats::push`].
-///
-/// ```
-/// use wiscape_stats::sketch::MomentSketch;
-///
-/// // Two shards fold samples independently, then merge in fixed order.
-/// let mut a = MomentSketch::new();
-/// let mut b = MomentSketch::new();
-/// for v in [840.0, 860.0] { a.push(v); }
-/// for v in [850.0, 870.0] { b.push(v); }
-/// a.merge(&b);
-/// assert_eq!(a.count(), 4);
-/// assert_eq!(a.mean(), 855.0);
-/// assert_eq!(a.min(), Some(840.0));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct MomentSketch {
-    core: RunningStats,
-    sum: KahanSum,
-}
-
-impl Default for MomentSketch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl MomentSketch {
-    /// An empty sketch.
-    pub fn new() -> Self {
-        Self {
-            core: RunningStats::new(),
-            sum: KahanSum::new(),
-        }
-    }
-
-    /// Builds a sketch from a slice (push order = slice order).
-    pub fn from_slice(values: &[f64]) -> Self {
-        let mut s = Self::new();
-        for &v in values {
-            s.push(v);
-        }
-        s
-    }
-
-    /// Adds one sample. Non-finite samples are ignored.
-    pub fn push(&mut self, value: f64) {
-        if !value.is_finite() {
-            return;
-        }
-        self.core.push(value);
-        self.sum.add(value);
-    }
-
-    /// Merges another sketch (Chan et al. moment combination plus
-    /// compensated-sum addition). Merge shards in a fixed order.
-    pub fn merge(&mut self, other: &MomentSketch) {
-        self.core.merge(&other.core);
-        self.sum.merge(&other.sum);
-    }
-
-    /// Exact internal representation `(moment core, compensated sum)` —
-    /// the WAL snapshot surface; both parts expose their own
-    /// `raw_parts` so the full sketch round-trips bitwise through
-    /// [`MomentSketch::from_raw_parts`].
-    pub fn raw_parts(&self) -> (RunningStats, KahanSum) {
-        (self.core, self.sum)
-    }
-
-    /// Rebuilds a sketch from [`MomentSketch::raw_parts`] output,
-    /// verbatim.
-    pub fn from_raw_parts(core: RunningStats, sum: KahanSum) -> Self {
-        Self { core, sum }
-    }
-
-    /// Number of (finite) samples.
-    pub fn count(&self) -> u64 {
-        self.core.count()
-    }
-
-    /// Whether no samples have been accumulated.
-    pub fn is_empty(&self) -> bool {
-        self.core.is_empty()
-    }
-
-    /// Sample mean (Welford); 0 when empty.
-    pub fn mean(&self) -> f64 {
-        self.core.mean()
-    }
-
-    /// Unbiased sample variance.
-    pub fn sample_variance(&self) -> f64 {
-        self.core.sample_variance()
-    }
-
-    /// Unbiased sample standard deviation.
-    pub fn sample_std_dev(&self) -> f64 {
-        self.core.sample_std_dev()
-    }
-
-    /// Population standard deviation.
-    pub fn population_std_dev(&self) -> f64 {
-        self.core.population_std_dev()
-    }
-
-    /// Relative standard deviation (see [`RunningStats::rel_std_dev`]).
-    pub fn rel_std_dev(&self) -> f64 {
-        self.core.rel_std_dev()
-    }
-
-    /// Smallest sample seen.
-    pub fn min(&self) -> Option<f64> {
-        self.core.min()
-    }
-
-    /// Largest sample seen.
-    pub fn max(&self) -> Option<f64> {
-        self.core.max()
-    }
-
-    /// Compensated sum of all accepted samples.
-    pub fn compensated_sum(&self) -> f64 {
-        self.sum.total()
-    }
-
-    /// Compensated mean (`compensated_sum / count`); 0 when empty. Used
-    /// by merge-heavy shard topologies; the hot path reads [`Self::mean`].
-    pub fn compensated_mean(&self) -> f64 {
-        if self.is_empty() {
-            0.0
-        } else {
-            self.sum.total() / self.count() as f64
-        }
-    }
-
-    /// The Welford moment core.
-    pub fn moments(&self) -> &RunningStats {
-        &self.core
-    }
-
-    /// Resident bytes of this sketch (constant).
-    pub fn mem_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-    }
-}
-
 /// Naive `(sum, count)` mean fold as a sketch.
 ///
 /// This reproduces — bit for bit — the `e.0 += v; e.1 += 1; sum / n`
 /// pattern previously open-coded by the map builders and the latency
 /// binner, so migrating them onto the sketch moves no output bits.
-/// Prefer [`MomentSketch`] for new code that also needs spread.
+/// Prefer [`RunningStats`] for new code that also needs spread.
 ///
 /// ```
 /// use wiscape_stats::sketch::MeanSketch;
@@ -721,94 +506,6 @@ impl AllanSketch {
 mod tests {
     use super::*;
     use crate::{allan_deviation_profile, Ecdf, TimedValue};
-
-    #[test]
-    fn kahan_beats_naive_on_pathological_sum() {
-        let mut k = KahanSum::new();
-        let mut naive = 0.0f64;
-        k.add(1e16);
-        naive += 1e16;
-        for _ in 0..1000 {
-            k.add(1.0);
-            naive += 1.0;
-        }
-        k.add(-1e16);
-        naive += -1e16;
-        assert_eq!(k.total(), 1000.0);
-        assert!((naive - 1000.0).abs() >= 0.0); // naive may or may not drift; kahan must not
-    }
-
-    #[test]
-    fn kahan_merge_matches_sequential_adds() {
-        let mut a = KahanSum::new();
-        let mut b = KahanSum::new();
-        let mut whole = KahanSum::new();
-        for i in 0..100 {
-            let v = (i as f64) * 0.1 + 1e12;
-            if i < 50 {
-                a.add(v);
-            } else {
-                b.add(v);
-            }
-            whole.add(v);
-        }
-        a.merge(&b);
-        assert!((a.total() - whole.total()).abs() < 1e-3);
-    }
-
-    #[test]
-    fn moment_sketch_is_bit_identical_to_running_stats() {
-        let data: Vec<f64> = (0..500)
-            .map(|i| 1e6 + (i as f64) * 0.37 + ((i * i) % 13) as f64)
-            .collect();
-        let sketch = MomentSketch::from_slice(&data);
-        let stats = RunningStats::from_slice(&data);
-        assert_eq!(sketch.count(), stats.count());
-        assert_eq!(sketch.mean().to_bits(), stats.mean().to_bits());
-        assert_eq!(
-            sketch.sample_std_dev().to_bits(),
-            stats.sample_std_dev().to_bits()
-        );
-        assert_eq!(
-            sketch.rel_std_dev().to_bits(),
-            stats.rel_std_dev().to_bits()
-        );
-        assert_eq!(sketch.min(), stats.min());
-        assert_eq!(sketch.max(), stats.max());
-    }
-
-    #[test]
-    fn moment_sketch_ignores_non_finite() {
-        let mut s = MomentSketch::new();
-        s.push(1.0);
-        s.push(f64::NAN);
-        s.push(f64::INFINITY);
-        s.push(3.0);
-        assert_eq!(s.count(), 2);
-        assert_eq!(s.mean(), 2.0);
-        assert_eq!(s.compensated_sum(), 4.0);
-    }
-
-    #[test]
-    fn moment_sketch_merge_matches_chan_combination() {
-        let data: Vec<f64> = (0..200).map(|i| (i % 17) as f64 * 1.3).collect();
-        let mut merged = MomentSketch::from_slice(&data[..80]);
-        merged.merge(&MomentSketch::from_slice(&data[80..]));
-        let whole = MomentSketch::from_slice(&data);
-        assert_eq!(merged.count(), whole.count());
-        assert!((merged.mean() - whole.mean()).abs() < 1e-9);
-        assert!((merged.compensated_sum() - whole.compensated_sum()).abs() < 1e-9);
-        assert_eq!(merged.min(), whole.min());
-        assert_eq!(merged.max(), whole.max());
-    }
-
-    #[test]
-    fn moment_sketch_compensated_mean_tracks_mean() {
-        let data: Vec<f64> = (0..1000).map(|i| 100.0 + (i % 7) as f64).collect();
-        let s = MomentSketch::from_slice(&data);
-        assert!((s.compensated_mean() - s.mean()).abs() < 1e-12);
-        assert_eq!(MomentSketch::new().compensated_mean(), 0.0);
-    }
 
     #[test]
     fn mean_sketch_replicates_naive_fold() {

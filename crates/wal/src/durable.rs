@@ -55,7 +55,7 @@ use wiscape_simcore::{SimDuration, SimTime};
 use wiscape_simnet::NetworkId;
 
 use crate::crash::{CrashPlan, CrashPoint};
-use crate::log::{scan_views, wal_obs, WalWriter, DEFAULT_SEGMENT_BYTES};
+use crate::log::{list_segments, scan_views, wal_obs, WalWriter, DEFAULT_SEGMENT_BYTES};
 use crate::record::{
     decode_record_view, io_err, RecordEncoder, RecordView, WalError, WalRecord, TAG_CHECKIN,
     TAG_FLUSH, TAG_INGEST, TAG_MIGRATE_IN, TAG_MIGRATE_OUT, TAG_SET_EPOCH, TAG_SET_QUOTA,
@@ -87,6 +87,13 @@ fn recovery_obs() -> &'static RecoveryObs {
         replay: wiscape_obs::span("wal/replay"),
     })
 }
+
+/// The error [`DurableCoordinator::recover`] returns for a directory
+/// that holds neither a manifest nor a log segment.
+pub const NO_WAL: WalError = WalError::Io {
+    op: "find manifest or segment",
+    kind: std::io::ErrorKind::NotFound,
+};
 
 /// Durability tuning (and the optional injected crash).
 #[derive(Debug, Clone, Copy)]
@@ -213,14 +220,22 @@ impl DurableCoordinator {
     /// suffix, with any torn tail truncated. The caller re-supplies
     /// the same zone index and config the original run used — they are
     /// deterministic inputs, deliberately not serialized.
+    ///
+    /// A directory that holds neither a manifest nor a segment (empty,
+    /// missing, or someone else's) is refused with [`NO_WAL`] before
+    /// any file is created in it.
     pub fn recover(
         dir: &Path,
         index: ZoneIndex,
         config: CoordinatorConfig,
         opts: WalOptions,
     ) -> Result<(Self, RecoveryReport), WalError> {
+        let manifest = read_manifest(dir)?;
+        if manifest.is_none() && list_segments(dir)?.is_empty() {
+            return Err(NO_WAL);
+        }
         let mut inner = Coordinator::new(index.clone(), config.clone());
-        let snapshot_records = match read_manifest(dir)? {
+        let snapshot_records = match manifest {
             Some(records) => {
                 inner.restore_state(load_snapshot(dir, records)?);
                 records

@@ -41,7 +41,7 @@ pub mod record;
 pub mod snapshot;
 
 pub use crash::{CrashPlan, CrashPoint};
-pub use durable::{DurableCoordinator, RecoveryReport, WalMeters, WalOptions};
+pub use durable::{DurableCoordinator, RecoveryReport, WalMeters, WalOptions, NO_WAL};
 pub use log::{scan_views, ScanSummary, WalWriter, DEFAULT_SEGMENT_BYTES, GROUP_BYTES};
 pub use record::{decode_record_view, IngestView, RecordEncoder, RecordView, WalError, WalRecord};
 pub use snapshot::{

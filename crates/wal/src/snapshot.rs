@@ -1,8 +1,8 @@
 //! Bitwise coordinator snapshots and the manifest that anchors them.
 //!
 //! A snapshot serializes the coordinator's full fold state — every
-//! `(zone, network)` cell with its epoch bounds, moment-sketch raw
-//! parts (Kahan terms included), issued counts, published estimates
+//! `(zone, network)` cell with its epoch bounds, the raw parts of its
+//! `RunningStats` moments, issued counts, published estimates
 //! and quota overrides, plus the alert list and ingest counters — as
 //! exact integers and raw f64 bit patterns. Decoding a snapshot and
 //! re-encoding it yields identical bytes, which is what lets recovery
@@ -33,7 +33,7 @@ use wiscape_channel::codec::{
 };
 use wiscape_core::{ChangeAlert, CoordinatorState, ZoneCellState, ZoneEstimate};
 use wiscape_simcore::SimDuration;
-use wiscape_stats::{KahanSum, MomentSketch, RunningStats};
+use wiscape_stats::RunningStats;
 
 use crate::record::{io_err, WalError};
 
@@ -42,7 +42,7 @@ pub const SNAP_MAGIC: [u8; 2] = [0x57, 0x53];
 /// Manifest file magic: `"WM"`.
 pub const MANIFEST_MAGIC: [u8; 2] = [0x57, 0x4D];
 /// Snapshot/manifest format version.
-pub const SNAP_VERSION: u8 = 1;
+pub const SNAP_VERSION: u8 = 2;
 
 /// Path of the snapshot covering the first `records` log records.
 pub fn snapshot_path(dir: &Path, records: u64) -> PathBuf {
@@ -87,16 +87,12 @@ pub(crate) fn put_cell(out: &mut Vec<u8>, cell: &ZoneCellState) {
     put_network(out, cell.network);
     put_i64(out, cell.epoch.as_micros());
     put_time(out, cell.epoch_start);
-    let (core, kahan) = cell.sketch.raw_parts();
-    let (count, mean, m2, min, max) = core.raw_parts();
+    let (count, mean, m2, min, max) = cell.sketch.raw_parts();
     put_varint(out, count);
     put_f64(out, mean);
     put_f64(out, m2);
     put_f64(out, min);
     put_f64(out, max);
-    let (sum, compensation) = kahan.raw_parts();
-    put_f64(out, sum);
-    put_f64(out, compensation);
     put_varint(out, u64::from(cell.issued_this_epoch));
     match &cell.published {
         Some(est) => {
@@ -125,11 +121,7 @@ pub(crate) fn take_cell(r: &mut Reader<'_>) -> Result<ZoneCellState, WalError> {
     let m2 = r.f64()?;
     let min = r.f64()?;
     let max = r.f64()?;
-    let sum = r.f64()?;
-    let compensation = r.f64()?;
-    let core = RunningStats::from_raw_parts(count, mean, m2, min, max);
-    let kahan = KahanSum::from_raw_parts(sum, compensation);
-    let sketch = MomentSketch::from_raw_parts(core, kahan);
+    let sketch = RunningStats::from_raw_parts(count, mean, m2, min, max);
     let issued = u32::try_from(r.varint()?)
         .map_err(|_| WalError::Frame(DecodeError::BadValue("issued count")))?;
     let published = match r.u8()? {
@@ -327,7 +319,7 @@ pub(crate) mod tests {
 
     /// A one-cell state with an alert (the record tests migrate its cell).
     pub(crate) fn sample_state() -> CoordinatorState {
-        let mut sketch = MomentSketch::new();
+        let mut sketch = RunningStats::new();
         for v in [812.5, 793.25, 1024.0, 640.125] {
             sketch.push(v);
         }

@@ -30,7 +30,7 @@ use wiscape_simnet::NetworkId;
 use wiscape_wal::snapshot::{manifest_path, snapshot_path, write_manifest};
 use wiscape_wal::{
     decode_record_view, decode_state, encode_state, read_manifest, scan_views, CrashPlan,
-    DurableCoordinator, WalError, WalOptions, WalWriter,
+    DurableCoordinator, WalError, WalOptions, WalWriter, NO_WAL,
 };
 
 #[derive(Debug, Clone)]
@@ -648,5 +648,19 @@ fn damaged_snapshot_or_manifest_is_a_typed_error_without_fallback() {
             kind
         })
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A directory with no manifest and no segment holds no WAL: recovery
+/// refuses it with a typed error and creates no file in it, instead of
+/// returning an empty coordinator and starting a log there.
+#[test]
+fn a_directory_without_a_wal_is_refused_and_left_empty() {
+    let (index, config) = index_and_config();
+    let dir = fresh_dir("nowal");
+    std::fs::create_dir_all(&dir).unwrap();
+    let result = DurableCoordinator::recover(&dir, index, config, wal_opts(CrashPlan::none()));
+    assert_eq!(result.map(|_| ()), Err(NO_WAL));
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
     let _ = std::fs::remove_dir_all(&dir);
 }

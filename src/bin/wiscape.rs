@@ -27,12 +27,15 @@
 //!   --hotspots PATH   also run the chronic-patch localizer over the adaptive
 //!                     regions and write the ranked hotspot report as JSON
 //!
-//!   Any other flag exits 2.
 //! wiscape trace  <standalone|wirover|spot|short-segment>
-//!                [--seed N] [--days D] [--out trace.csv]    regenerate a dataset as CSV
-//! wiscape epoch  [--seed N] [--region wi|nj]                Allan-deviation epoch profile
-//! wiscape quality [--seed N] [--lat L --lon L] [--hour H]   ground-truth link quality lookup
+//!                [--seed N] [--days D] [--region wi|nj] [--out trace.csv]
+//!                                                           regenerate a dataset as CSV
+//! wiscape epoch  [--seed N] [--days D] [--region wi|nj]     Allan-deviation epoch profile
+//! wiscape quality [--seed N] [--region wi|nj] [--lat L --lon L] [--hour H]
+//!                                                           ground-truth link quality lookup
 //! ```
+//!
+//! Every command exits 2 on a flag its usage line does not list.
 //!
 //! Every `map` run except `--recover` goes through the one topology
 //! runner, `wiscape_experiments::topology::run` (fig15 uses it too): it
@@ -117,9 +120,10 @@ fn usage() -> ! {
         "usage:\n  wiscape map     [--seed N] [--hours H] [--loss P] [--out map.csv] [--obs OBS.json]\n                  \
          [--wal DIR] [--crash-seed N] [--recover DIR] [--shards N] [--rebalance-seed S]\n                  \
          [--regions REGIONS.csv] [--hotspots HOTSPOTS.json]\n  \
-         wiscape trace   <standalone|wirover|spot|short-segment> [--seed N] [--days D] [--out trace.csv]\n  \
-         wiscape epoch   [--seed N] [--region wi|nj]\n  \
-         wiscape quality [--seed N] [--lat L --lon L] [--hour H]"
+         wiscape trace   <standalone|wirover|spot|short-segment> [--seed N] [--days D] [--region wi|nj]\n                  \
+         [--out trace.csv]\n  \
+         wiscape epoch   [--seed N] [--days D] [--region wi|nj]\n  \
+         wiscape quality [--seed N] [--region wi|nj] [--lat L --lon L] [--hour H]"
     );
     std::process::exit(2);
 }
@@ -195,14 +199,13 @@ fn cmd_map(args: &Args) {
     // WAL directory (latest snapshot + log replay) and dump the zone map
     // it had published — byte-identical to the run that wrote the log.
     if let Some(dir) = args.str_flag("recover") {
-        reject_non_wal_dir(dir);
         let (recovered, report) = wiscape::wal::DurableCoordinator::recover(
             std::path::Path::new(dir),
             index,
             config.deployment.coordinator.clone(),
             wiscape::wal::WalOptions::default(),
         )
-        .unwrap_or_else(|e| die(&format!("recover {dir}: {e}")));
+        .unwrap_or_else(|e| die(&recover_error(dir, e)));
         eprintln!(
             "recovered: snapshot at {} records, {} replayed, {} torn bytes truncated, {} records",
             report.snapshot_records, report.replayed, report.torn_bytes, report.records
@@ -232,23 +235,19 @@ fn cmd_map(args: &Args) {
     .unwrap_or_else(|e| die(&e.to_string()));
 }
 
-/// Exits 2 when `dir` exists but holds no single coordinator's WAL
-/// (neither a manifest nor a segment), before recovery would write a
-/// fresh segment into it and dump an empty map. A `--shards N --wal DIR`
-/// run leaves only one `shard-<i>` WAL directory per shard in DIR; those
-/// are named, since `--recover` does not rebuild a sharded map. A
-/// missing `dir` is left to recovery's own typed error.
-fn reject_non_wal_dir(dir: &str) {
-    let path = std::path::Path::new(dir);
-    let Ok(entries) = std::fs::read_dir(path) else {
-        return;
-    };
-    let segments = wiscape::wal::log::list_segments(path)
-        .unwrap_or_else(|e| die(&format!("recover {dir}: {e}")));
-    if !segments.is_empty() || wiscape::wal::snapshot::manifest_path(path).exists() {
-        return;
+/// The message for a failed `--recover DIR`. Recovery refuses a
+/// directory that holds no WAL of its own before writing to it; when
+/// DIR holds the `shard-<i>` WALs of a `--shards N --wal DIR` run
+/// instead, they are named, since `--recover` does not rebuild a
+/// sharded map.
+fn recover_error(dir: &str, e: wiscape::wal::WalError) -> String {
+    let msg = format!("recover {dir}: {e}");
+    if e != wiscape::wal::NO_WAL {
+        return msg;
     }
-    let mut shards: Vec<(u64, std::path::PathBuf)> = entries
+    let mut shards: Vec<(u64, std::path::PathBuf)> = std::fs::read_dir(dir)
+        .into_iter()
+        .flatten()
         .filter_map(|entry| {
             let path = entry.ok()?.path();
             let shard = path.file_name()?.to_str()?.strip_prefix("shard-")?;
@@ -256,20 +255,18 @@ fn reject_non_wal_dir(dir: &str) {
         })
         .collect();
     if shards.is_empty() {
-        die(&format!(
-            "recover {dir}: no WAL here (no MANIFEST and no wal-*.seg segment)"
-        ));
+        return msg;
     }
     shards.sort();
     let names: Vec<String> = shards
         .iter()
         .map(|(_, p)| p.display().to_string())
         .collect();
-    die(&format!(
-        "recover {dir}: holds only the per-shard WALs of a --shards run ({}); \
-         --recover rebuilds one coordinator's WAL, not a sharded map",
+    format!(
+        "{msg}; it holds only the per-shard WALs of a --shards run ({}), \
+         and --recover rebuilds one coordinator's WAL, not a sharded map",
         names.join(", ")
-    ));
+    )
 }
 
 /// The run's stderr report: the rebalance, the deployment counters, the
@@ -402,7 +399,11 @@ fn emit_regions(args: &Args, coordinator: &Coordinator) {
     }
 }
 
+/// The flags of `trace`'s usage line.
+const TRACE_FLAGS: [&str; 4] = ["seed", "days", "region", "out"];
+
 fn cmd_trace(args: &Args) {
+    args.reject_unknown("trace", &TRACE_FLAGS);
     let seed = args.u64_flag("seed", 7);
     let days = args.u64_flag("days", 2) as i64;
     let land = landscape(args);
@@ -465,9 +466,13 @@ fn cmd_trace(args: &Args) {
     }
 }
 
+/// The flags of `epoch`'s usage line.
+const EPOCH_FLAGS: [&str; 3] = ["seed", "days", "region"];
+
 fn cmd_epoch(args: &Args) {
     use wiscape::core::{EpochConfig, EpochEstimator};
     use wiscape::stats::TimedValue;
+    args.reject_unknown("epoch", &EPOCH_FLAGS);
     let land = landscape(args);
     let p = wiscape::datasets::representative_static_locations(&land, 1, 5000.0, 100.0)[0].point;
     let days = args.u64_flag("days", 8) as i64;
@@ -503,7 +508,11 @@ fn cmd_epoch(args: &Args) {
     );
 }
 
+/// The flags of `quality`'s usage line.
+const QUALITY_FLAGS: [&str; 5] = ["seed", "region", "lat", "lon", "hour"];
+
 fn cmd_quality(args: &Args) {
+    args.reject_unknown("quality", &QUALITY_FLAGS);
     let land = landscape(args);
     let lat = args.f64_flag("lat", land.origin().lat_deg());
     let lon = args.f64_flag("lon", land.origin().lon_deg());

@@ -1,5 +1,5 @@
-//! The `wiscape` binary rejects `map` command lines it cannot honour:
-//! flag values, flags outside its usage line, and `--recover`
+//! The `wiscape` binary rejects command lines it cannot honour: `map`
+//! flag values, flags outside a command's usage line, and `--recover`
 //! directories that hold no single coordinator's WAL. Each invocation
 //! must exit 2 with a `wiscape: ` message before any simulation runs,
 //! instead of producing an empty map, silently ignoring a flag, or
@@ -8,24 +8,33 @@
 use std::path::Path;
 use std::process::{Command, Output};
 
-fn wiscape_map(flags: &[&str]) -> Output {
+fn wiscape(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_wiscape"))
-        .arg("map")
-        .args(flags)
+        .args(args)
         .output()
         .expect("spawn wiscape")
 }
 
-/// Asserts `map flags` exited 2 with a `wiscape: ` message; returns it.
-fn rejected(flags: &[&str]) -> String {
-    let out = wiscape_map(flags);
+fn wiscape_map(flags: &[&str]) -> Output {
+    wiscape(&[&["map"], flags].concat())
+}
+
+/// Asserts `wiscape args` exited 2 with a `wiscape: ` message; returns
+/// it.
+fn refused(args: &[&str]) -> String {
+    let out = wiscape(args);
     let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
-    assert_eq!(out.status.code(), Some(2), "map {flags:?}: {stderr}");
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
     assert!(
         stderr.starts_with("wiscape: "),
-        "map {flags:?}: stderr {stderr:?}"
+        "{args:?}: stderr {stderr:?}"
     );
     stderr
+}
+
+/// [`refused`] for `map flags`.
+fn rejected(flags: &[&str]) -> String {
+    refused(&[&["map"], flags].concat())
 }
 
 fn files_in(dir: &Path) -> Vec<String> {
@@ -63,6 +72,23 @@ fn map_rejects_flags_outside_its_usage_line() {
     // a WAL.
     let stderr = rejected(&["--wal-crash", "3"]);
     assert!(stderr.contains("--wal-crash"), "{stderr}");
+}
+
+#[test]
+fn other_commands_reject_flags_outside_their_usage_lines() {
+    // Each typo used to run the command with the flag's default.
+    let typos: [(&[&str], &str); 3] = [
+        (&["quality", "--hr", "3"], "--hr"),
+        (&["epoch", "--dys", "1"], "--dys"),
+        (&["trace", "spot", "--dayz", "1"], "--dayz"),
+    ];
+    for (args, typo) in typos {
+        let stderr = refused(args);
+        assert!(stderr.contains(typo), "{stderr}");
+    }
+    // `epoch` reads both flags, so its usage line lists both.
+    let run = wiscape(&["epoch", "--days", "1", "--region", "nj"]);
+    assert!(run.status.success(), "{run:?}");
 }
 
 #[test]
