@@ -43,13 +43,17 @@ impl ZoneQualityMap {
         Self::from_estimates(coordinator.index().clone(), &coordinator.all_published())
     }
 
-    /// Builds the map from published [`ZoneEstimate`]s, wherever they
-    /// came from — a local coordinator, or estimates that crossed the
-    /// control channel (`wiscape-channel`) from a remote one.
-    pub fn from_estimates(index: ZoneIndex, estimates: &[ZoneEstimate]) -> Self {
+    /// Builds the map from published [`ZoneEstimate`]s keyed by
+    /// `(zone, network)`, wherever they came from — a local coordinator,
+    /// or estimates that crossed the control channel (`wiscape-channel`)
+    /// from a remote one.
+    pub fn from_estimates(
+        index: ZoneIndex,
+        estimates: &[((ZoneId, NetworkId), ZoneEstimate)],
+    ) -> Self {
         let mut m = Self::new(index);
-        for e in estimates {
-            m.map.insert((e.zone, e.network), e.mean);
+        for &(key, e) in estimates {
+            m.map.insert(key, e.mean);
         }
         m
     }

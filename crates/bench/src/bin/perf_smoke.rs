@@ -85,7 +85,7 @@ struct ShardRates {
 }
 
 /// WAL durability cost and recovery speed. Append measures the full
-/// write-before-ack path (encode + group append + sketch fold); replay
+/// write-ahead path (encode + group append + sketch fold); replay
 /// measures `DurableCoordinator::recover` over a log of ingest records.
 struct RecoveryRates {
     /// `ingest_samples_tagged` calls per second through the

@@ -813,8 +813,8 @@ mod tests {
             "{} published estimates",
             published.len()
         );
-        for e in &published {
-            assert!(e.mean > 50.0 && e.mean < 7200.0, "estimate {e:?}");
+        for (key, e) in &published {
+            assert!(e.mean > 50.0 && e.mean < 7200.0, "estimate {key:?} {e:?}");
             assert!(e.samples >= 1);
         }
     }
@@ -855,7 +855,7 @@ mod tests {
             .coordinator()
             .all_published()
             .iter()
-            .map(|e| (e.zone, e.network))
+            .map(|&(key, _)| key)
             .collect();
         // 4 hours / 30 min epochs = up to 8 epochs per zone-network.
         let max_packets =

@@ -27,6 +27,15 @@
 //! order-sensitive, so order-independence has to be manufactured by
 //! sorting, not assumed.
 //!
+//! Acks leave at the end of each `receive`, after the handle's
+//! `commit_group`. Under `Immediate` that writes a durable handle's
+//! record of every acked report first. Under `Watermark` a report is
+//! acked when it is staged and reaches the handle only when the
+//! watermark commits it, so a process death before then loses reports
+//! that were already acked (with a settle window longer than the run,
+//! as in `report_loss` and `lossy_cellular`, that is every report
+//! until `drain`).
+//!
 //! Staging keeps no owned report: the staging map holds each report's
 //! cell and the position of its raw sample bytes, which are copied out
 //! of the frame into fixed 1 MiB chunks and read back through

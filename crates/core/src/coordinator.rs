@@ -111,13 +111,11 @@ pub struct MeasurementTask {
     pub packet_bytes: u32,
 }
 
-/// A published per-zone, per-network estimate.
+/// A published per-zone, per-network estimate. Its `(zone, network)`
+/// is the key of the cell that holds it; [`Coordinator::all_published`]
+/// pairs the two.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ZoneEstimate {
-    /// The zone.
-    pub zone: ZoneId,
-    /// The network.
-    pub network: NetworkId,
     /// Mean of the epoch's samples (kbit/s for throughput tasks).
     pub mean: f64,
     /// Standard deviation of the epoch's samples.
@@ -427,8 +425,6 @@ impl Coordinator {
             .zone_samples
             .record(state.current.count() as f64);
         let estimate = ZoneEstimate {
-            zone,
-            network,
             mean: state.current.mean(),
             std_dev: state.current.sample_std_dev(),
             samples: state.current.count(),
@@ -578,11 +574,12 @@ impl Coordinator {
         self.cells.cell((zone, network)).and_then(|s| s.published)
     }
 
-    /// All published estimates.
-    pub fn all_published(&self) -> Vec<ZoneEstimate> {
+    /// All published estimates with their `(zone, network)` keys, in
+    /// key order.
+    pub fn all_published(&self) -> Vec<((ZoneId, NetworkId), ZoneEstimate)> {
         let mut out = Vec::new();
-        self.cells.walk(|_, s| out.extend(s.published));
-        out.sort_by_key(|a| (a.zone, a.network));
+        self.cells
+            .walk(|key, s| out.extend(s.published.map(|e| (key, e))));
         out
     }
 
@@ -754,8 +751,8 @@ pub struct CoordinatorState {
 /// it by appending each mutation to its event log *before* folding it
 /// into the wrapped coordinator, which is what makes snapshot+replay
 /// recovery byte-identical, and by writing the appended records to the
-/// OS before anything that depends on them leaves the process
-/// (write-before-ack, see [`CoordinatorHandle::commit_group`]). The
+/// OS before anything that depends on them leaves the process (see
+/// [`CoordinatorHandle::commit_group`] for what that covers). The
 /// `client`/`seq` tags identify the committed report in the log's
 /// canonical `(t, client, seq)` order; the plain coordinator ignores
 /// them.
@@ -809,8 +806,13 @@ pub trait CoordinatorHandle {
     /// Group commit: writes every event-log record this handle has
     /// buffered to the OS. The channel server calls it at the end of
     /// each `receive`, before the acks and tasks of that transmission
-    /// leave, so no ack goes out ahead of the records it acknowledges.
-    /// A handle without a log has nothing to write.
+    /// leave. Under the server's `Immediate` policy that puts every
+    /// acked report's record on disk before its ack. Under `Watermark`
+    /// it does not: a staged report is acked at once, but reaches this
+    /// handle, and so the log, only when the watermark commits it (at
+    /// `drain`, when the settle window outlasts the run), and a death
+    /// before then loses it. A handle without a log has nothing to
+    /// write.
     fn commit_group(&mut self) {}
 }
 
@@ -1134,7 +1136,10 @@ mod tests {
         c.flush(SimTime::from_secs(3600 * 2));
         assert_eq!(c.published(z1, NetworkId::NetB).unwrap().mean, 100.0);
         assert_eq!(c.published(z2, NetworkId::NetB).unwrap().mean, 900.0);
-        assert_eq!(c.all_published().len(), 2);
+        let mut want = vec![(z1, NetworkId::NetB), (z2, NetworkId::NetB)];
+        want.sort();
+        let keys: Vec<_> = c.all_published().iter().map(|&(key, _)| key).collect();
+        assert_eq!(keys, want, "published in key order");
     }
 
     #[test]
@@ -1221,6 +1226,14 @@ mod tests {
         let mut sorted = keys.clone();
         sorted.sort();
         assert_eq!(keys, sorted, "alerts emitted in sorted key order");
+    }
+
+    /// A cell's payload: its 12 B key and its 112 B epoch state, whose
+    /// published estimate stores no second copy of the key.
+    #[test]
+    fn a_cell_holds_its_key_once() {
+        assert_eq!(std::mem::size_of::<ZoneState>(), 112);
+        assert_eq!(Coordinator::per_zone_state_bytes(), 124);
     }
 
     #[test]

@@ -354,9 +354,7 @@ pub fn state_fingerprint(state: &CoordinatorState) -> String {
             Some(e) => {
                 let _ = write!(
                     out,
-                    " pub=({:?},{:?},{:x},{:x},{},{:?})",
-                    e.zone,
-                    e.network,
+                    " pub=({:x},{:x},{},{:?})",
                     e.mean.to_bits(),
                     e.std_dev.to_bits(),
                     e.samples,
@@ -402,8 +400,8 @@ pub fn state_fingerprint(state: &CoordinatorState) -> String {
 /// coordinator over the shared index before the first. Until that first
 /// refresh the view costs one coordinator slot table, 4 B per index
 /// zone and network. After it, the view also holds a copy of every
-/// shard's cells: at `nation_shards` scale, 316,875 cells of 132 B,
-/// about 42 MB on top of the shards' own.
+/// shard's cells: at `nation_shards` scale, 316,875 cells of 124 B,
+/// about 39 MB on top of the shards' own.
 #[derive(Debug, Clone)]
 pub struct ShardSet<C: CoordinatorHandle = Coordinator> {
     shards: Vec<C>,

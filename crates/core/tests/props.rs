@@ -117,34 +117,6 @@ proptest! {
     }
 
     #[test]
-    fn quantile_sketch_merge_is_order_insensitive(
-        values in prop::collection::vec(0.0..1e4f64, 1..200),
-        cut in 0usize..200,
-    ) {
-        // Bin counts are integers, so shard merge order cannot matter.
-        let cut = cut % values.len();
-        let shard = |r: &[f64]| {
-            let mut s = wiscape_stats::QuantileSketch::new(0.5).unwrap();
-            for &v in r {
-                s.push(v);
-            }
-            s
-        };
-        let (a, b) = (shard(&values[..cut]), shard(&values[cut..]));
-        let mut ab = a.clone();
-        ab.merge(&b).unwrap();
-        let mut ba = b.clone();
-        ba.merge(&a).unwrap();
-        prop_assert_eq!(ab.count(), values.len() as u64);
-        for q in [0.0, 0.05, 0.25, 0.5, 0.75, 0.95, 1.0] {
-            prop_assert_eq!(
-                ab.quantile(q).map(f64::to_bits),
-                ba.quantile(q).map(f64::to_bits)
-            );
-        }
-    }
-
-    #[test]
     fn dominance_is_antisymmetric(
         mean_a in 100.0..3000.0f64,
         mean_b in 100.0..3000.0f64,

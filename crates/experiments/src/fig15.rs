@@ -22,10 +22,10 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
 use wiscape_channel::report_loss;
-use wiscape_core::{ZoneEstimate, ZoneIndex};
+use wiscape_core::{ZoneEstimate, ZoneId, ZoneIndex};
 use wiscape_mobility::Fleet;
 use wiscape_simcore::{SimDuration, SimTime};
-use wiscape_simnet::{Landscape, LandscapeConfig};
+use wiscape_simnet::{Landscape, LandscapeConfig, NetworkId};
 
 use crate::common::Scale;
 use crate::topology;
@@ -75,7 +75,7 @@ pub struct Fig15 {
 }
 
 struct RunOutcome {
-    published: Vec<ZoneEstimate>,
+    published: Vec<((ZoneId, NetworkId), ZoneEstimate)>,
     control_bytes: u64,
     retries: u64,
     abandoned: u64,
@@ -120,13 +120,16 @@ fn run_one(seed: u64, clients: usize, hours: f64, loss: f64, max_attempts: u32) 
 }
 
 /// Mean absolute relative error (%) and missing-pair count vs `base`.
-fn error_vs(base: &[ZoneEstimate], got: &[ZoneEstimate]) -> (f64, usize) {
-    let map: BTreeMap<_, _> = got.iter().map(|e| ((e.zone, e.network), e.mean)).collect();
+fn error_vs(
+    base: &[((ZoneId, NetworkId), ZoneEstimate)],
+    got: &[((ZoneId, NetworkId), ZoneEstimate)],
+) -> (f64, usize) {
+    let map: BTreeMap<_, _> = got.iter().map(|&(key, e)| (key, e.mean)).collect();
     let mut sum = 0.0;
     let mut n = 0usize;
     let mut missing = 0usize;
-    for e in base {
-        match map.get(&(e.zone, e.network)) {
+    for (key, e) in base {
+        match map.get(key) {
             Some(&m) if e.mean.abs() > f64::EPSILON => {
                 sum += ((m - e.mean) / e.mean).abs();
                 n += 1;
@@ -139,7 +142,11 @@ fn error_vs(base: &[ZoneEstimate], got: &[ZoneEstimate]) -> (f64, usize) {
     (mean, missing)
 }
 
-fn cost(out: &RunOutcome, base: &[ZoneEstimate], zone_epochs: f64) -> ChannelCost {
+fn cost(
+    out: &RunOutcome,
+    base: &[((ZoneId, NetworkId), ZoneEstimate)],
+    zone_epochs: f64,
+) -> ChannelCost {
     let (err, missing) = error_vs(base, &out.published);
     ChannelCost {
         control_bytes: out.control_bytes,
@@ -168,7 +175,7 @@ pub fn run(seed: u64, scale: Scale) -> Fig15 {
     let mut cells = Vec::new();
     for &clients in client_counts {
         let base = run_one(seed, clients, hours, 0.0, 12);
-        let zones: BTreeSet<_> = base.published.iter().map(|e| e.zone).collect();
+        let zones: BTreeSet<_> = base.published.iter().map(|((zone, _), _)| zone).collect();
         let zone_epochs = zones.len() as f64 * epochs;
         for &loss in losses {
             let reliable = if loss == 0.0 {

@@ -156,18 +156,15 @@ impl Gauge {
 
 /// Shared state behind a [`Histogram`] handle.
 struct HistogramState {
-    /// Bin width; bin index is `(v / width).round() as i64`, the exact
-    /// rule of `wiscape_stats::sketch::QuantileSketch`, so obs
-    /// histograms and stats sketches bucket values identically.
+    /// Bin width; bin index is `(v / width).round() as i64`.
     width: f64,
     bins: Mutex<BTreeMap<i64, u64>>,
 }
 
 /// A fixed-bin-width histogram of observed values.
 ///
-/// Bins are integer counts keyed by `(v / width).round()` — the same
-/// bin rule as `wiscape_stats::sketch::QuantileSketch` — so merges and
-/// concurrent records are exactly order-insensitive: recording from
+/// Bins are integer counts keyed by `(v / width).round()`, so merges
+/// and concurrent records are exactly order-insensitive: recording from
 /// many threads yields bitwise-identical bins regardless of schedule.
 /// Non-finite values are dropped (counted in no bin).
 ///

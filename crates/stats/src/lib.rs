@@ -17,9 +17,8 @@
 //! * Pearson correlation — the speed-vs-latency independence check
 //!   (paper §2, Fig 2);
 //! * **streaming sketches** ([`sketch`]) — constant-memory, mergeable
-//!   accumulators (naive means, fixed-bin quantiles, incremental Allan
-//!   deviation) that, with [`RunningStats`], back the retain-nothing
-//!   estimation pipeline.
+//!   accumulators (naive means, incremental Allan deviation) that, with
+//!   [`RunningStats`], back the retain-nothing estimation pipeline.
 //!
 //! All functions are pure and deterministic; nothing here consumes
 //! randomness.
@@ -43,7 +42,7 @@ pub use ecdf::Ecdf;
 pub use histogram::Histogram;
 pub use kld::{entropy, kl_divergence, nkld, NKLD_SIMILARITY_THRESHOLD};
 pub use moments::{mean, rel_std_dev, std_dev, variance, RunningStats};
-pub use sketch::{AllanSketch, MeanSketch, QuantileSketch};
+pub use sketch::{AllanSketch, MeanSketch};
 
 /// Errors produced by statistical routines on degenerate input.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -8,9 +8,7 @@
 //! latency binning and the epoch search hold the sketches below. All of
 //! them share three properties:
 //!
-//! 1. **Incremental** — `push` is `O(1)` and allocation-free (the
-//!    quantile sketch allocates only when a value lands in a new bin,
-//!    bounded by the bin count, not the sample count);
+//! 1. **Incremental** — `push` is `O(1)` and allocation-free;
 //! 2. **Mergeable** — `merge` combines two shards; shards are always
 //!    combined in a *fixed order* (sorted `(zone, network)` key order,
 //!    or explicit shard index), which makes merged floating-point
@@ -35,15 +33,10 @@
 //!   previous bin mean, and the running sum of squared successive
 //!   differences. For non-decreasing timestamps the profile is
 //!   bit-identical to the batch computation.
-//! * [`QuantileSketch`] is the one *approximate* sketch: fixed-width
-//!   bins with integer counts (its merge is exactly order-insensitive).
-//!   On values quantized to the bin grid its nearest-rank quantiles
-//!   equal [`crate::Ecdf::quantile`] exactly; on arbitrary values the
-//!   error is bounded by the bin width. Consumers that publish exact
-//!   quantiles (the dominance 5/95 rule, CDF figures) therefore pull
-//!   raw values through the explicit offline `datasets` helper instead.
-
-use std::collections::BTreeMap;
+//!
+//! None of them keeps a distribution: consumers that publish quantiles
+//! (the dominance 5/95 rule, CDF figures) pull raw values through the
+//! explicit offline `datasets` helper into a [`crate::Ecdf`].
 
 use serde::{Deserialize, Serialize};
 
@@ -117,181 +110,6 @@ impl MeanSketch {
     /// Resident bytes of this sketch (constant).
     pub fn mem_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
-    }
-}
-
-/// Deterministic fixed-bin quantile/ECDF sketch.
-///
-/// Values are counted in fixed-width bins (`idx = round(v / width)`),
-/// so memory is bounded by the occupied bin count — the value *range*
-/// over the resolution, never the sample count. Because the state is
-/// integer counts, `merge` is **exactly** order-insensitive: any shard
-/// permutation yields identical bytes.
-///
-/// # Accuracy
-///
-/// Quantiles use the same nearest-rank rule as [`crate::Ecdf`], over
-/// bin representatives (`idx * width`, the bin center):
-///
-/// * values already quantized to the grid (`v = k * width`) are
-///   recovered exactly — quantiles equal `Ecdf::quantile` bit for bit;
-/// * arbitrary values are off by at most `width / 2` per sample, so a
-///   quantile differs from the exact nearest-rank answer by at most
-///   `width` (representative error plus rank ties at bin boundaries).
-///
-/// Consumers that must publish exact quantiles keep using [`crate::Ecdf`]
-/// over explicitly pulled offline values.
-///
-/// ```
-/// use wiscape_stats::sketch::QuantileSketch;
-///
-/// // 10-kbps bins; values on the grid are recovered exactly.
-/// let mut q = QuantileSketch::new(10.0).unwrap();
-/// for v in [840.0, 850.0, 860.0, 870.0, 880.0] { q.push(v); }
-/// assert_eq!(q.median(), Some(860.0));
-/// assert_eq!(q.occupied_bins(), 5);
-/// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct QuantileSketch {
-    width: f64,
-    bins: BTreeMap<i64, u64>,
-    count: u64,
-    dropped_non_finite: u64,
-}
-
-impl QuantileSketch {
-    /// Creates a sketch with the given bin width (must be finite and
-    /// positive).
-    pub fn new(width: f64) -> Result<Self, StatsError> {
-        if !(width.is_finite() && width > 0.0) {
-            return Err(StatsError::InvalidBinWidth);
-        }
-        Ok(Self {
-            width,
-            bins: BTreeMap::new(),
-            count: 0,
-            dropped_non_finite: 0,
-        })
-    }
-
-    /// The bin width (quantile error bound).
-    pub fn width(&self) -> f64 {
-        self.width
-    }
-
-    /// Adds one value; non-finite values are dropped and counted.
-    pub fn push(&mut self, value: f64) {
-        if !value.is_finite() {
-            self.dropped_non_finite += 1;
-            return;
-        }
-        let idx = (value / self.width).round() as i64;
-        *self.bins.entry(idx).or_insert(0) += 1;
-        self.count += 1;
-    }
-
-    /// Merges another sketch of the **same width**; integer counts make
-    /// this exactly order-insensitive.
-    pub fn merge(&mut self, other: &QuantileSketch) -> Result<(), StatsError> {
-        if self.width != other.width {
-            return Err(StatsError::InvalidBinWidth);
-        }
-        for (&idx, &n) in &other.bins {
-            *self.bins.entry(idx).or_insert(0) += n;
-        }
-        self.count += other.count;
-        self.dropped_non_finite += other.dropped_non_finite;
-        Ok(())
-    }
-
-    /// Number of (finite) samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Non-finite values dropped.
-    pub fn dropped_non_finite(&self) -> u64 {
-        self.dropped_non_finite
-    }
-
-    /// Whether no samples have been accumulated.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Number of occupied bins (the memory driver).
-    pub fn occupied_bins(&self) -> usize {
-        self.bins.len()
-    }
-
-    fn representative(&self, idx: i64) -> f64 {
-        idx as f64 * self.width
-    }
-
-    /// Fraction of samples `<= x` (to within one bin); 0 when empty.
-    pub fn eval(&self, x: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let below: u64 = self
-            .bins
-            .iter()
-            .take_while(|(&idx, _)| self.representative(idx) <= x)
-            .map(|(_, &n)| n)
-            .sum();
-        below as f64 / self.count as f64
-    }
-
-    /// The `q`-quantile by the nearest-rank rule over bin
-    /// representatives; `None` when empty.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let n = self.count;
-        let rank = if q <= 0.0 {
-            1
-        } else {
-            ((q * n as f64).ceil() as u64).clamp(1, n)
-        };
-        let mut cum = 0u64;
-        for (&idx, &cnt) in &self.bins {
-            cum += cnt;
-            if cum >= rank {
-                return Some(self.representative(idx));
-            }
-        }
-        None
-    }
-
-    /// Percentile convenience wrapper (`percentile(95.0)` = 0.95-quantile).
-    pub fn percentile(&self, p: f64) -> Option<f64> {
-        self.quantile(p / 100.0)
-    }
-
-    /// Median (0.5-quantile).
-    pub fn median(&self) -> Option<f64> {
-        self.quantile(0.5)
-    }
-
-    /// Smallest bin representative; `None` when empty.
-    pub fn min(&self) -> Option<f64> {
-        self.bins.keys().next().map(|&i| self.representative(i))
-    }
-
-    /// Largest bin representative; `None` when empty.
-    pub fn max(&self) -> Option<f64> {
-        self.bins
-            .keys()
-            .next_back()
-            .map(|&i| self.representative(i))
-    }
-
-    /// Resident bytes: the fixed header plus one `(i64, u64)` entry per
-    /// occupied bin (map node overhead not included).
-    pub fn mem_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.bins.len() * std::mem::size_of::<(i64, u64)>()
     }
 }
 
@@ -505,7 +323,7 @@ impl AllanSketch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{allan_deviation_profile, Ecdf, TimedValue};
+    use crate::{allan_deviation_profile, TimedValue};
 
     #[test]
     fn mean_sketch_replicates_naive_fold() {
@@ -535,92 +353,6 @@ mod tests {
         assert_eq!(a.count(), 3);
         assert_eq!(a.sum(), 8.0);
         assert_eq!(MeanSketch::new().mean(), 0.0);
-    }
-
-    #[test]
-    fn quantile_sketch_rejects_bad_width() {
-        assert!(QuantileSketch::new(0.0).is_err());
-        assert!(QuantileSketch::new(-1.0).is_err());
-        assert!(QuantileSketch::new(f64::NAN).is_err());
-    }
-
-    #[test]
-    fn quantile_sketch_exact_on_grid_values() {
-        let width = 0.5;
-        let values: Vec<f64> = (0..100).map(|i| ((i * 7) % 41) as f64 * width).collect();
-        let mut sk = QuantileSketch::new(width).unwrap();
-        for &v in &values {
-            sk.push(v);
-        }
-        let ecdf = Ecdf::new(values.clone()).unwrap();
-        for q in [0.0, 0.05, 0.25, 0.5, 0.75, 0.95, 1.0] {
-            assert_eq!(
-                sk.quantile(q).unwrap().to_bits(),
-                ecdf.quantile(q).to_bits(),
-                "q={q}"
-            );
-        }
-        assert_eq!(sk.median(), sk.quantile(0.5));
-        assert_eq!(sk.percentile(95.0), sk.quantile(0.95));
-    }
-
-    #[test]
-    fn quantile_sketch_error_bounded_by_width() {
-        let width = 1.0;
-        let values: Vec<f64> = (0..500)
-            .map(|i| ((i * 131) % 977) as f64 * 0.613 + 3.21)
-            .collect();
-        let mut sk = QuantileSketch::new(width).unwrap();
-        for &v in &values {
-            sk.push(v);
-        }
-        let ecdf = Ecdf::new(values.clone()).unwrap();
-        for q in [0.01, 0.1, 0.5, 0.9, 0.99] {
-            let err = (sk.quantile(q).unwrap() - ecdf.quantile(q)).abs();
-            assert!(err <= width, "q={q} err={err}");
-        }
-    }
-
-    #[test]
-    fn quantile_sketch_merge_is_order_insensitive() {
-        let width = 0.25;
-        let values: Vec<f64> = (0..300).map(|i| ((i * 37) % 101) as f64 * width).collect();
-        let shard = |range: std::ops::Range<usize>| {
-            let mut s = QuantileSketch::new(width).unwrap();
-            for &v in &values[range] {
-                s.push(v);
-            }
-            s
-        };
-        let (a, b, c) = (shard(0..100), shard(100..200), shard(200..300));
-        let mut abc = a.clone();
-        abc.merge(&b).unwrap();
-        abc.merge(&c).unwrap();
-        let mut cba = c.clone();
-        cba.merge(&b).unwrap();
-        cba.merge(&a).unwrap();
-        assert_eq!(abc, cba);
-        let mut wrong = QuantileSketch::new(width * 2.0).unwrap();
-        assert!(wrong.merge(&a).is_err());
-    }
-
-    #[test]
-    fn quantile_sketch_counts_and_bounds() {
-        let mut sk = QuantileSketch::new(1.0).unwrap();
-        assert!(sk.is_empty());
-        assert_eq!(sk.quantile(0.5), None);
-        assert_eq!(sk.min(), None);
-        sk.push(f64::NAN);
-        assert_eq!(sk.dropped_non_finite(), 1);
-        for v in [2.0, -3.0, 7.0] {
-            sk.push(v);
-        }
-        assert_eq!(sk.count(), 3);
-        assert_eq!(sk.min(), Some(-3.0));
-        assert_eq!(sk.max(), Some(7.0));
-        assert_eq!(sk.occupied_bins(), 3);
-        assert!(sk.eval(10.0) == 1.0 && sk.eval(-10.0) == 0.0);
-        assert!(sk.mem_bytes() >= std::mem::size_of::<QuantileSketch>());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The durable coordinator: write-before-ack event sourcing around the
+//! The durable coordinator: write-ahead event sourcing around the
 //! in-memory [`Coordinator`].
 //!
 //! Every mutation that reaches the coordinator through the
@@ -13,6 +13,11 @@
 //! rotation, at [`DurableCoordinator::shutdown`], and whenever the group
 //! is full. A fold is process-local: a death loses it together with the
 //! unwritten group, and the client of an un-acked report retries.
+//! Only what reaches this handle is logged: a report the channel
+//! server has staged under its watermark policy is already acked but
+//! not yet here, so a death before the watermark commits it (at
+//! `drain` in the shipped configurations) loses it, and its client does
+//! not retry.
 //! Periodically the full fold state is snapshotted (bitwise, see
 //! [`crate::snapshot`]) and the manifest advanced, bounding replay
 //! length.

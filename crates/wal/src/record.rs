@@ -30,7 +30,7 @@ use wiscape_simnet::NetworkId;
 /// WAL frame magic: `"WL"`.
 pub const WAL_MAGIC: [u8; 2] = [0x57, 0x4C];
 /// WAL format version.
-pub const WAL_VERSION: u8 = 2;
+pub const WAL_VERSION: u8 = 3;
 
 pub(crate) const TAG_CHECKIN: u8 = 1;
 pub(crate) const TAG_INGEST: u8 = 2;

@@ -42,7 +42,7 @@ pub const SNAP_MAGIC: [u8; 2] = [0x57, 0x53];
 /// Manifest file magic: `"WM"`.
 pub const MANIFEST_MAGIC: [u8; 2] = [0x57, 0x4D];
 /// Snapshot/manifest format version.
-pub const SNAP_VERSION: u8 = 2;
+pub const SNAP_VERSION: u8 = 3;
 
 /// Path of the snapshot covering the first `records` log records.
 pub fn snapshot_path(dir: &Path, records: u64) -> PathBuf {
@@ -149,9 +149,8 @@ pub(crate) fn take_cell(r: &mut Reader<'_>) -> Result<ZoneCellState, WalError> {
     })
 }
 
+/// Serializes a cell's published estimate; its key is the cell's.
 fn put_estimate(out: &mut Vec<u8>, est: &ZoneEstimate) {
-    put_zone(out, est.zone);
-    put_network(out, est.network);
     put_f64(out, est.mean);
     put_f64(out, est.std_dev);
     put_varint(out, est.samples);
@@ -199,8 +198,6 @@ pub fn decode_state(body: &[u8]) -> Result<CoordinatorState, WalError> {
 
 fn take_estimate(r: &mut Reader<'_>) -> Result<ZoneEstimate, WalError> {
     Ok(ZoneEstimate {
-        zone: r.zone()?,
-        network: r.network()?,
         mean: r.f64()?,
         std_dev: r.f64()?,
         samples: r.varint()?,
@@ -332,8 +329,6 @@ pub(crate) mod tests {
                 sketch,
                 issued_this_epoch: 7,
                 published: Some(ZoneEstimate {
-                    zone: ZoneId(CellId { col: 4, row: -2 }),
-                    network: NetworkId::NetB,
                     mean: 817.46875,
                     std_dev: 161.0220581,
                     samples: 150,

@@ -4,17 +4,23 @@
 //! snapshots, `WM` for the manifest. These tests pin the absolute bytes
 //! of one frame of each kind, plus the `MigrateIn` record, the one WAL
 //! record that carries a cell, so an envelope or body change shows even
-//! when its encoder and decoder still agree. They require `BadMagic`
+//! when its encoder and decoder still agree. The snapshot's cell has a
+//! published estimate and the `MigrateIn` record's cell has none, so
+//! both arms of the estimate codec are pinned. They require `BadMagic`
 //! from every decoder fed another kind's frame, and
-//! `UnsupportedVersion(1)` from every WAL decoder fed a frame of the
-//! version-1 layout, whose cells carried two more f64s.
+//! `UnsupportedVersion(1)` or `UnsupportedVersion(2)` from every WAL
+//! decoder fed a frame of an older layout: version-1 cells carried two
+//! more f64s, and version-2 estimates a second copy of their cell's
+//! `(zone, network)` key.
 
 use std::path::{Path, PathBuf};
 
 use wiscape_channel::codec::{
     decode_ref, encode, encode_ack_one, CheckinRequest, DecodeError, WireMessage,
 };
-use wiscape_core::{CoordinatorConfig, CoordinatorState, ZoneCellState, ZoneId, ZoneIndex};
+use wiscape_core::{
+    CoordinatorConfig, CoordinatorState, ZoneCellState, ZoneEstimate, ZoneId, ZoneIndex,
+};
 use wiscape_geo::{CellId, GeoPoint};
 use wiscape_mobility::ClientId;
 use wiscape_simcore::{SimDuration, SimTime};
@@ -31,13 +37,23 @@ const CHECKIN_HEX: &str = "5743011601070336ab3e575b894540efc9c342ad5956c080890fb
 /// `encode_ack_one(ClientId(9), 300)`.
 const ACK_HEX: &str = "57430105040901ac02a9e6d4a3";
 /// [`ingest_record`].
-const INGEST_HEX: &str = "574c021c0209ac02051801fed9c40902000000000064894000000000000000809844a5b7";
+const INGEST_HEX: &str = "574c031c0209ac02051801fed9c40902000000000064894000000000000000809844a5b7";
 /// [`migrate_in_record`].
-const MIGRATE_IN_HEX: &str = "574c0235070108030180c8ceb40d80909de91a03abaaaaaaaa648b4054555555d901e0400000000000ca884000000000000090400700018c013105b037";
+const MIGRATE_IN_HEX: &str = "574c0335070108030180c8ceb40d80909de91a03abaaaaaaaa648b4054555555d901e0400000000000ca884000000000000090400700018c013105b037";
 /// `snap-0000000042.bin` as [`snapshot_files`] writes it.
-const SNAPSHOT_HEX: &str = "575302390108030180c8ceb40d80909de91a03abaaaaaaaa648b4054555555d901e0400000000000ca884000000000000090400700018c0100b9600308444d9401";
+const SNAPSHOT_HEX: &str = "575303500108030180c8ceb40d80909de91a03abaaaaaaaa648b4054555555d901e0400000000000ca88400000000000009040070100000000c08b8940954330b3b4206440960180c8ceb40d018c0100b96003083cdcbaa4";
 /// `MANIFEST` as [`snapshot_files`] writes it.
-const MANIFEST_HEX: &str = "574d02012a5b26b909";
+const MANIFEST_HEX: &str = "574d03012a5b26b909";
+/// [`ingest_record`] as version 2 wrote it.
+const V2_INGEST_HEX: &str =
+    "574c021c0209ac02051801fed9c40902000000000064894000000000000000809844a5b7";
+/// [`migrate_in_record`] as version 2 wrote it.
+const V2_MIGRATE_IN_HEX: &str = "574c0235070108030180c8ceb40d80909de91a03abaaaaaaaa648b4054555555d901e0400000000000ca884000000000000090400700018c013105b037";
+/// `snap-0000000042.bin` as version 2 wrote it, for a cell with no
+/// published estimate.
+const V2_SNAPSHOT_HEX: &str = "575302390108030180c8ceb40d80909de91a03abaaaaaaaa648b4054555555d901e0400000000000ca884000000000000090400700018c0100b9600308444d9401";
+/// `MANIFEST` as version 2 wrote it.
+const V2_MANIFEST_HEX: &str = "574d02012a5b26b909";
 /// [`ingest_record`] as version 1 wrote it.
 const V1_INGEST_HEX: &str =
     "574c011c0209ac02051801fed9c40902000000000064894000000000000000809844a5b7";
@@ -83,8 +99,9 @@ fn ingest_record() -> Vec<u8> {
     frame
 }
 
-/// The one cell of [`snapshot_files`] and [`migrate_in_record`].
-fn cell() -> ZoneCellState {
+/// The one cell of [`snapshot_files`] and [`migrate_in_record`], with
+/// the given published estimate.
+fn cell(published: Option<ZoneEstimate>) -> ZoneCellState {
     let mut sketch = RunningStats::new();
     for v in [812.5, 793.25, 1024.0] {
         sketch.push(v);
@@ -96,17 +113,28 @@ fn cell() -> ZoneCellState {
         epoch_start: SimTime::from_micros(3_600_000_000),
         sketch,
         issued_this_epoch: 7,
-        published: None,
+        published,
         quota: Some(140),
     }
 }
 
-/// A zone-range handoff of [`cell`] into a coordinator.
+/// The published estimate of the snapshot's cell.
+fn estimate() -> ZoneEstimate {
+    ZoneEstimate {
+        mean: 817.46875,
+        std_dev: 161.0220581,
+        samples: 150,
+        formed_at: SimTime::from_micros(1_800_000_000),
+    }
+}
+
+/// A zone-range handoff into a coordinator of [`cell`] with no
+/// published estimate.
 fn migrate_in_record() -> Vec<u8> {
     let mut enc = RecordEncoder::with_capacity(64);
     enc.begin(7); // migrate-in tag
     enc.put_u64(1);
-    enc.put_cell(&cell());
+    enc.put_cell(&cell(None));
     let mut frame = Vec::new();
     enc.seal_into(&mut frame);
     frame
@@ -120,10 +148,11 @@ fn dir(tag: &str) -> PathBuf {
 }
 
 /// Writes a one-cell snapshot covering 42 records into `dir` and
-/// returns the snapshot file and the manifest.
+/// returns the snapshot file and the manifest. The cell has a
+/// published estimate.
 fn snapshot_files(dir: &Path) -> (Vec<u8>, Vec<u8>) {
     let state = CoordinatorState {
-        cells: vec![cell()],
+        cells: vec![cell(Some(estimate()))],
         packets_requested: 12_345,
         malformed_dropped: 3,
         reports_rejected: 8,
@@ -157,7 +186,7 @@ fn every_frame_kind_keeps_its_bytes() {
     assert_eq!(hex(&migrate_in_record()), MIGRATE_IN_HEX);
     match decode_record_view(&migrate_in_record()) {
         Ok((RecordView::Owned(WalRecord::MigrateIn { cells }), _)) => {
-            assert_eq!(cells, [cell()]);
+            assert_eq!(cells, [cell(None)]);
         }
         other => panic!("not a migrate-in record: {other:?}"),
     }
@@ -166,7 +195,8 @@ fn every_frame_kind_keeps_its_bytes() {
     assert_eq!(hex(&snap), SNAPSHOT_HEX);
     assert_eq!(hex(&manifest), MANIFEST_HEX);
     assert_eq!(read_manifest(&dir), Ok(Some(42)));
-    assert!(load_snapshot(&dir, 42).is_ok());
+    let state = load_snapshot(&dir, 42).unwrap();
+    assert_eq!(state.cells, [cell(Some(estimate()))]);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -189,17 +219,7 @@ fn every_decoder_refuses_another_kinds_frame() {
 }
 
 #[test]
-fn version_1_frames_and_directories_are_refused() {
-    let old = Err(WalError::Frame(DecodeError::UnsupportedVersion(1)));
-    assert_eq!(decode_record_view(&unhex(V1_INGEST_HEX)).map(|_| ()), old);
-    let dir = dir("v1");
-    std::fs::write(dir.join("snap-0000000042.bin"), unhex(V1_SNAPSHOT_HEX)).unwrap();
-    std::fs::write(dir.join("MANIFEST"), unhex(V1_MANIFEST_HEX)).unwrap();
-    assert_eq!(load_snapshot(&dir, 42).map(|_| ()), old);
-    assert_eq!(read_manifest(&dir).map(|_| ()), old);
-
-    // Recovery refuses a version-1 WAL directory, through its manifest
-    // or, without one, through its first segment, and writes nothing.
+fn version_1_and_2_frames_and_directories_are_refused() {
     let index = ZoneIndex::around(GeoPoint::new(43.0731, -89.4012).unwrap(), 1000.0).unwrap();
     let recover = |dir: &Path| {
         DurableCoordinator::recover(
@@ -210,13 +230,33 @@ fn version_1_frames_and_directories_are_refused() {
         )
         .map(|_| ())
     };
-    std::fs::write(dir.join("wal-0000000000.seg"), unhex(V1_INGEST_HEX)).unwrap();
-    let before = files_in(&dir);
-    assert_eq!(recover(&dir), old, "through the manifest");
-    assert_eq!(files_in(&dir), before);
-    std::fs::remove_file(dir.join("MANIFEST")).unwrap();
-    let before = files_in(&dir);
-    assert_eq!(recover(&dir), old, "through the first segment");
-    assert_eq!(files_in(&dir), before);
-    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(
+        decode_record_view(&unhex(V2_MIGRATE_IN_HEX)).map(|_| ()),
+        Err(WalError::Frame(DecodeError::UnsupportedVersion(2)))
+    );
+    for (version, ingest, snapshot, manifest) in [
+        (1, V1_INGEST_HEX, V1_SNAPSHOT_HEX, V1_MANIFEST_HEX),
+        (2, V2_INGEST_HEX, V2_SNAPSHOT_HEX, V2_MANIFEST_HEX),
+    ] {
+        let old = Err(WalError::Frame(DecodeError::UnsupportedVersion(version)));
+        assert_eq!(decode_record_view(&unhex(ingest)).map(|_| ()), old);
+        let dir = dir(&format!("v{version}"));
+        std::fs::write(dir.join("snap-0000000042.bin"), unhex(snapshot)).unwrap();
+        std::fs::write(dir.join("MANIFEST"), unhex(manifest)).unwrap();
+        assert_eq!(load_snapshot(&dir, 42).map(|_| ()), old);
+        assert_eq!(read_manifest(&dir).map(|_| ()), old);
+
+        // Recovery refuses an old WAL directory, through its manifest
+        // or, without one, through its first segment, and writes
+        // nothing.
+        std::fs::write(dir.join("wal-0000000000.seg"), unhex(ingest)).unwrap();
+        let before = files_in(&dir);
+        assert_eq!(recover(&dir), old, "v{version} through the manifest");
+        assert_eq!(files_in(&dir), before);
+        std::fs::remove_file(dir.join("MANIFEST")).unwrap();
+        let before = files_in(&dir);
+        assert_eq!(recover(&dir), old, "v{version} through the first segment");
+        assert_eq!(files_in(&dir), before);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -1,10 +1,16 @@
 //! Group commit through the channel server.
 //!
-//! 1. **Write before ack.** Every report a server has acked is in the
-//!    log when the process dies, even without `shutdown`: `receive`
-//!    commits the handle's group before its replies leave, for a single
-//!    durable coordinator and for a sharded set of them.
-//! 2. **One write per group.** A run of hot ingest records between two
+//! 1. **Write before ack, under `CommitPolicy::Immediate`.** Every
+//!    report a server has acked is in the log when the process dies,
+//!    even without `shutdown`: `receive` commits the handle's group
+//!    before its replies leave, for a single durable coordinator and
+//!    for a sharded set of them.
+//! 2. **Ack before write, under `CommitPolicy::Watermark`.** `receive`
+//!    acks a report when it is staged, but its record is written only
+//!    when the watermark commits it. With a settle window longer than
+//!    the run, as in every shipped watermark configuration, that is at
+//!    `drain`: a death before it loses every acked report.
+//! 3. **One write per group.** A run of hot ingest records between two
 //!    non-hot boundaries costs one `write(2)` per full group, not one
 //!    per record.
 
@@ -18,7 +24,7 @@ use wiscape_core::{
 };
 use wiscape_geo::GeoPoint;
 use wiscape_mobility::ClientId;
-use wiscape_simcore::{SimTime, StreamRng};
+use wiscape_simcore::{SimDuration, SimTime, StreamRng};
 use wiscape_simnet::{NetworkId, TransportKind};
 use wiscape_wal::{DurableCoordinator, WalOptions, GROUP_BYTES};
 
@@ -109,9 +115,13 @@ fn deliver<C: CoordinatorHandle>(
 }
 
 fn server<C: CoordinatorHandle>(handle: C) -> ChannelServer<C> {
+    server_with(handle, CommitPolicy::Immediate)
+}
+
+fn server_with<C: CoordinatorHandle>(handle: C, policy: CommitPolicy) -> ChannelServer<C> {
     ChannelServer::new(
         handle,
-        CommitPolicy::Immediate,
+        policy,
         StreamRng::new(5).fork("deployment"),
         vec![NetworkId::NetB],
     )
@@ -171,6 +181,37 @@ fn acked_reports_survive_a_drop_without_shutdown_sharded() {
     for dir in &dirs {
         let _ = std::fs::remove_dir_all(dir);
     }
+}
+
+#[test]
+fn watermark_reports_reach_the_log_at_drain_not_at_ack() {
+    let policy = CommitPolicy::Watermark(SimDuration::from_hours(24 * 365));
+    let end = SimTime::from_secs(3600);
+    let dir = fresh_dir("watermark");
+    let mut s = server_with(durable(&dir), policy);
+    let acked = deliver(&mut s, &reports());
+    assert_eq!(acked.len(), 60);
+    assert_eq!(s.staged_len(), 60);
+    // Process death before the drain: every acked report was staged
+    // only, so the log holds none of them.
+    drop(s);
+    assert_eq!(recovered_state(&dir).cells.len(), 0);
+
+    let mut s = server_with(durable(&dir), policy);
+    let acked = deliver(&mut s, &reports());
+    s.drain(end);
+    drop(s);
+    let mut plain = Coordinator::new(index(), CoordinatorConfig::default());
+    for r in &acked {
+        plain.ingest_report(r).unwrap();
+    }
+    plain.flush(end);
+    assert_eq!(
+        state_fingerprint(&recovered_state(&dir)),
+        state_fingerprint(&plain.export_state()),
+        "the drain logs every staged report"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

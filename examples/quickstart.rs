@@ -60,11 +60,11 @@ fn main() {
     let published = deployment.coordinator().all_published();
     println!("\npublished estimates: {}", published.len());
     println!("  zone            network  mean kbps  (±std)   samples");
-    for e in published.iter().take(12) {
+    for ((zone, network), e) in published.iter().take(12) {
         println!(
             "  {:<15} {:<8} {:>8.0}  (±{:>5.0})  {:>6}",
-            e.zone.to_string(),
-            e.network.to_string(),
+            zone.to_string(),
+            network.to_string(),
             e.mean,
             e.std_dev,
             e.samples

@@ -8,7 +8,9 @@
 //!                                                           run a deployment, dump the zone map
 //!
 //!   --wal DIR         route the coordinator through the wiscape-wal event
-//!                     log under DIR (write-before-ack durability)
+//!                     log under DIR (write-ahead; with --loss, reports are
+//!                     acked when staged and logged when committed, at the
+//!                     end of the run)
 //!   --crash-seed N    with --wal: deterministically kill and recover the
 //!                     coordinator mid-run; the map must stay byte-identical
 //!   --recover DIR     skip the simulation entirely: rebuild the coordinator
@@ -316,15 +318,15 @@ fn emit_map(args: &Args, coordinator: &Coordinator, obs_path: Option<&str>) {
     let published = coordinator.all_published();
     let mut out =
         String::from("zone_col,zone_row,lat_deg,lon_deg,network,mean_kbps,std_kbps,samples\n");
-    for e in &published {
-        let c = coordinator.index().center_of(e.zone);
+    for ((zone, network), e) in &published {
+        let c = coordinator.index().center_of(*zone);
         out.push_str(&format!(
             "{},{},{:.6},{:.6},{},{:.1},{:.1},{}\n",
-            e.zone.0.col,
-            e.zone.0.row,
+            zone.0.col,
+            zone.0.row,
             c.lat_deg(),
             c.lon_deg(),
-            e.network,
+            network,
             e.mean,
             e.std_dev,
             e.samples

@@ -30,11 +30,11 @@ fn published_map_tracks_ground_truth_across_zones() {
     // Compare every published NetB estimate against the field's mean at
     // the zone center mid-window.
     let mut errors = Vec::new();
-    for e in &published {
-        if e.network != NetworkId::NetB || e.samples < 20 {
+    for ((zone, network), e) in &published {
+        if *network != NetworkId::NetB || e.samples < 20 {
             continue;
         }
-        let center = d.coordinator().index().center_of(e.zone);
+        let center = d.coordinator().index().center_of(*zone);
         let truth = d
             .landscape()
             .link_quality(NetworkId::NetB, &center, e.formed_at)
@@ -118,10 +118,10 @@ fn deployments_are_reproducible_and_seed_sensitive() {
             .coordinator()
             .all_published()
             .iter()
-            .map(|e| {
+            .map(|((zone, network), e)| {
                 (
-                    e.zone.to_string(),
-                    e.network.to_string(),
+                    zone.to_string(),
+                    network.to_string(),
                     e.samples,
                     (e.mean * 1000.0) as i64,
                 )

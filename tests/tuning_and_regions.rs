@@ -20,12 +20,12 @@ fn nj_deployment_works_with_two_networks() {
     // Only NetB and NetC appear.
     assert!(published
         .iter()
-        .all(|e| matches!(e.network, NetworkId::NetB | NetworkId::NetC)));
+        .all(|((_, network), _)| matches!(network, NetworkId::NetB | NetworkId::NetC)));
     // NJ estimates should reflect the faster NJ bases (Table 3).
     let netc_means: Vec<f64> = published
         .iter()
-        .filter(|e| e.network == NetworkId::NetC && e.samples >= 20)
-        .map(|e| e.mean)
+        .filter(|((_, network), e)| *network == NetworkId::NetC && e.samples >= 20)
+        .map(|(_, e)| e.mean)
         .collect();
     assert!(!netc_means.is_empty());
     let mean = netc_means.iter().sum::<f64>() / netc_means.len() as f64;
