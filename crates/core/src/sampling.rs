@@ -83,10 +83,11 @@ pub enum WindowMode {
 ///
 /// Every draw's NKLD is bitwise [`sample_nkld`]`(reference, draw)`, but
 /// the reference is not re-scanned per draw: its bounds are folded
-/// once, and it is re-binned only when a draw's pooled range differs
-/// bitwise from the previous draw's. A draw whose samples lie inside
-/// the reference's range, which is most of them, pools to the
-/// reference's own range and reuses its pmf.
+/// once, and it is binned once over its own range and otherwise only
+/// when a draw's pooled range differs bitwise from the last range that
+/// was not its own. A draw whose samples lie inside the reference's
+/// range, which is most of them, pools to the reference's own range and
+/// reuses that pmf, also right after a draw that widened the range.
 pub fn nkld_curve_mode<R: Rng>(
     reference: &[f64],
     incoming: &[f64],
@@ -102,8 +103,13 @@ pub fn nkld_curve_mode<R: Rng>(
         });
     }
     let reference_bounds = bounds(NO_BOUNDS, reference);
-    // The reference pmf of the last pooled range, keyed by its bits.
-    let mut binned: Option<([u64; 2], Vec<f64>)> = None;
+    let range_bits = |(lo, hi): (f64, f64)| [lo.to_bits(), hi.to_bits()];
+    let own_key = range_bits(pooled_range(reference_bounds, &[]));
+    // The reference pmf over its own range, and over the last pooled
+    // range that was not its own; each keyed by its range's bits and
+    // binned on first use.
+    let mut own: Option<([u64; 2], Vec<f64>)> = None;
+    let mut widened: Option<([u64; 2], Vec<f64>)> = None;
     let mut out = Vec::with_capacity(checkpoints.len());
     for &n in checkpoints {
         let n = n.max(1);
@@ -126,8 +132,13 @@ pub fn nkld_curve_mode<R: Rng>(
                 }
             };
             let range = pooled_range(reference_bounds, take);
-            let key = [range.0.to_bits(), range.1.to_bits()];
-            let reference_pmf = match &mut binned {
+            let key = range_bits(range);
+            let slot = if key == own_key {
+                &mut own
+            } else {
+                &mut widened
+            };
+            let reference_pmf = match slot {
                 Some((k, pmf)) if *k == key => pmf,
                 slot => &slot.insert((key, smoothed_pmf(range, reference)?)).1,
             };
@@ -473,17 +484,29 @@ mod tests {
                 }
             })
             .collect();
+        // Every fourth sample lies above the reference's range, so short
+        // draws keep leaving that range and coming back to it.
+        let alternating: Vec<f64> = (0..300)
+            .map(|i| {
+                if i % 4 == 3 {
+                    12.0 + (i % 3) as f64
+                } else {
+                    (i % 10) as f64
+                }
+            })
+            .collect();
         let lognormal = (pool(1000.0, 0.1, 2000, 21), pool(1000.0, 0.1, 1500, 22));
-        let cases: [(&str, &[f64], &[f64]); 7] = [
+        let cases: [(&str, &[f64], &[f64]); 8] = [
             ("edges/wider", &edges, &wider),
             ("edges/above", &edges, &above),
+            ("edges/alternating", &edges, &alternating),
             ("wider/edges", &wider, &edges),
             ("constant", &constant, &mostly_constant),
             ("edges/inf", &edges, &with_inf),
             ("inf/edges", &with_inf, &edges),
             ("lognormal", &lognormal.0, &lognormal.1),
         ];
-        let (mut kept, mut changed, mut errors) = (0, 0, 0);
+        let (mut kept, mut changed, mut returned, mut errors) = (0, 0, 0, 0);
         for mode in [WindowMode::Contiguous, WindowMode::Scattered] {
             for (name, reference, incoming) in cases {
                 let checkpoints = [1, 2, 5, 20, 100, incoming.len() - 1, incoming.len() + 3];
@@ -495,22 +518,32 @@ mod tests {
                     per_draw_curve(reference, incoming, &checkpoints, 25, mode, &mut r);
                 errors += usize::from(direct.is_err());
                 assert_eq!(bits(memo), bits(direct), "{name} {mode:?}");
+                let range_bits = |r: &(f64, f64)| [r.0.to_bits(), r.1.to_bits()];
+                let own = range_bits(&(
+                    reference.iter().copied().fold(f64::INFINITY, f64::min),
+                    reference.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+                ));
                 for w in ranges.windows(2) {
-                    let same = w[0].0.to_bits() == w[1].0.to_bits()
-                        && w[0].1.to_bits() == w[1].1.to_bits();
-                    if same {
+                    if range_bits(&w[0]) == range_bits(&w[1]) {
                         kept += 1;
                     } else {
                         changed += 1;
                     }
+                    returned += usize::from(
+                        name == "edges/alternating"
+                            && range_bits(&w[0]) != range_bits(&w[1])
+                            && range_bits(&w[1]) == own,
+                    );
                 }
             }
         }
         // Both memo paths ran: draws that reuse the last pooled range
-        // and draws that re-bin the reference; so did the error path.
+        // and draws that re-bin the reference, and draws back in the
+        // reference's own range right after one that left it; so did the
+        // error path.
         assert!(
-            kept > 100 && changed > 100,
-            "kept {kept}, changed {changed}"
+            kept > 100 && changed > 100 && returned > 20,
+            "kept {kept}, changed {changed}, returned {returned}"
         );
         assert_eq!(errors, 4);
     }

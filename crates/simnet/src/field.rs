@@ -17,11 +17,14 @@
 //!   coherence time, degraded flag, spatial factors) across metrics. It
 //!   is [`NetworkField::resolve`] followed by
 //!   [`NetworkField::link_quality_with`];
+//! * [`NetworkField::rtt_loss`] — RTT and loss alone at one `(p, t)`
+//!   (the ping shape), resolving only the part of the point context
+//!   those two metrics read, which [`NetworkField::resolve`] is built on;
 //! * [`NetworkField::link_quality_train`] — one point over a train of
 //!   times (the probe-train shape), resolved once and swept
 //!   structure-of-arrays style.
 //!
-//! Both produce bitwise-identical results by construction: they evaluate
+//! All produce bitwise-identical results by construction: they evaluate
 //! the same expression trees in the same order; only the layout of
 //! intermediate inputs differs.
 
@@ -33,6 +36,16 @@ use wiscape_simcore::{SimDuration, SimTime, StreamRng};
 use crate::config::{LandscapeConfig, NetworkParams};
 use crate::network::NetworkId;
 use crate::towers::TowerLayout;
+
+/// Expected round-trip time and loss of one network at one place and
+/// instant: the two [`LinkQuality`] fields a ping reads.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RttLoss {
+    /// Mean application-level round-trip time, ms.
+    pub rtt_ms: f64,
+    /// Packet loss probability in `[0, 1]`.
+    pub loss_rate: f64,
+}
 
 /// Expected link quality of one network at one place and instant.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -93,15 +106,24 @@ pub struct DriftCell {
 #[derive(Debug, Clone, Copy)]
 pub struct PointCtx {
     p: GeoPoint,
+    latency: LatencyCtx,
+    spatial_tput: f64,
+    spatial_jitter: f64,
+}
+
+/// The part of a [`PointCtx`] that RTT and loss read: degraded flag,
+/// drift track, coherence time and the latency spatial multiplier. It
+/// skips the throughput factor's fBm and tower scan and the jitter
+/// factor's fBm.
+#[derive(Debug, Clone, Copy)]
+struct LatencyCtx {
     degraded: bool,
     tau: SimDuration,
     track: ValueNoise1D,
     /// Drift amplitude, already multiplied by the degraded-zone
     /// variability factor where applicable.
     drift_amp: f64,
-    spatial_tput: f64,
     spatial_rtt: f64,
-    spatial_jitter: f64,
 }
 
 fn zigzag(v: i64) -> u64 {
@@ -350,25 +372,32 @@ impl NetworkField {
         self.loss_value(self.is_degraded(p), self.event_rtt_factor(p, t))
     }
 
-    /// Resolves everything time-independent about `p` once, for reuse
-    /// across many [`NetworkField::link_quality_with`] evaluations.
-    pub fn resolve(&self, p: &GeoPoint) -> PointCtx {
-        let v = self.proj.to_xy(p);
-        let cell = self.cell_of_xy(&v);
-        let (di, dj) = self.degraded_indices(&v);
+    /// Resolves what RTT and loss read about projected position `v`.
+    fn resolve_latency(&self, v: &Vec2) -> LatencyCtx {
+        let cell = self.cell_of_xy(v);
+        let (di, dj) = self.degraded_indices(v);
         let degraded = self.degraded_cell(di, dj);
         let mut drift_amp = self.params.drift_amp;
         if degraded {
             drift_amp *= self.degraded.variability_multiplier;
         }
-        PointCtx {
-            p: *p,
+        LatencyCtx {
             degraded,
             tau: self.cell_coherence(cell),
             track: self.cell_track(cell),
             drift_amp,
+            spatial_rtt: self.spatial_rtt_value(v),
+        }
+    }
+
+    /// Resolves everything time-independent about `p` once, for reuse
+    /// across many [`NetworkField::link_quality_with`] evaluations.
+    pub fn resolve(&self, p: &GeoPoint) -> PointCtx {
+        let v = self.proj.to_xy(p);
+        PointCtx {
+            p: *p,
+            latency: self.resolve_latency(&v),
             spatial_tput: self.spatial_tput_value(&v, p),
-            spatial_rtt: self.spatial_rtt_value(&v),
             spatial_jitter: self.spatial_jitter_value(&v),
         }
     }
@@ -378,32 +407,51 @@ impl NetworkField {
     /// same point and time.
     pub fn link_quality_with(&self, ctx: &PointCtx, t: SimTime) -> LinkQuality {
         let p = &ctx.p;
-        let drift = self.drift_value(&ctx.track, ctx.tau, ctx.drift_amp, t);
+        let latency = &ctx.latency;
+        let drift = self.drift_value(&latency.track, latency.tau, latency.drift_amp, t);
         let event_rtt = self.event_rtt_factor(p, t);
         let udp_kbps = self.udp_value(
             ctx.spatial_tput,
             drift,
             self.diurnal_tput_factor(t),
             self.event_tput_factor(p, t),
-            ctx.degraded,
+            latency.degraded,
         );
         LinkQuality {
             tcp_kbps: self.tcp_value(udp_kbps),
             udp_kbps,
             rtt_ms: self.rtt_value(
-                ctx.spatial_rtt,
+                latency.spatial_rtt,
                 drift,
                 self.diurnal_rtt_factor(t),
                 event_rtt,
             ),
             jitter_ms: self.jitter_value(ctx.spatial_jitter, event_rtt),
-            loss_rate: self.loss_value(ctx.degraded, event_rtt),
+            loss_rate: self.loss_value(latency.degraded, event_rtt),
         }
     }
 
     /// Full mean link quality at `(p, t)`.
     pub fn link_quality(&self, p: &GeoPoint, t: SimTime) -> LinkQuality {
         self.link_quality_with(&self.resolve(p), t)
+    }
+
+    /// Mean RTT and loss at `(p, t)`, bitwise identical to those fields
+    /// of [`NetworkField::link_quality`]: the same helpers over the same
+    /// inputs, with the throughput and jitter factors never resolved.
+    pub fn rtt_loss(&self, p: &GeoPoint, t: SimTime) -> RttLoss {
+        let latency = self.resolve_latency(&self.proj.to_xy(p));
+        let drift = self.drift_value(&latency.track, latency.tau, latency.drift_amp, t);
+        let event_rtt = self.event_rtt_factor(p, t);
+        RttLoss {
+            rtt_ms: self.rtt_value(
+                latency.spatial_rtt,
+                drift,
+                self.diurnal_rtt_factor(t),
+                event_rtt,
+            ),
+            loss_rate: self.loss_value(latency.degraded, event_rtt),
+        }
     }
 
     /// Mean link quality at `p` for each time of a probe train, in
@@ -422,18 +470,19 @@ impl NetworkField {
     /// bitwise identical.
     pub fn link_quality_train(&self, p: &GeoPoint, times: &[SimTime]) -> Vec<LinkQuality> {
         let ctx = self.resolve(p);
+        let latency = &ctx.latency;
         let n = times.len();
 
         // Drift pass: fork the track's fbm octaves once, then sweep the
         // train. `drift_value` computes `fbm(x / 16.0, 5, 0.5)` on exactly
         // these layers with exactly this `x`.
-        let layers = ctx.track.fbm_layers(5, 0.5);
-        let tau_secs = ctx.tau.as_secs_f64();
+        let layers = latency.track.fbm_layers(5, 0.5);
+        let tau_secs = latency.tau.as_secs_f64();
         let drift: Vec<f64> = times
             .iter()
             .map(|t| {
                 let x = t.as_secs_f64() / tau_secs;
-                (1.0 + ctx.drift_amp * layers.at(x / 16.0)).max(0.05)
+                (1.0 + latency.drift_amp * layers.at(x / 16.0)).max(0.05)
             })
             .collect();
 
@@ -479,14 +528,19 @@ impl NetworkField {
                     drift[k],
                     diurnal_tput[k],
                     event_tput[k],
-                    ctx.degraded,
+                    latency.degraded,
                 );
                 LinkQuality {
                     tcp_kbps: self.tcp_value(udp_kbps),
                     udp_kbps,
-                    rtt_ms: self.rtt_value(ctx.spatial_rtt, drift[k], diurnal_rtt[k], event_rtt[k]),
+                    rtt_ms: self.rtt_value(
+                        latency.spatial_rtt,
+                        drift[k],
+                        diurnal_rtt[k],
+                        event_rtt[k],
+                    ),
                     jitter_ms: self.jitter_value(ctx.spatial_jitter, event_rtt[k]),
-                    loss_rate: self.loss_value(ctx.degraded, event_rtt[k]),
+                    loss_rate: self.loss_value(latency.degraded, event_rtt[k]),
                 }
             })
             .collect()
@@ -732,6 +786,34 @@ mod tests {
             for (p, t) in query_walk(60) {
                 assert_eq!(f.loss_rate(&p, t), f.link_quality(&p, t).loss_rate);
             }
+        }
+    }
+
+    #[test]
+    fn rtt_loss_matches_link_quality_bitwise() {
+        let bits = |rtt: f64, loss: f64| [rtt.to_bits(), loss.to_bits()];
+        let game = SimTime::at(5, 12.5);
+        let quiet = SimTime::at(5, 9.0);
+        for net in NetworkId::ALL {
+            let f = field(net);
+            // The stadium during and outside a game, then a spread of
+            // healthy and degraded cells.
+            let mut queries = vec![(stadium_location(), game), (stadium_location(), quiet)];
+            queries.extend(query_walk(400));
+            let mut degraded = 0;
+            for (p, t) in queries {
+                let q = f.link_quality(&p, t);
+                let r = f.rtt_loss(&p, t);
+                assert_eq!(bits(r.rtt_ms, r.loss_rate), bits(q.rtt_ms, q.loss_rate));
+                degraded += usize::from(f.is_degraded(&p));
+            }
+            assert!(degraded > 5, "{net:?}: {degraded} degraded queries");
+            // The event is live: its latency factor moved both metrics.
+            let (during, before) = (
+                f.rtt_loss(&stadium_location(), game),
+                f.rtt_loss(&stadium_location(), quiet),
+            );
+            assert!(during.rtt_ms > 2.0 * before.rtt_ms && during.loss_rate > before.loss_rate);
         }
     }
 

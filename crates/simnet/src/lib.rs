@@ -42,7 +42,7 @@ pub mod towers;
 
 pub use config::{LandscapeConfig, NetworkParams, RegionPreset};
 pub use events::{DegradedZoneModel, SpecialEvent};
-pub use field::{DriftCell, LinkQuality, NetworkField, PointCtx};
+pub use field::{DriftCell, LinkQuality, NetworkField, PointCtx, RttLoss};
 pub use landscape::{Landscape, UnknownNetwork};
 pub use network::{NetworkId, Technology};
 pub use probe::{

@@ -169,14 +169,33 @@ fn std_normal(node: StreamRng) -> f64 {
 }
 
 /// Log-normal multiplier with arithmetic mean 1 and coefficient of
-/// variation `cv`, drawn from a hash node.
-fn lognormal_unit_mean(node: StreamRng, cv: f64) -> f64 {
-    if cv <= 0.0 {
-        return 1.0;
+/// variation `cv`: its parameters are derived from `cv` once, and each
+/// [`UnitMeanLogNormal::draw`] costs one normal variate.
+#[derive(Debug, Clone, Copy)]
+struct UnitMeanLogNormal {
+    /// `(mu, sigma)` of the underlying normal; `None` when `cv <= 0`,
+    /// where every draw is exactly 1.
+    params: Option<(f64, f64)>,
+}
+
+impl UnitMeanLogNormal {
+    fn new(cv: f64) -> Self {
+        if cv <= 0.0 {
+            return Self { params: None };
+        }
+        let sigma2 = (1.0 + cv * cv).ln();
+        Self {
+            params: Some((-sigma2 / 2.0, sigma2.sqrt())),
+        }
     }
-    let sigma2 = (1.0 + cv * cv).ln();
-    let mu = -sigma2 / 2.0;
-    (mu + sigma2.sqrt() * std_normal(node)).exp()
+
+    /// One multiplier drawn from a hash node.
+    fn draw(&self, node: StreamRng) -> f64 {
+        match self.params {
+            None => 1.0,
+            Some((mu, sigma)) => (mu + sigma * std_normal(node)).exp(),
+        }
+    }
 }
 
 /// Uniform `[0,1)` draw from a hash node.
@@ -281,6 +300,10 @@ fn train_from_quality(
         TransportKind::Tcp => (params.fine_cv_tcp, 1u64),
         TransportKind::Udp => (params.fine_cv_udp, 2u64),
     };
+    // The same for every packet of the train: its stream node and the
+    // throughput multiplier's parameters.
+    let train = stream.fork("train").fork_idx(kind_label);
+    let tput = UnitMeanLogNormal::new(cv);
     let mut packets = Vec::with_capacity(n_packets as usize);
     let mut send_time = start;
     let device_factor = device_factor.clamp(0.05, 1.0);
@@ -295,13 +318,9 @@ fn train_from_quality(
     let jitter_sigma = quality.jitter_ms * std::f64::consts::PI.sqrt() / 2.0;
     for seq in 0..n_packets {
         let t = send_time;
-        let node = stream
-            .fork("train")
-            .fork_idx(kind_label)
-            .fork_idx(t.as_micros() as u64)
-            .fork_idx(seq as u64);
-        let inst_kbps = (mean_kbps * lognormal_unit_mean(node.fork("tput"), cv))
-            .clamp(1.0, params.id.max_downlink_kbps());
+        let node = train.fork_idx(t.as_micros() as u64).fork_idx(seq as u64);
+        let inst_kbps =
+            (mean_kbps * tput.draw(node.fork("tput"))).clamp(1.0, params.id.max_downlink_kbps());
         let lost = unit(node.fork("loss")) < loss_rate;
         let one_way_delay_ms = (rtt / 2.0 + jitter_sigma * std_normal(node.fork("delay"))).max(0.1);
         // Wire time of this packet at the observed instantaneous rate.
@@ -351,8 +370,8 @@ pub fn tcp_download(
         .fork("dl")
         .fork_idx(start.as_micros() as u64)
         .fork_idx(size_bytes);
-    let rate_kbps =
-        (mean_kbps * lognormal_unit_mean(node, cv)).clamp(1.0, params.id.max_downlink_kbps());
+    let rate_kbps = (mean_kbps * UnitMeanLogNormal::new(cv).draw(node))
+        .clamp(1.0, params.id.max_downlink_kbps());
     let setup_ms = 1.5 * rtt_ms;
     let slow_start_ms = 2.0 * rtt_ms;
     let transfer_ms = size_bytes as f64 * 8.0 / rate_kbps;
@@ -364,7 +383,8 @@ pub fn tcp_download(
     }
 }
 
-/// Sends one ping at time `t` with sequence `seq`.
+/// Sends one ping at time `t` with sequence `seq`. A ping reads only the
+/// field's RTT and loss ([`NetworkField::rtt_loss`]).
 pub fn ping(
     field: &NetworkField,
     stream: &StreamRng,
@@ -376,20 +396,20 @@ pub fn ping(
         .fork("ping")
         .fork_idx(t.as_micros() as u64)
         .fork_idx(seq);
-    let quality = field.link_quality(p, t);
+    let quality = field.rtt_loss(p, t);
     if unit(node.fork("loss")) < quality.loss_rate {
         return PingOutcome::Lost;
     }
-    let cv = field.params().fine_cv_rtt;
+    let rtt = UnitMeanLogNormal::new(field.params().fine_cv_rtt);
     PingOutcome::Reply {
-        rtt_ms: (quality.rtt_ms * lognormal_unit_mean(node.fork("rtt"), cv)).max(1.0),
+        rtt_ms: (quality.rtt_ms * rtt.draw(node.fork("rtt"))).max(1.0),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{madison_center, LandscapeConfig};
+    use crate::config::{madison_center, stadium_location, LandscapeConfig};
     use crate::network::NetworkId;
 
     fn setup() -> (NetworkField, StreamRng) {
@@ -593,6 +613,210 @@ mod tests {
         for (start, train) in starts.iter().zip(&batched) {
             let scalar = probe_train(&f, &s, TransportKind::Udp, &p, *start, 8, 1200);
             assert_eq!(train.packets, scalar.packets);
+        }
+    }
+
+    /// The per-call log-normal [`UnitMeanLogNormal`] replaced.
+    fn reference_lognormal(node: StreamRng, cv: f64) -> f64 {
+        if cv <= 0.0 {
+            return 1.0;
+        }
+        let sigma2 = (1.0 + cv * cv).ln();
+        let mu = -sigma2 / 2.0;
+        (mu + sigma2.sqrt() * std_normal(node)).exp()
+    }
+
+    /// The train [`probe_train_with_device`] replaced, for 1,200-byte
+    /// packets: every packet forks its node from `stream` and derives the
+    /// log-normal from `cv`.
+    fn reference_train(
+        field: &NetworkField,
+        stream: &StreamRng,
+        kind: TransportKind,
+        p: &GeoPoint,
+        start: SimTime,
+        n_packets: u32,
+        device_factor: f64,
+    ) -> UdpTrain {
+        let size_bytes = 1200;
+        let quality = field.link_quality(p, start);
+        let params = field.params();
+        let (cv, kind_label) = match kind {
+            TransportKind::Tcp => (params.fine_cv_tcp, 1u64),
+            TransportKind::Udp => (params.fine_cv_udp, 2u64),
+        };
+        let mut packets = Vec::with_capacity(n_packets as usize);
+        let mut send_time = start;
+        let device_factor = device_factor.clamp(0.05, 1.0);
+        let mean_kbps = device_factor
+            * match kind {
+                TransportKind::Tcp => quality.tcp_kbps,
+                TransportKind::Udp => quality.udp_kbps,
+            };
+        let loss_rate = quality.loss_rate;
+        let rtt = quality.rtt_ms;
+        let jitter_sigma = quality.jitter_ms * std::f64::consts::PI.sqrt() / 2.0;
+        for seq in 0..n_packets {
+            let t = send_time;
+            let node = stream
+                .fork("train")
+                .fork_idx(kind_label)
+                .fork_idx(t.as_micros() as u64)
+                .fork_idx(seq as u64);
+            let inst_kbps = (mean_kbps * reference_lognormal(node.fork("tput"), cv))
+                .clamp(1.0, params.id.max_downlink_kbps());
+            let lost = unit(node.fork("loss")) < loss_rate;
+            let one_way_delay_ms =
+                (rtt / 2.0 + jitter_sigma * std_normal(node.fork("delay"))).max(0.1);
+            let wire_ms = (size_bytes as f64 * 8.0) / inst_kbps;
+            let recv_time = (!lost).then(|| {
+                t + SimDuration::from_secs_f64(wire_ms / 1000.0)
+                    + SimDuration::from_secs_f64(one_way_delay_ms / 1000.0)
+            });
+            packets.push(PacketSample {
+                seq,
+                send_time: t,
+                recv_time,
+                size_bytes,
+                inst_kbps,
+                one_way_delay_ms,
+            });
+            send_time = t + SimDuration::from_secs_f64(wire_ms / 1000.0);
+        }
+        UdpTrain { kind, packets }
+    }
+
+    /// The ping [`ping`] replaced: all five field metrics for its two.
+    fn reference_ping(
+        field: &NetworkField,
+        stream: &StreamRng,
+        p: &GeoPoint,
+        t: SimTime,
+        seq: u64,
+    ) -> PingOutcome {
+        let node = stream
+            .fork("ping")
+            .fork_idx(t.as_micros() as u64)
+            .fork_idx(seq);
+        let quality = field.link_quality(p, t);
+        if unit(node.fork("loss")) < quality.loss_rate {
+            return PingOutcome::Lost;
+        }
+        let cv = field.params().fine_cv_rtt;
+        PingOutcome::Reply {
+            rtt_ms: (quality.rtt_ms * reference_lognormal(node.fork("rtt"), cv)).max(1.0),
+        }
+    }
+
+    type PacketBits = (u32, SimTime, Option<SimTime>, u32, u64, u64);
+
+    fn packet_bits(train: &UdpTrain) -> Vec<PacketBits> {
+        train
+            .packets
+            .iter()
+            .map(|p| {
+                let (kbps, delay) = (p.inst_kbps.to_bits(), p.one_way_delay_ms.to_bits());
+                (p.seq, p.send_time, p.recv_time, p.size_bytes, kbps, delay)
+            })
+            .collect()
+    }
+
+    fn ping_bits(outcome: PingOutcome) -> Option<u64> {
+        outcome.rtt_ms().map(f64::to_bits)
+    }
+
+    /// The shipped Madison field, and the same field with every
+    /// per-packet coefficient of variation at 0 (the log-normal's
+    /// constant branch).
+    fn fields() -> [NetworkField; 2] {
+        let cfg = LandscapeConfig::madison(7);
+        let mut flat = cfg.clone();
+        for n in &mut flat.networks {
+            (n.fine_cv_udp, n.fine_cv_tcp, n.fine_cv_rtt) = (0.0, 0.0, 0.0);
+        }
+        [cfg, flat].map(|c| NetworkField::new(&c, NetworkId::NetB).unwrap())
+    }
+
+    /// Healthy and degraded points, and the stadium.
+    fn probe_points(field: &NetworkField) -> Vec<GeoPoint> {
+        let c = madison_center();
+        let degraded = (0..5000)
+            .map(|i| c.destination(i as f64 * 0.11, 100.0 + i as f64 * 41.0))
+            .find(|p| field.is_degraded(p))
+            .expect("some degraded cell exists");
+        vec![healthy_point(field), degraded, stadium_location()]
+    }
+
+    #[test]
+    fn trains_match_reference_loop_bitwise() {
+        let s = StreamRng::new(7).fork("probe");
+        let mut lossy = 0;
+        for f in fields() {
+            for p in probe_points(&f) {
+                for start in [SimTime::at(1, 9.0), SimTime::at(5, 12.5)] {
+                    for kind in [TransportKind::Udp, TransportKind::Tcp] {
+                        for n in [0, 1, 60] {
+                            for device in [0.0, 0.01, 0.05, 0.7, 1.0, 1.5] {
+                                let got = probe_train_with_device(
+                                    &f, &s, kind, &p, start, n, 1200, device,
+                                );
+                                let want = reference_train(&f, &s, kind, &p, start, n, device);
+                                assert_eq!(packet_bits(&got), packet_bits(&want));
+                                lossy += usize::from(got.received() < got.sent());
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(lossy > 0, "no train lost a packet");
+    }
+
+    #[test]
+    fn pings_match_reference_bitwise() {
+        let s = StreamRng::new(7).fork("probe");
+        let (mut lost, mut replies) = (0, 0);
+        for f in fields() {
+            for p in probe_points(&f) {
+                for t in [
+                    SimTime::at(1, 9.0),
+                    SimTime::at(5, 9.0),
+                    SimTime::at(5, 12.5),
+                ] {
+                    for seq in 0..200 {
+                        let got = ping(&f, &s, &p, t, seq);
+                        assert_eq!(
+                            ping_bits(got),
+                            ping_bits(reference_ping(&f, &s, &p, t, seq))
+                        );
+                        if got == PingOutcome::Lost {
+                            lost += 1;
+                        } else {
+                            replies += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            lost > 10 && replies > 1000,
+            "{lost} lost, {replies} replies"
+        );
+    }
+
+    #[test]
+    fn lognormal_matches_reference_bitwise() {
+        let s = StreamRng::new(3).fork("lognormal");
+        for cv in [-1.0, 0.0, 1e-300, 1e-8, 0.05, 0.3, 1.0, 7.5, f64::NAN] {
+            let dist = UnitMeanLogNormal::new(cv);
+            for k in 0..200 {
+                let node = s.fork_idx(k);
+                assert_eq!(
+                    dist.draw(node).to_bits(),
+                    reference_lognormal(node, cv).to_bits(),
+                    "cv {cv}"
+                );
+            }
         }
     }
 

@@ -19,6 +19,12 @@
 # manifest, so the serial reference and the concurrent run are both
 # gated.
 #
+# A full-scale pass then regenerates all 19 artifacts at full scale
+# (seed 7) and diffs their hashes against results/FULL_MANIFEST.sha256:
+# a simulation kernel (the field, the tower scan, the probe engine, the
+# NKLD curve) runs many more points, probes and draws at full scale
+# than at quick, so a kernel rewrite must keep those bytes too.
+#
 # A second pass then proves the durability layer is transparent: the
 # same quick run re-executes with every channel-driven coordinator
 # event-sourced through a wiscape-wal log AND a seeded mid-run crash
@@ -71,14 +77,15 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 manifest=results/QUICK_MANIFEST.sha256
+full_manifest=results/FULL_MANIFEST.sha256
 wal_manifest=results/WAL_MANIFEST.sha256
 out="${TMPDIR:-/tmp}/wiscape_quick_manifest_check"
 wal_crash_seed=11
 rebalance_seed=5
 
 cargo build --release -q -p wiscape-experiments --bin repro
-rm -rf "$out" "$out.serial" "$out.wal" "$out.waldir" "$out.shard1" "$out.shard4" "$out.shardwal" \
-    "$out.shardwaldir" "$out.mapwal" "$out.mapshardwal"
+rm -rf "$out" "$out.serial" "$out.full" "$out.wal" "$out.waldir" "$out.shard1" "$out.shard4" \
+    "$out.shardwal" "$out.shardwaldir" "$out.mapwal" "$out.mapshardwal"
 ./target/release/repro --seed 7 --quick --out "$out" --obs "$out.obs.json" >/dev/null
 echo "[verify_results] obs snapshot: $out.obs.json"
 
@@ -105,6 +112,21 @@ if ! diff -u "$manifest" "$out.serial.artifacts"; then
     exit 1
 fi
 echo "[verify_results] OK: serial pass (WISCAPE_THREADS=1) byte-identical"
+
+# --- full-scale pass -------------------------------------------------------
+# All 19 experiments at full scale, against their own manifest.
+./target/release/repro --seed 7 --full --out "$out.full" >/dev/null
+(cd "$out.full" && sha256sum -- *.json | LC_ALL=C sort -k2) > "$out.full.manifest"
+if [[ "${1:-}" == "--update" ]]; then
+    cp "$out.full.manifest" "$full_manifest"
+    echo "[verify_results] wrote $(wc -l < "$full_manifest") hashes to $full_manifest"
+else
+    if ! diff -u "$full_manifest" "$out.full.manifest"; then
+        echo "[verify_results] FAIL: full-scale artifacts drifted from $full_manifest" >&2
+        exit 1
+    fi
+    echo "[verify_results] OK: $(wc -l < "$full_manifest") full-scale artifacts byte-identical"
+fi
 
 # --- crash-recover-verify pass -------------------------------------------
 # Quick run again, WAL-backed, with a deterministic crash per WAL run.
