@@ -17,8 +17,10 @@
 //!   bits in 8 LE bytes (bit-exact round-trips, NaN included);
 //! * `crc32` is the IEEE CRC-32 of the body.
 //!
-//! [`seal_frame`] and [`open_frame`] are the only code that writes or
-//! checks this envelope, and they serve every frame in the workspace:
+//! [`seal_frame`] (with its in-place form for the wire messages, which
+//! writes a body straight into the frame) and [`open_frame`] are the
+//! only code that writes or checks this envelope, and they serve every
+//! frame in the workspace:
 //! wire messages (`"WC"`) here, and in `wiscape-wal` the log records
 //! (`"WL"`), snapshots (`"WS"`) and the manifest (`"WM"`), which differ
 //! only in their magic and body.
@@ -463,9 +465,9 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 // Primitive writers.
 // ---------------------------------------------------------------------
 
-/// Appends `v` as an LEB128 varint (the WAL reuses the codec's
-/// primitive field encodings; see `wiscape-wal`).
-pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+/// Hands `v` to `each_byte` as an LEB128 varint, low group first, one
+/// byte at a time.
+fn leb128(mut v: u64, mut each_byte: impl FnMut(u8)) {
     loop {
         let low = v & 0x7F;
         v >>= 7;
@@ -473,11 +475,24 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
         if v != 0 {
             byte |= 0x80;
         }
-        out.push(byte);
+        each_byte(byte);
         if v == 0 {
             break;
         }
     }
+}
+
+/// The number of bytes [`leb128`] emits for `v` (1 to 10).
+fn varint_len(v: u64) -> usize {
+    let mut len = 0;
+    leb128(v, |_| len += 1);
+    len
+}
+
+/// Appends `v` as an LEB128 varint (the WAL reuses the codec's
+/// primitive field encodings; see `wiscape-wal`).
+pub fn put_varint(out: &mut Vec<u8>, v: u64) {
+    leb128(v, |byte| out.push(byte));
 }
 
 /// Zigzag-folds a signed 64-bit value into an unsigned one so small
@@ -701,46 +716,80 @@ impl<'a> Reader<'a> {
 // Message bodies.
 // ---------------------------------------------------------------------
 
-fn encode_body(msg: &WireMessage) -> Vec<u8> {
-    let mut body = Vec::with_capacity(64);
+/// The widest varint of a `u32` (or zigzag `i32`) field, in bytes.
+const U32_MAX_LEN: usize = 5;
+/// The widest varint of a `u64` (or zigzag `i64`) field, in bytes.
+const U64_MAX_LEN: usize = 10;
+/// The widest zone ([`put_zone`]): two zigzag `i32`s.
+const ZONE_MAX_LEN: usize = 2 * U32_MAX_LEN;
+/// The widest task fields ([`put_task_fields`]): zone, network, kind,
+/// packet count and packet size.
+const TASK_MAX_LEN: usize = ZONE_MAX_LEN + 1 + 1 + 2 * U32_MAX_LEN;
+/// The widest body of a single-sequence ack ([`encode_ack_one`]): tag,
+/// client, count and sequence.
+const ACK_ONE_MAX_LEN: usize = 1 + U32_MAX_LEN + 1 + U64_MAX_LEN;
+
+/// An upper bound on the length of `msg`'s body ([`encode_body`]): the
+/// tag and each field at its widest encoding.
+fn body_max_len(msg: &WireMessage) -> usize {
+    match msg {
+        // Client, tick, point (two raw f64s), time.
+        WireMessage::Checkin(_) => 1 + U32_MAX_LEN + U64_MAX_LEN + 16 + U64_MAX_LEN,
+        // Client, task.
+        WireMessage::Task(_) => 1 + U32_MAX_LEN + TASK_MAX_LEN,
+        // Sequence, client, task, zone, time, sample count, samples.
+        WireMessage::Report(r) => {
+            let fixed = 1 + U64_MAX_LEN + U32_MAX_LEN + TASK_MAX_LEN + ZONE_MAX_LEN;
+            let samples = r.report.samples.len().saturating_mul(8);
+            (fixed + 2 * U64_MAX_LEN).saturating_add(samples)
+        }
+        // Client, sequence count, sequences.
+        WireMessage::Ack(a) => {
+            let seqs = a.seqs.len().saturating_mul(U64_MAX_LEN);
+            (1 + U32_MAX_LEN + U64_MAX_LEN).saturating_add(seqs)
+        }
+    }
+}
+
+/// Appends `msg`'s body (its tag and fields) to `body`.
+fn encode_body(msg: &WireMessage, body: &mut Vec<u8>) {
     match msg {
         WireMessage::Checkin(c) => {
             body.push(TAG_CHECKIN);
-            put_u32(&mut body, c.client.0);
-            put_varint(&mut body, c.tick);
-            put_point(&mut body, &c.point);
-            put_time(&mut body, c.t);
+            put_u32(body, c.client.0);
+            put_varint(body, c.tick);
+            put_point(body, &c.point);
+            put_time(body, c.t);
         }
         WireMessage::Task(a) => {
             body.push(TAG_TASK);
-            put_u32(&mut body, a.client.0);
-            put_task_fields(&mut body, &a.task);
+            put_u32(body, a.client.0);
+            put_task_fields(body, &a.task);
         }
         WireMessage::Report(r) => {
             body.push(TAG_REPORT);
-            put_varint(&mut body, r.seq);
-            put_u32(&mut body, r.report.client.0);
-            put_task_fields(&mut body, &r.report.task);
-            put_zone(&mut body, r.report.zone);
-            put_time(&mut body, r.report.t);
+            put_varint(body, r.seq);
+            put_u32(body, r.report.client.0);
+            put_task_fields(body, &r.report.task);
+            put_zone(body, r.report.zone);
+            put_time(body, r.report.t);
             put_varint(
-                &mut body,
+                body,
                 u64::try_from(r.report.samples.len()).unwrap_or(u64::MAX),
             );
             for &s in &r.report.samples {
-                put_f64(&mut body, s);
+                put_f64(body, s);
             }
         }
         WireMessage::Ack(a) => {
             body.push(TAG_ACK);
-            put_u32(&mut body, a.client.0);
-            put_varint(&mut body, u64::try_from(a.seqs.len()).unwrap_or(u64::MAX));
+            put_u32(body, a.client.0);
+            put_varint(body, u64::try_from(a.seqs.len()).unwrap_or(u64::MAX));
             for &s in &a.seqs {
-                put_varint(&mut body, s);
+                put_varint(body, s);
             }
         }
     }
-    body
 }
 
 /// Decodes one message body into borrowed views. This is the *only*
@@ -823,16 +872,64 @@ fn decode_body_ref(body: &[u8]) -> Result<WireMessageRef<'_>, DecodeError> {
 // ---------------------------------------------------------------------
 
 /// Appends one frame around `body` to `out`: `magic`, `version`, the
-/// body length as a varint, the body, and the CRC-32 of the body. The
-/// one frame writer: see the module docs for the layout and its users.
-/// Callers size `out`: reserving here made each fresh ack frame slower
-/// than allocating it with its capacity up front.
+/// body length as a varint, the body, and the CRC-32 of the body. See
+/// the module docs for the layout and its users.
 pub fn seal_frame(out: &mut Vec<u8>, magic: [u8; 2], version: u8, body: &[u8]) {
+    seal_frame_with(out, magic, version, body.len(), |out| {
+        out.extend_from_slice(body)
+    });
+}
+
+/// Appends one frame to `out` whose body `write_body` appends in place,
+/// so the body is never built in a buffer of its own: the one frame
+/// writer. The length field is laid out for a body of `body_max_len`
+/// bytes; a body whose length takes fewer varint bytes moves left once
+/// to close the gap (a longer one moves right). Callers size `out`
+/// ([`frame_capacity`]): reserving here made each fresh ack frame
+/// slower than allocating it with its capacity up front.
+fn seal_frame_with(
+    out: &mut Vec<u8>,
+    magic: [u8; 2],
+    version: u8,
+    body_max_len: usize,
+    write_body: impl FnOnce(&mut Vec<u8>),
+) {
     out.extend_from_slice(&magic);
     out.push(version);
-    put_varint(out, u64::try_from(body.len()).unwrap_or(u64::MAX));
-    out.extend_from_slice(body);
-    out.extend_from_slice(&crc32(body).to_le_bytes());
+    let len_at = out.len();
+    let laid_out = varint_len(u64::try_from(body_max_len).unwrap_or(u64::MAX));
+    let body_at = len_at + laid_out;
+    out.resize(body_at, 0);
+    write_body(out);
+    let body_len = u64::try_from(out.len() - body_at).unwrap_or(u64::MAX);
+    let used = varint_len(body_len);
+    if used == laid_out {
+        let mut field = out.get_mut(len_at..body_at).into_iter().flatten();
+        leb128(body_len, |byte| {
+            if let Some(slot) = field.next() {
+                *slot = byte;
+            }
+        });
+    } else {
+        let (mut field, mut n) = ([0u8; 10], 0);
+        leb128(body_len, |byte| {
+            if let Some(slot) = field.get_mut(n) {
+                *slot = byte;
+            }
+            n += 1;
+        });
+        out.splice(len_at..body_at, field.into_iter().take(used));
+    }
+    let crc = crc32(out.get(len_at + used..).unwrap_or_default());
+    out.extend_from_slice(&crc.to_le_bytes());
+}
+
+/// The capacity that holds a frame whose body is at most
+/// `body_max_len` bytes, as [`seal_frame_with`] lays it out: magic,
+/// version, the length field, the body and the CRC.
+fn frame_capacity(body_max_len: usize) -> usize {
+    let len_field = varint_len(u64::try_from(body_max_len).unwrap_or(u64::MAX));
+    (3 + len_field + 4).saturating_add(body_max_len)
 }
 
 /// Opens the frame at the front of `buf`, checking its magic, version,
@@ -861,11 +958,14 @@ pub fn open_frame(buf: &[u8], magic: [u8; 2], version: u8) -> Result<(&[u8], usi
     Ok((body, r.pos))
 }
 
-/// Encodes one message as a self-delimiting frame.
+/// Encodes one message as a self-delimiting frame: one allocation, sized
+/// for the message's widest encoding, with the body written in place.
 pub fn encode(msg: &WireMessage) -> Vec<u8> {
-    let body = encode_body(msg);
-    let mut out = Vec::with_capacity(body.len() + 12);
-    seal_frame(&mut out, MAGIC, VERSION, &body);
+    let body_max = body_max_len(msg);
+    let mut out = Vec::with_capacity(frame_capacity(body_max));
+    seal_frame_with(&mut out, MAGIC, VERSION, body_max, |body| {
+        encode_body(msg, body)
+    });
     out
 }
 
@@ -874,13 +974,13 @@ pub fn encode(msg: &WireMessage) -> Vec<u8> {
 /// without building the one-element vector (the server acks every
 /// report copy individually, so this is its hottest encode path).
 pub fn encode_ack_one(client: ClientId, seq: u64) -> Vec<u8> {
-    let mut body = Vec::with_capacity(16);
-    body.push(TAG_ACK);
-    put_u32(&mut body, client.0);
-    put_varint(&mut body, 1);
-    put_varint(&mut body, seq);
-    let mut out = Vec::with_capacity(body.len() + 12);
-    seal_frame(&mut out, MAGIC, VERSION, &body);
+    let mut out = Vec::with_capacity(frame_capacity(ACK_ONE_MAX_LEN));
+    seal_frame_with(&mut out, MAGIC, VERSION, ACK_ONE_MAX_LEN, |body| {
+        body.push(TAG_ACK);
+        put_u32(body, client.0);
+        put_varint(body, 1);
+        put_varint(body, seq);
+    });
     out
 }
 
@@ -999,6 +1099,164 @@ mod tests {
                 assert_eq!(bits(&a.report.samples), bits(&b.report.samples));
             }
             other => panic!("wrong shape: {other:?}"),
+        }
+    }
+
+    /// The encoder [`encode`] replaced: the body built in a `Vec` of its
+    /// own, then copied into the frame.
+    fn reference_encode(msg: &WireMessage) -> Vec<u8> {
+        let mut body = Vec::with_capacity(64);
+        encode_body(msg, &mut body);
+        let mut out = Vec::with_capacity(body.len() + 12);
+        out.extend_from_slice(&MAGIC);
+        out.push(VERSION);
+        put_varint(&mut out, u64::try_from(body.len()).unwrap());
+        out.extend_from_slice(&body);
+        out.extend_from_slice(&crc32(&body).to_le_bytes());
+        out
+    }
+
+    /// The LEB128 writer [`put_varint`] replaced.
+    fn reference_varint(out: &mut Vec<u8>, mut v: u64) {
+        loop {
+            let low = v & 0x7F;
+            v >>= 7;
+            let [mut byte, ..] = low.to_le_bytes();
+            if v != 0 {
+                byte |= 0x80;
+            }
+            out.push(byte);
+            if v == 0 {
+                break;
+            }
+        }
+    }
+
+    /// Every message kind at its narrowest and widest field values, with
+    /// sample and sequence counts across the one-, two- and three-byte
+    /// length fields.
+    fn frames_to_check() -> Vec<WireMessage> {
+        let mut msgs = Vec::new();
+        let zones = [
+            CellId { col: 0, row: 0 },
+            CellId {
+                col: i32::MIN,
+                row: i32::MAX,
+            },
+        ];
+        for (client, tick, t) in [
+            (0, 0, SimTime::EPOCH),
+            (u32::MAX, u64::MAX, SimTime::from_micros(i64::MIN)),
+            (77, 300, SimTime::at(2, 13.5)),
+        ] {
+            msgs.push(WireMessage::Checkin(CheckinRequest {
+                client: ClientId(client),
+                tick,
+                point: GeoPoint::new(43.0731, -89.4012).unwrap(),
+                t,
+            }));
+            for zone in zones {
+                let task = MeasurementTask {
+                    zone: ZoneId(zone),
+                    network: NetworkId::NetC,
+                    kind: TransportKind::Tcp,
+                    n_packets: client,
+                    packet_bytes: client,
+                };
+                msgs.push(WireMessage::Task(TaskAssignment {
+                    client: ClientId(client),
+                    task,
+                }));
+                for n in [0, 1, 5, 6, 14, 15, 16, 60, 2038, 2039, 2045, 2047] {
+                    msgs.push(WireMessage::Report(ReportMsg {
+                        seq: tick,
+                        report: SampleReport {
+                            client: ClientId(client),
+                            task,
+                            zone: ZoneId(zone),
+                            t,
+                            samples: (0..n).map(|k| k as f64 * 0.5).collect(),
+                        },
+                    }));
+                }
+            }
+            for n in [0, 1, 2, 12, 13, 20, 1700] {
+                msgs.push(WireMessage::Ack(AckMsg {
+                    client: ClientId(client),
+                    seqs: (0..n).map(|k| tick.wrapping_add(k)).collect(),
+                }));
+            }
+        }
+        msgs
+    }
+
+    #[test]
+    fn frames_match_reference_encoder_in_one_allocation() {
+        let (mut moved_left, mut in_place) = (0, 0);
+        for msg in frames_to_check() {
+            let frame = encode(&msg);
+            assert_eq!(frame, reference_encode(&msg), "{msg:?}");
+            // Capacity as reserved up front: the frame never grew, so its
+            // one allocation is the only one.
+            assert_eq!(frame.capacity(), frame_capacity(body_max_len(&msg)));
+            let (body, _) = open_frame(&frame, MAGIC, VERSION).unwrap();
+            let laid_out = varint_len(u64::try_from(body_max_len(&msg)).unwrap());
+            let used = varint_len(u64::try_from(body.len()).unwrap());
+            moved_left += usize::from(used < laid_out);
+            in_place += usize::from(used == laid_out);
+        }
+        assert!(
+            moved_left > 10 && in_place > 10,
+            "{moved_left} moved, {in_place} in place"
+        );
+        for client in [0, 9, 127, 128, u32::MAX] {
+            for seq in [0, 1, 127, 128, 300, u64::MAX] {
+                let frame = encode_ack_one(ClientId(client), seq);
+                let msg = WireMessage::Ack(AckMsg {
+                    client: ClientId(client),
+                    seqs: vec![seq],
+                });
+                assert_eq!(frame, reference_encode(&msg));
+                assert_eq!(frame.capacity(), frame_capacity(ACK_ONE_MAX_LEN));
+            }
+        }
+    }
+
+    #[test]
+    fn sealed_frames_match_reference_for_every_body_length() {
+        for len in (0..300).chain([16_383, 16_384, 16_385]) {
+            let body: Vec<u8> = (0..len).map(|k| (k % 251) as u8).collect();
+            let mut frame = Vec::new();
+            seal_frame(&mut frame, MAGIC, VERSION, &body);
+            let mut want = MAGIC.to_vec();
+            want.push(VERSION);
+            reference_varint(&mut want, len as u64);
+            want.extend_from_slice(&body);
+            want.extend_from_slice(&crc32(&body).to_le_bytes());
+            assert_eq!(frame, want, "body of {len} bytes");
+            // A bound wider or narrower than the body moves it, same bytes.
+            for bound in [0, len / 2, len + 200, len * 200] {
+                let mut moved = vec![0xEE];
+                seal_frame_with(&mut moved, MAGIC, VERSION, bound, |out| {
+                    out.extend_from_slice(&body)
+                });
+                assert_eq!(moved.get(1..), Some(&want[..]), "{len} B under {bound}");
+            }
+        }
+        for v in [
+            0,
+            1,
+            127,
+            128,
+            16_383,
+            16_384,
+            u64::from(u32::MAX),
+            u64::MAX,
+        ] {
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            put_varint(&mut got, v);
+            reference_varint(&mut want, v);
+            assert_eq!(got, want, "{v}");
         }
     }
 

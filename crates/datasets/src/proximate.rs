@@ -41,7 +41,9 @@ impl Default for ProximateParams {
 }
 
 /// Generates a Proximate dataset around `spot` using a circling driver
-/// (client id is derived from `driver_index`).
+/// (client id is derived from `driver_index`). A round's TCP and UDP
+/// trains on one network are built from one field evaluation at the
+/// driver's position ([`Landscape::train_from_quality`]).
 pub fn generate(
     land: &Landscape,
     driver_index: u32,
@@ -55,6 +57,7 @@ pub fn generate(
         params.radius_m,
         StreamRng::new(seed ^ 0x5052), // "PR"
     );
+    let networks = land.networks();
     let mut ds = Dataset::new("Proximate");
     for day in 0..params.days {
         let day_start = SimTime::at(day, 6.0);
@@ -62,19 +65,22 @@ pub fn generate(
         let mut t = day_start;
         while t < day_end {
             if let Some(fix) = driver.position_at(t) {
-                for net in land.networks() {
+                for &net in &networks {
+                    let quality = land
+                        .link_quality(net, &fix.point, t)
+                        .expect("network present");
                     for (kind, metric) in [
                         (TransportKind::Tcp, Metric::TcpKbps),
                         (TransportKind::Udp, Metric::UdpKbps),
                     ] {
                         let train = land
-                            .probe_train(
+                            .train_from_quality(
                                 net,
                                 kind,
-                                &fix.point,
                                 t,
                                 params.train_packets,
                                 params.packet_bytes,
+                                &quality,
                             )
                             .expect("network present");
                         if let Some(est) = train.estimated_kbps() {
@@ -190,5 +196,98 @@ mod tests {
         let b = small(&land);
         assert_eq!(a.len(), b.len());
         assert_eq!(a.records[7], b.records[7]);
+    }
+
+    /// The loop [`generate`] replaced, verbatim: one
+    /// [`Landscape::probe_train`] call per (round, network, transport),
+    /// each evaluating the field at the driver's position again.
+    fn per_transport(
+        land: &Landscape,
+        driver_index: u32,
+        spot: GeoPoint,
+        seed: u64,
+        params: &ProximateParams,
+    ) -> Dataset {
+        let driver = ProximateDriver::new(
+            wiscape_mobility::ClientId(1000 + driver_index),
+            spot,
+            params.radius_m,
+            StreamRng::new(seed ^ 0x5052), // "PR"
+        );
+        let mut ds = Dataset::new("Proximate");
+        for day in 0..params.days {
+            let day_start = SimTime::at(day, 6.0);
+            let day_end = SimTime::at(day, 23.0);
+            let mut t = day_start;
+            while t < day_end {
+                if let Some(fix) = driver.position_at(t) {
+                    for net in land.networks() {
+                        for (kind, metric) in [
+                            (TransportKind::Tcp, Metric::TcpKbps),
+                            (TransportKind::Udp, Metric::UdpKbps),
+                        ] {
+                            let train = land
+                                .probe_train(
+                                    net,
+                                    kind,
+                                    &fix.point,
+                                    t,
+                                    params.train_packets,
+                                    params.packet_bytes,
+                                )
+                                .expect("network present");
+                            if let Some(est) = train.estimated_kbps() {
+                                ds.records.push(MeasurementRecord {
+                                    client: driver.id(),
+                                    network: net,
+                                    metric,
+                                    t,
+                                    point: fix.point,
+                                    speed_mps: fix.speed_mps,
+                                    value: est,
+                                });
+                            }
+                            if kind == TransportKind::Udp {
+                                if let Some(j) = train.jitter_ms() {
+                                    ds.records.push(MeasurementRecord {
+                                        client: driver.id(),
+                                        network: net,
+                                        metric: Metric::JitterMs,
+                                        t,
+                                        point: fix.point,
+                                        speed_mps: fix.speed_mps,
+                                        value: j,
+                                    });
+                                }
+                            }
+                        }
+                    }
+                }
+                t = t + SimDuration::from_secs(params.interval_s);
+            }
+        }
+        ds
+    }
+
+    #[test]
+    fn shared_evaluation_matches_per_transport_probes_bitwise() {
+        let land = land();
+        let s = spot(&land);
+        for (seed, days, interval_s) in [(11, 3, 90), (4, 2, 37)] {
+            let params = ProximateParams {
+                days,
+                interval_s,
+                train_packets: 12,
+                ..Default::default()
+            };
+            let shared = generate(&land, 0, s, seed, &params);
+            let direct = per_transport(&land, 0, s, seed, &params);
+            assert!(shared.records.len() > 500, "{}", shared.records.len());
+            assert_eq!(shared.records.len(), direct.records.len());
+            for (i, (a, b)) in shared.records.iter().zip(&direct.records).enumerate() {
+                assert_eq!(a, b, "record {i}");
+                assert_eq!(a.value.to_bits(), b.value.to_bits(), "record {i}");
+            }
+        }
     }
 }

@@ -52,7 +52,9 @@ pub fn segment_route(land: &Landscape, params: &ShortSegmentParams) -> Route {
 }
 
 /// Generates the Short-segment dataset: TCP and UDP trains for every
-/// network at each measurement round along the drive.
+/// network at each measurement round along the drive. A round's two
+/// trains on one network are built from one field evaluation at the
+/// car's position ([`Landscape::train_from_quality`]).
 pub fn generate(land: &Landscape, seed: u64, params: &ShortSegmentParams) -> Dataset {
     let route = Arc::new(segment_route(land, params));
     let car = FixedRouteCar::new(
@@ -62,6 +64,7 @@ pub fn generate(land: &Landscape, seed: u64, params: &ShortSegmentParams) -> Dat
         15.3,
         StreamRng::new(seed ^ 0x5347), // "SG"
     );
+    let networks = land.networks();
     let mut ds = Dataset::new("Short segment");
     for day in 0..params.days {
         let day_start = SimTime::at(day, 6.0);
@@ -69,19 +72,22 @@ pub fn generate(land: &Landscape, seed: u64, params: &ShortSegmentParams) -> Dat
         let mut t = day_start;
         while t < day_end {
             if let Some(fix) = car.position_at(t) {
-                for net in land.networks() {
+                for &net in &networks {
+                    let quality = land
+                        .link_quality(net, &fix.point, t)
+                        .expect("network present");
                     for (kind, metric) in [
                         (TransportKind::Tcp, Metric::TcpKbps),
                         (TransportKind::Udp, Metric::UdpKbps),
                     ] {
                         let train = land
-                            .probe_train(
+                            .train_from_quality(
                                 net,
                                 kind,
-                                &fix.point,
                                 t,
                                 params.train_packets,
                                 params.packet_bytes,
+                                &quality,
                             )
                             .expect("network present");
                         if let Some(est) = train.estimated_kbps() {
@@ -184,5 +190,104 @@ mod tests {
         let r1 = segment_route(&land, &p);
         let r2 = segment_route(&land, &p);
         assert_eq!(r1.path().points(), r2.path().points());
+    }
+
+    /// The loop [`generate`] replaced, verbatim: one
+    /// [`Landscape::probe_train`] call per (round, network, transport),
+    /// each evaluating the field at the car's position again.
+    fn per_transport(land: &Landscape, seed: u64, params: &ShortSegmentParams) -> Dataset {
+        let route = Arc::new(segment_route(land, params));
+        let car = FixedRouteCar::new(
+            wiscape_mobility::ClientId(2000),
+            route,
+            4,
+            15.3,
+            StreamRng::new(seed ^ 0x5347), // "SG"
+        );
+        let mut ds = Dataset::new("Short segment");
+        for day in 0..params.days {
+            let day_start = SimTime::at(day, 6.0);
+            let day_end = SimTime::at(day, 23.0);
+            let mut t = day_start;
+            while t < day_end {
+                if let Some(fix) = car.position_at(t) {
+                    for net in land.networks() {
+                        for (kind, metric) in [
+                            (TransportKind::Tcp, Metric::TcpKbps),
+                            (TransportKind::Udp, Metric::UdpKbps),
+                        ] {
+                            let train = land
+                                .probe_train(
+                                    net,
+                                    kind,
+                                    &fix.point,
+                                    t,
+                                    params.train_packets,
+                                    params.packet_bytes,
+                                )
+                                .expect("network present");
+                            if let Some(est) = train.estimated_kbps() {
+                                ds.records.push(MeasurementRecord {
+                                    client: car.id(),
+                                    network: net,
+                                    metric,
+                                    t,
+                                    point: fix.point,
+                                    speed_mps: fix.speed_mps,
+                                    value: est,
+                                });
+                            }
+                        }
+                        // A few pings per round: latency matters as much as
+                        // throughput to the §4.2 applications.
+                        let mut rtt_sum = 0.0;
+                        let mut rtt_n = 0u32;
+                        for seq in 0..4u64 {
+                            let ping_t = t + SimDuration::from_millis(200 * seq as i64);
+                            if let Ok(wiscape_simnet::PingOutcome::Reply { rtt_ms }) =
+                                land.ping(net, &fix.point, ping_t, seq)
+                            {
+                                rtt_sum += rtt_ms;
+                                rtt_n += 1;
+                            }
+                        }
+                        if rtt_n > 0 {
+                            ds.records.push(MeasurementRecord {
+                                client: car.id(),
+                                network: net,
+                                metric: Metric::PingRttMs,
+                                t,
+                                point: fix.point,
+                                speed_mps: fix.speed_mps,
+                                value: rtt_sum / rtt_n as f64,
+                            });
+                        }
+                    }
+                }
+                t = t + SimDuration::from_secs(params.interval_s);
+            }
+        }
+        ds
+    }
+
+    #[test]
+    fn shared_evaluation_matches_per_transport_probes_bitwise() {
+        let land = land();
+        for (seed, days, interval_s) in [(12, 3, 90), (5, 2, 37)] {
+            let params = ShortSegmentParams {
+                days,
+                interval_s,
+                train_packets: 12,
+                ..Default::default()
+            };
+            let shared = generate(&land, seed, &params);
+            let direct = per_transport(&land, seed, &params);
+            assert!(shared.records.len() > 500, "{}", shared.records.len());
+            assert_eq!(shared.records.len(), direct.records.len());
+            for (i, (a, b)) in shared.records.iter().zip(&direct.records).enumerate() {
+                assert_eq!(a, b, "record {i}");
+                assert_eq!(a.value.to_bits(), b.value.to_bits(), "record {i}");
+            }
+        }
     }
 }

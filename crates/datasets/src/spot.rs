@@ -7,7 +7,7 @@
 use wiscape_geo::GeoPoint;
 use wiscape_mobility::ClientId;
 use wiscape_simcore::{SimDuration, SimTime};
-use wiscape_simnet::{Landscape, TransportKind, UdpTrain};
+use wiscape_simnet::{Landscape, LinkQuality, TransportKind};
 
 use crate::record::{Dataset, MeasurementRecord, Metric};
 
@@ -36,9 +36,9 @@ impl Default for SpotParams {
     }
 }
 
-/// Round start times probed per batched call: one field resolution of
-/// the fixed point serves a block of trains, and the trains held at once
-/// stay bounded (networks × 2 transports × `ROUND_BLOCK`).
+/// Round start times evaluated per field sweep: one resolution of the
+/// fixed point serves a block of rounds, and the field means held at once
+/// stay bounded (networks × `ROUND_BLOCK`).
 const ROUND_BLOCK: usize = 64;
 
 /// Generates a Spot dataset at one static location, measuring every
@@ -46,9 +46,14 @@ const ROUND_BLOCK: usize = 64;
 ///
 /// Produces [`Metric::TcpKbps`], [`Metric::UdpKbps`], [`Metric::JitterMs`],
 /// and [`Metric::LossRate`] records each round, in (round, network,
-/// transport) order. Each (network, transport) pair probes a block of
-/// rounds through [`Landscape::probe_trains`], whose trains are bitwise
-/// the per-round [`Landscape::probe_train`] calls.
+/// transport) order. Each network's field is swept over a block of
+/// rounds through [`NetworkField::link_quality_train`], and a round's TCP
+/// and UDP trains are both built from that one evaluation with
+/// [`Landscape::train_from_quality`]: bitwise the per-round
+/// [`Landscape::probe_train`] calls, which evaluate the field once per
+/// train.
+///
+/// [`NetworkField::link_quality_train`]: wiscape_simnet::NetworkField::link_quality_train
 pub fn generate(
     land: &Landscape,
     client: ClientId,
@@ -70,28 +75,26 @@ pub fn generate(
         if starts.is_empty() {
             return ds;
         }
-        let probe = |net, kind| {
-            land.probe_trains(
-                net,
-                kind,
-                &point,
-                &starts,
-                params.train_packets,
-                params.packet_bytes,
-            )
-            .expect("network present")
-        };
-        let trains: Vec<[Vec<UdpTrain>; 2]> = networks
+        let qualities: Vec<Vec<LinkQuality>> = networks
             .iter()
             .map(|&net| {
-                [
-                    probe(net, TransportKind::Tcp),
-                    probe(net, TransportKind::Udp),
-                ]
+                let field = land.field(net).expect("network present");
+                field.link_quality_train(&point, &starts)
             })
             .collect();
         for (k, &t) in starts.iter().enumerate() {
-            for (&network, [tcp, udp]) in networks.iter().zip(&trains) {
+            for (&network, quality) in networks.iter().zip(&qualities) {
+                let train = |kind| {
+                    land.train_from_quality(
+                        network,
+                        kind,
+                        t,
+                        params.train_packets,
+                        params.packet_bytes,
+                        &quality[k],
+                    )
+                    .expect("network present")
+                };
                 let mut push = |metric, value| {
                     ds.records.push(MeasurementRecord {
                         client,
@@ -103,10 +106,10 @@ pub fn generate(
                         value,
                     })
                 };
-                if let Some(est) = tcp[k].estimated_kbps() {
+                if let Some(est) = train(TransportKind::Tcp).estimated_kbps() {
                     push(Metric::TcpKbps, est);
                 }
-                let udp = &udp[k];
+                let udp = train(TransportKind::Udp);
                 if let Some(est) = udp.estimated_kbps() {
                     push(Metric::UdpKbps, est);
                 }

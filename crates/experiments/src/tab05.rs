@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 use wiscape_core::sampling::{packets_for_accuracy, AccuracyTarget};
 use wiscape_datasets::locations;
 use wiscape_simcore::{SimDuration, SimTime};
-use wiscape_simnet::{Landscape, LandscapeConfig, TransportKind};
+use wiscape_simnet::{Landscape, LandscapeConfig, LinkQuality, NetworkId, TransportKind};
 
 use crate::common::Scale;
 
@@ -33,6 +33,42 @@ pub struct Tab05 {
     pub rows: Vec<Tab05Row>,
 }
 
+/// Start times of the back-to-back bursts: one stable period.
+fn burst_starts(scale: Scale) -> Vec<SimTime> {
+    let t = SimTime::at(2, 10.0);
+    (0..scale.pick(20, 50))
+        .map(|burst| t + SimDuration::from_secs(burst * 2))
+        .collect()
+}
+
+/// The pool of per-packet instantaneous throughputs of one `kind` train
+/// per burst from `spot`, and the ground truth: the field mean over the
+/// bursts (the paper's "expected value"). `qualities` holds the field at
+/// `spot` at each burst, so both transports share one evaluation.
+fn burst_pool(
+    land: &Landscape,
+    net: NetworkId,
+    kind: TransportKind,
+    bursts: &[SimTime],
+    qualities: &[LinkQuality],
+) -> (Vec<f64>, f64) {
+    let mut pool = Vec::new();
+    let mut truth_acc = 0.0;
+    let mut truth_n = 0;
+    for (&bt, q) in bursts.iter().zip(qualities) {
+        let train = land
+            .train_from_quality(net, kind, bt, 60, 1200, q)
+            .expect("network present");
+        pool.extend(train.received_kbps());
+        truth_acc += match kind {
+            TransportKind::Udp => q.udp_kbps,
+            TransportKind::Tcp => q.tcp_kbps,
+        };
+        truth_n += 1;
+    }
+    (pool, truth_acc / truth_n as f64)
+}
+
 fn region_rows(land: &Landscape, seed: u64, scale: Scale, region: &str, out: &mut Vec<Tab05Row>) {
     let spot = locations::representative_static_locations(land, 1, 5000.0, 100.0)[0].point;
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed ^ 0x7AB5);
@@ -40,30 +76,15 @@ fn region_rows(land: &Landscape, seed: u64, scale: Scale, region: &str, out: &mu
         iterations: scale.pick(60, 100),
         ..Default::default()
     };
+    let bursts = burst_starts(scale);
     for net in land.networks() {
+        let qualities = land
+            .field(net)
+            .expect("network present")
+            .link_quality_train(&spot, &bursts);
         let mut needed = [None, None];
         for (slot, kind) in [(0usize, TransportKind::Udp), (1, TransportKind::Tcp)] {
-            // Pool of per-packet instantaneous throughputs collected
-            // back-to-back in one stable period, with the ground truth
-            // being the field mean then (the paper's "expected value").
-            let t = SimTime::at(2, 10.0);
-            let mut pool = Vec::new();
-            let mut truth_acc = 0.0;
-            let mut truth_n = 0;
-            for burst in 0..scale.pick(20, 50) {
-                let bt = t + SimDuration::from_secs(burst * 2);
-                let train = land
-                    .probe_train(net, kind, &spot, bt, 60, 1200)
-                    .expect("network present");
-                pool.extend(train.received_kbps());
-                let q = land.link_quality(net, &spot, bt).expect("present");
-                truth_acc += match kind {
-                    TransportKind::Udp => q.udp_kbps,
-                    TransportKind::Tcp => q.tcp_kbps,
-                };
-                truth_n += 1;
-            }
-            let truth = truth_acc / truth_n as f64;
+            let (pool, truth) = burst_pool(land, net, kind, &bursts, &qualities);
             needed[slot] = packets_for_accuracy(&pool, truth, 400, &target, &mut rng);
         }
         out.push(Tab05Row {
@@ -132,6 +153,65 @@ impl Tab05 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The pool [`burst_pool`] replaced, verbatim: a probe train per
+    /// burst, then the field evaluated again at the same point and time
+    /// for the truth.
+    fn reference_pool(
+        land: &Landscape,
+        net: NetworkId,
+        kind: TransportKind,
+        spot: &wiscape_geo::GeoPoint,
+        scale: Scale,
+    ) -> (Vec<f64>, f64) {
+        let t = SimTime::at(2, 10.0);
+        let mut pool = Vec::new();
+        let mut truth_acc = 0.0;
+        let mut truth_n = 0;
+        for burst in 0..scale.pick(20, 50) {
+            let bt = t + SimDuration::from_secs(burst * 2);
+            let train = land
+                .probe_train(net, kind, spot, bt, 60, 1200)
+                .expect("network present");
+            pool.extend(train.received_kbps());
+            let q = land.link_quality(net, spot, bt).expect("present");
+            truth_acc += match kind {
+                TransportKind::Udp => q.udp_kbps,
+                TransportKind::Tcp => q.tcp_kbps,
+            };
+            truth_n += 1;
+        }
+        (pool, truth_acc / truth_n as f64)
+    }
+
+    #[test]
+    fn shared_evaluation_matches_reference_pools_bitwise() {
+        for seed in [7, 42] {
+            for land in [
+                Landscape::new(LandscapeConfig::madison(seed)),
+                Landscape::new(LandscapeConfig::new_brunswick(seed)),
+            ] {
+                let spot =
+                    locations::representative_static_locations(&land, 1, 5000.0, 100.0)[0].point;
+                for scale in [Scale::Quick, Scale::Full] {
+                    let bursts = burst_starts(scale);
+                    for net in land.networks() {
+                        let field = land.field(net).unwrap();
+                        let qualities = field.link_quality_train(&spot, &bursts);
+                        for kind in [TransportKind::Udp, TransportKind::Tcp] {
+                            let (pool, truth) = burst_pool(&land, net, kind, &bursts, &qualities);
+                            let (want_pool, want_truth) =
+                                reference_pool(&land, net, kind, &spot, scale);
+                            let bits =
+                                |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                            assert_eq!(bits(&pool), bits(&want_pool), "{net} {kind:?}");
+                            assert_eq!(truth.to_bits(), want_truth.to_bits(), "{net} {kind:?}");
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn packet_counts_land_in_paper_range_and_order() {

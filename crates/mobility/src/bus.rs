@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use wiscape_simcore::{SimTime, StreamRng};
 
-use crate::client::{ClientId, DeviceCategory, MobileClient, PositionFix};
+use crate::client::{day_key, ClientId, DeviceCategory, MobileClient, PositionFix};
 use crate::route::Route;
 
 /// A Madison-style transit bus.
@@ -18,18 +18,31 @@ use crate::route::Route;
 pub struct TransitBus {
     id: ClientId,
     routes: Arc<Vec<Route>>,
-    stream: StreamRng,
+    /// The bus's `"day-route"` node: day `d`'s route draws from
+    /// `day_route.fork_idx(d)`.
+    day_route: StreamRng,
+    /// The bus's `"hour-speed"` node: hour `h` of day `d` draws its speed
+    /// from `hour_speed.fork_idx(d).fork_idx(h)`.
+    hour_speed: StreamRng,
     service_start_h: f64,
     service_end_h: f64,
+}
+
+/// Driving speed, m/s, drawn from hour `hour`'s node under a day's
+/// `"hour-speed"` node.
+fn hour_speed(day_speeds: StreamRng, hour: u32) -> f64 {
+    4.5 + 8.0 * day_speeds.fork_idx(hour as u64).draw_unit_f64()
 }
 
 impl TransitBus {
     /// Creates bus `id` drawing daily from `routes`.
     pub fn new(id: ClientId, routes: Arc<Vec<Route>>, stream: StreamRng) -> Self {
+        let bus = stream.fork("transit-bus").fork_idx(id.0 as u64);
         Self {
             id,
             routes,
-            stream: stream.fork("transit-bus").fork_idx(id.0 as u64),
+            day_route: bus.fork("day-route"),
+            hour_speed: bus.fork("hour-speed"),
             service_start_h: 6.0,
             service_end_h: 24.0,
         }
@@ -37,11 +50,7 @@ impl TransitBus {
 
     /// The route this bus runs on `day`.
     pub fn route_for_day(&self, day: i64) -> &Route {
-        let pick = self
-            .stream
-            .fork("day-route")
-            .fork_idx(day.rem_euclid(1 << 20) as u64)
-            .draw_u64() as usize;
+        let pick = self.day_route.fork_idx(day_key(day)).draw_u64() as usize;
         &self.routes[pick % self.routes.len()]
     }
 
@@ -50,18 +59,12 @@ impl TransitBus {
     /// times sees the bus at different speeds — which is what makes the
     /// paper's speed-vs-latency independence check (Fig 2) meaningful.
     pub fn speed_for_hour(&self, day: i64, hour: u32) -> f64 {
-        let u = self
-            .stream
-            .fork("hour-speed")
-            .fork_idx(day.rem_euclid(1 << 20) as u64)
-            .fork_idx(hour as u64)
-            .draw_unit_f64();
-        4.5 + 8.0 * u
+        hour_speed(self.hour_speed.fork_idx(day_key(day)), hour)
     }
 
     /// Distance driven since service start at 06:00, meters, integrating
-    /// the hourly speeds.
-    fn distance_since_service_start(&self, day: i64, hour_of_day: f64) -> f64 {
+    /// the hourly speeds drawn under the day's node `day_speeds`.
+    fn distance_since_service_start(&self, day_speeds: StreamRng, hour_of_day: f64) -> f64 {
         let start = self.service_start_h;
         if hour_of_day <= start {
             return 0.0;
@@ -70,7 +73,7 @@ impl TransitBus {
         let mut h = start;
         while h < hour_of_day {
             let seg_end = (h.floor() + 1.0).min(hour_of_day);
-            dist += self.speed_for_hour(day, h.floor() as u32) * (seg_end - h) * 3600.0;
+            dist += hour_speed(day_speeds, h.floor() as u32) * (seg_end - h) * 3600.0;
             h = seg_end;
         }
         dist
@@ -97,10 +100,12 @@ impl MobileClient for TransitBus {
         }
         let day = t.day_index();
         let route = self.route_for_day(day);
+        // The day's speed node, forked once for every hour of the query.
+        let day_speeds = self.hour_speed.fork_idx(day_key(day));
         // Shuttle: cumulative distance folds into a triangle wave over
         // the route length.
         let len = route.length_m();
-        let dist = self.distance_since_service_start(day, h);
+        let dist = self.distance_since_service_start(day_speeds, h);
         let phase = (dist / len).rem_euclid(2.0);
         let s = if phase <= 1.0 {
             phase * len
@@ -109,7 +114,7 @@ impl MobileClient for TransitBus {
         };
         Some(PositionFix {
             point: route.point_at(s),
-            speed_mps: self.speed_for_hour(day, h.floor() as u32),
+            speed_mps: hour_speed(day_speeds, h.floor() as u32),
         })
     }
 }
@@ -191,6 +196,7 @@ mod tests {
     use super::*;
     use crate::route::{intercity_route, madison_routes};
     use wiscape_geo::GeoPoint;
+    use wiscape_simcore::SimDuration;
 
     fn center() -> GeoPoint {
         GeoPoint::new(43.0731, -89.4012).unwrap()
@@ -230,7 +236,7 @@ mod tests {
         let day = 2;
         let f1 = b.position_at(SimTime::at(day, 10.0)).unwrap();
         let f2 = b
-            .position_at(SimTime::at(day, 10.0) + wiscape_simcore::SimDuration::from_secs(60))
+            .position_at(SimTime::at(day, 10.0) + SimDuration::from_secs(60))
             .unwrap();
         let d = f1.point.haversine_distance(&f2.point);
         // 60 s at 4.5-12.5 m/s, unless the shuttle folded at a terminus.
@@ -324,5 +330,130 @@ mod tests {
         let b = bus();
         assert_eq!(b.platform(), "transit-bus");
         assert_eq!(b.category(), DeviceCategory::SingleBoardComputer);
+    }
+
+    /// The transit bus [`TransitBus`] replaced: every query forks its
+    /// `"day-route"` node from the bus's stream, and every hour since
+    /// service start forks `"hour-speed"`, the day and the hour again.
+    struct ReferenceBus {
+        routes: Arc<Vec<Route>>,
+        stream: StreamRng,
+    }
+
+    impl ReferenceBus {
+        fn new(id: ClientId, routes: Arc<Vec<Route>>, stream: StreamRng) -> Self {
+            let stream = stream.fork("transit-bus").fork_idx(id.0 as u64);
+            Self { routes, stream }
+        }
+
+        fn route_for_day(&self, day: i64) -> &Route {
+            let pick = self
+                .stream
+                .fork("day-route")
+                .fork_idx(day.rem_euclid(1 << 20) as u64)
+                .draw_u64() as usize;
+            &self.routes[pick % self.routes.len()]
+        }
+
+        fn speed_for_hour(&self, day: i64, hour: u32) -> f64 {
+            let u = self
+                .stream
+                .fork("hour-speed")
+                .fork_idx(day.rem_euclid(1 << 20) as u64)
+                .fork_idx(hour as u64)
+                .draw_unit_f64();
+            4.5 + 8.0 * u
+        }
+
+        fn distance_since_service_start(&self, day: i64, hour_of_day: f64) -> f64 {
+            let start = 6.0;
+            if hour_of_day <= start {
+                return 0.0;
+            }
+            let mut dist = 0.0;
+            let mut h = start;
+            while h < hour_of_day {
+                let seg_end = (h.floor() + 1.0).min(hour_of_day);
+                dist += self.speed_for_hour(day, h.floor() as u32) * (seg_end - h) * 3600.0;
+                h = seg_end;
+            }
+            dist
+        }
+
+        fn position_at(&self, t: SimTime) -> Option<PositionFix> {
+            let h = t.hour_of_day();
+            if !(6.0..24.0).contains(&h) {
+                return None;
+            }
+            let day = t.day_index();
+            let route = self.route_for_day(day);
+            let len = route.length_m();
+            let dist = self.distance_since_service_start(day, h);
+            let phase = (dist / len).rem_euclid(2.0);
+            let s = if phase <= 1.0 {
+                phase * len
+            } else {
+                (2.0 - phase) * len
+            };
+            Some(PositionFix {
+                point: route.point_at(s),
+                speed_mps: self.speed_for_hour(day, h.floor() as u32),
+            })
+        }
+    }
+
+    fn fix_bits(fix: Option<PositionFix>) -> Option<[u64; 3]> {
+        fix.map(|f| {
+            [
+                f.point.lat_deg().to_bits(),
+                f.point.lon_deg().to_bits(),
+                f.speed_mps.to_bits(),
+            ]
+        })
+    }
+
+    /// Query times on `day`: a 20 s grid, every exact hour and the
+    /// microseconds around it, service start and the day's last
+    /// microsecond.
+    fn query_times(day: i64) -> Vec<SimTime> {
+        let us = SimDuration::from_micros(1);
+        let mut times: Vec<SimTime> = (0..86_400 / 20)
+            .map(|k| SimTime::at(day, 0.0) + SimDuration::from_secs(20 * k))
+            .collect();
+        for hour in 0..=24 {
+            let t = SimTime::at(day, hour as f64);
+            times.extend([t - us, t, t + us]);
+        }
+        times
+    }
+
+    #[test]
+    fn positions_match_reference_bitwise() {
+        let routes = Arc::new(madison_routes(center(), 7000.0, 8, &StreamRng::new(4)));
+        let (mut fixes, mut idle) = (0, 0);
+        for id in 0..3 {
+            let stream = StreamRng::new(4 + id as u64);
+            let bus = TransitBus::new(ClientId(id), routes.clone(), stream);
+            let old = ReferenceBus::new(ClientId(id), routes.clone(), stream);
+            for day in [-2, 0, 1, 2, 5, 6, (1 << 20) + 1] {
+                assert_eq!(bus.route_for_day(day).name(), old.route_for_day(day).name());
+                for hour in 0..24 {
+                    let (got, want) =
+                        (bus.speed_for_hour(day, hour), old.speed_for_hour(day, hour));
+                    assert_eq!(got.to_bits(), want.to_bits());
+                }
+                for t in query_times(day) {
+                    let got = bus.position_at(t);
+                    assert_eq!(
+                        fix_bits(got),
+                        fix_bits(old.position_at(t)),
+                        "bus {id} at {t:?}"
+                    );
+                    fixes += usize::from(got.is_some());
+                    idle += usize::from(got.is_none());
+                }
+            }
+        }
+        assert!(fixes > 10_000 && idle > 1_000, "{fixes} fixes, {idle} idle");
     }
 }

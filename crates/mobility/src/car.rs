@@ -5,7 +5,7 @@ use std::sync::Arc;
 use wiscape_geo::GeoPoint;
 use wiscape_simcore::{SimTime, StreamRng};
 
-use crate::client::{ClientId, DeviceCategory, MobileClient, PositionFix};
+use crate::client::{day_key, ClientId, DeviceCategory, MobileClient, PositionFix};
 use crate::route::Route;
 
 /// A car driven regularly over a fixed route (the paper's Region
@@ -21,7 +21,9 @@ pub struct FixedRouteCar {
     route: Arc<Route>,
     drives_per_day: u32,
     speed_mps: f64,
-    stream: StreamRng,
+    /// The car's `"jitter"` node: drive `k` of day `d` draws its start
+    /// from `jitter.fork_idx(d).fork_idx(k)`.
+    jitter: StreamRng,
 }
 
 impl FixedRouteCar {
@@ -39,7 +41,7 @@ impl FixedRouteCar {
             route,
             drives_per_day: drives_per_day.max(1),
             speed_mps: speed_mps.clamp(8.0, 25.0),
-            stream: stream.fork("car").fork_idx(id.0 as u64),
+            jitter: stream.fork("car").fork_idx(id.0 as u64).fork("jitter"),
         }
     }
 
@@ -48,17 +50,13 @@ impl FixedRouteCar {
         &self.route
     }
 
-    /// Start hour of drive `k` (0-based) on `day`.
-    fn drive_start_hour(&self, day: i64, k: u32) -> f64 {
+    /// Start hour of drive `k` (0-based) on the day whose jitter node is
+    /// `day_jitter`.
+    fn drive_start_hour(&self, day_jitter: StreamRng, k: u32) -> f64 {
         // Drives spread between 07:00 and 21:00 with ±20 min daily jitter.
         let span = 14.0;
         let base = 7.0 + span * (k as f64 + 0.5) / self.drives_per_day as f64;
-        let j = self
-            .stream
-            .fork("jitter")
-            .fork_idx(day.rem_euclid(1 << 20) as u64)
-            .fork_idx(k as u64)
-            .draw_unit_f64();
+        let j = day_jitter.fork_idx(k as u64).draw_unit_f64();
         base + (j - 0.5) * (40.0 / 60.0)
     }
 }
@@ -78,11 +76,11 @@ impl MobileClient for FixedRouteCar {
 
     fn position_at(&self, t: SimTime) -> Option<PositionFix> {
         let h = t.hour_of_day();
-        let day = t.day_index();
+        let day_jitter = self.jitter.fork_idx(day_key(t.day_index()));
         let len = self.route.length_m();
         let round_trip_s = 2.0 * len / self.speed_mps;
         for k in 0..self.drives_per_day {
-            let start = self.drive_start_hour(day, k);
+            let start = self.drive_start_hour(day_jitter, k);
             let into_s = (h - start) * 3600.0;
             if into_s >= 0.0 && into_s < round_trip_s {
                 let dist = into_s * self.speed_mps;
@@ -111,13 +109,19 @@ pub struct ProximateDriver {
     sessions_per_day: u32,
     session_len_h: f64,
     speed_mps: f64,
-    stream: StreamRng,
+    /// The driver's `"jitter"` node: session `k` of day `d` draws its
+    /// start from `jitter.fork_idx(d).fork_idx(k)`.
+    jitter: StreamRng,
+    /// The driver's `"wobble"` node: minute `m` of a session draws its
+    /// radius from `wobble.fork_idx(m)`.
+    wobble: StreamRng,
 }
 
 impl ProximateDriver {
     /// Creates a proximate driver looping at `radius_m` (clamped to
     /// 30–250 m per the paper's zone radius) around `center`.
     pub fn new(id: ClientId, center: GeoPoint, radius_m: f64, stream: StreamRng) -> Self {
+        let driver = stream.fork("proximate").fork_idx(id.0 as u64);
         Self {
             id,
             center,
@@ -125,18 +129,16 @@ impl ProximateDriver {
             sessions_per_day: 4,
             session_len_h: 1.0,
             speed_mps: 8.0,
-            stream: stream.fork("proximate").fork_idx(id.0 as u64),
+            jitter: driver.fork("jitter"),
+            wobble: driver.fork("wobble"),
         }
     }
 
-    fn session_start_hour(&self, day: i64, k: u32) -> f64 {
+    /// Start hour of session `k` on the day whose jitter node is
+    /// `day_jitter`.
+    fn session_start_hour(&self, day_jitter: StreamRng, k: u32) -> f64 {
         let base = 8.0 + 12.0 * k as f64 / self.sessions_per_day as f64;
-        let j = self
-            .stream
-            .fork("jitter")
-            .fork_idx(day.rem_euclid(1 << 20) as u64)
-            .fork_idx(k as u64)
-            .draw_unit_f64();
+        let j = day_jitter.fork_idx(k as u64).draw_unit_f64();
         base + (j - 0.5)
     }
 }
@@ -156,22 +158,17 @@ impl MobileClient for ProximateDriver {
 
     fn position_at(&self, t: SimTime) -> Option<PositionFix> {
         let h = t.hour_of_day();
-        let day = t.day_index();
+        let day_jitter = self.jitter.fork_idx(day_key(t.day_index()));
         for k in 0..self.sessions_per_day {
-            let start = self.session_start_hour(day, k);
+            let start = self.session_start_hour(day_jitter, k);
             if h >= start && h < start + self.session_len_h {
                 let into_s = (h - start) * 3600.0;
                 // Loop around the center at constant angular rate; vary
                 // the radius a little so fixes are not all on one circle.
                 let circumference = std::f64::consts::TAU * self.radius_m;
                 let angle = std::f64::consts::TAU * (into_s * self.speed_mps / circumference);
-                let wobble = 0.6
-                    + 0.4
-                        * self
-                            .stream
-                            .fork("wobble")
-                            .fork_idx((into_s / 60.0) as u64)
-                            .draw_unit_f64();
+                let wobble =
+                    0.6 + 0.4 * self.wobble.fork_idx((into_s / 60.0) as u64).draw_unit_f64();
                 return Some(PositionFix {
                     point: self.center.destination(angle, self.radius_m * wobble),
                     speed_mps: self.speed_mps,
@@ -186,6 +183,7 @@ impl MobileClient for ProximateDriver {
 mod tests {
     use super::*;
     use crate::route::short_segment_route;
+    use wiscape_simcore::SimDuration;
 
     fn center() -> GeoPoint {
         GeoPoint::new(43.0731, -89.4012).unwrap()
@@ -287,5 +285,183 @@ mod tests {
                 assert!(f.point.haversine_distance(&center()) <= 255.0);
             }
         }
+    }
+
+    /// The car and the driver [`FixedRouteCar`] and [`ProximateDriver`]
+    /// replaced: every drive or session start forks `"jitter"` and the
+    /// day from the client's stream, and every fix forks `"wobble"`.
+    struct ReferenceClient {
+        stream: StreamRng,
+    }
+
+    impl ReferenceClient {
+        fn car(id: ClientId, stream: StreamRng) -> Self {
+            let stream = stream.fork("car").fork_idx(id.0 as u64);
+            Self { stream }
+        }
+
+        fn driver(id: ClientId, stream: StreamRng) -> Self {
+            let stream = stream.fork("proximate").fork_idx(id.0 as u64);
+            Self { stream }
+        }
+
+        fn jitter(&self, day: i64, k: u32) -> f64 {
+            self.stream
+                .fork("jitter")
+                .fork_idx(day.rem_euclid(1 << 20) as u64)
+                .fork_idx(k as u64)
+                .draw_unit_f64()
+        }
+
+        fn drive_start_hour(&self, drives_per_day: u32, day: i64, k: u32) -> f64 {
+            let base = 7.0 + 14.0 * (k as f64 + 0.5) / drives_per_day as f64;
+            base + (self.jitter(day, k) - 0.5) * (40.0 / 60.0)
+        }
+
+        fn car_position_at(&self, car: &FixedRouteCar, t: SimTime) -> Option<PositionFix> {
+            let h = t.hour_of_day();
+            let day = t.day_index();
+            let len = car.route.length_m();
+            let round_trip_s = 2.0 * len / car.speed_mps;
+            for k in 0..car.drives_per_day {
+                let start = self.drive_start_hour(car.drives_per_day, day, k);
+                let into_s = (h - start) * 3600.0;
+                if into_s >= 0.0 && into_s < round_trip_s {
+                    let dist = into_s * car.speed_mps;
+                    let s = if dist <= len { dist } else { 2.0 * len - dist };
+                    return Some(PositionFix {
+                        point: car.route.point_at(s),
+                        speed_mps: car.speed_mps,
+                    });
+                }
+            }
+            None
+        }
+
+        fn session_start_hour(&self, sessions_per_day: u32, day: i64, k: u32) -> f64 {
+            let base = 8.0 + 12.0 * k as f64 / sessions_per_day as f64;
+            base + (self.jitter(day, k) - 0.5)
+        }
+
+        fn driver_position_at(&self, d: &ProximateDriver, t: SimTime) -> Option<PositionFix> {
+            let h = t.hour_of_day();
+            let day = t.day_index();
+            for k in 0..d.sessions_per_day {
+                let start = self.session_start_hour(d.sessions_per_day, day, k);
+                if h >= start && h < start + d.session_len_h {
+                    let into_s = (h - start) * 3600.0;
+                    let circumference = std::f64::consts::TAU * d.radius_m;
+                    let angle = std::f64::consts::TAU * (into_s * d.speed_mps / circumference);
+                    let wobble = 0.6
+                        + 0.4
+                            * self
+                                .stream
+                                .fork("wobble")
+                                .fork_idx((into_s / 60.0) as u64)
+                                .draw_unit_f64();
+                    return Some(PositionFix {
+                        point: d.center.destination(angle, d.radius_m * wobble),
+                        speed_mps: d.speed_mps,
+                    });
+                }
+            }
+            None
+        }
+    }
+
+    fn fix_bits(fix: Option<PositionFix>) -> Option<[u64; 3]> {
+        fix.map(|f| {
+            [
+                f.point.lat_deg().to_bits(),
+                f.point.lon_deg().to_bits(),
+                f.speed_mps.to_bits(),
+            ]
+        })
+    }
+
+    const DAYS: [i64; 7] = [-2, 0, 1, 2, 5, 6, (1 << 20) + 1];
+
+    /// A 20 s grid over `day`, every exact hour, and the microseconds
+    /// around each of `edges` (hours of `day`).
+    fn query_times(day: i64, edges: &[f64]) -> Vec<SimTime> {
+        let us = SimDuration::from_micros(1);
+        let mut times: Vec<SimTime> = (0..86_400 / 20)
+            .map(|k| SimTime::at(day, 0.0) + SimDuration::from_secs(20 * k))
+            .collect();
+        let hours = (0..=24).map(f64::from);
+        for t in hours
+            .chain(edges.iter().copied())
+            .map(|h| SimTime::at(day, h))
+        {
+            times.extend([t - us, t, t + us]);
+        }
+        times
+    }
+
+    #[test]
+    fn car_positions_match_reference_bitwise() {
+        let (mut fixes, mut edges_hit) = (0, 0);
+        for (id, drives) in [(10, 3), (11, 4), (12, 1)] {
+            let stream = StreamRng::new(id as u64);
+            let route = Arc::new(short_segment_route(center(), 0.7, &stream));
+            let c = FixedRouteCar::new(ClientId(id), route, drives, 15.3, stream);
+            let old = ReferenceClient::car(ClientId(id), stream);
+            let round_trip_h = 2.0 * c.route.length_m() / c.speed_mps / 3600.0;
+            for day in DAYS {
+                let edges: Vec<f64> = (0..drives)
+                    .map(|k| old.drive_start_hour(drives, day, k))
+                    .flat_map(|start| [start, start + round_trip_h])
+                    .collect();
+                for t in query_times(day, &edges) {
+                    let got = c.position_at(t);
+                    let want = old.car_position_at(&c, t);
+                    assert_eq!(fix_bits(got), fix_bits(want), "car {id} at {t:?}");
+                    fixes += usize::from(got.is_some());
+                }
+                // A drive's first microsecond is on the road.
+                edges_hit += edges
+                    .iter()
+                    .step_by(2)
+                    .filter(|&&h| {
+                        let t = SimTime::at(day, h) + SimDuration::from_micros(1);
+                        c.position_at(t).is_some()
+                    })
+                    .count();
+            }
+        }
+        assert!(fixes > 5_000, "{fixes} fixes");
+        assert!(edges_hit > 40, "{edges_hit} drive starts on the road");
+    }
+
+    #[test]
+    fn driver_positions_match_reference_bitwise() {
+        let (mut fixes, mut edges_hit) = (0, 0);
+        for (id, radius) in [(20, 250.0), (21, 120.0), (22, 10_000.0)] {
+            let stream = StreamRng::new(id as u64);
+            let d = ProximateDriver::new(ClientId(id), center(), radius, stream);
+            let old = ReferenceClient::driver(ClientId(id), stream);
+            for day in DAYS {
+                let edges: Vec<f64> = (0..d.sessions_per_day)
+                    .map(|k| old.session_start_hour(d.sessions_per_day, day, k))
+                    .flat_map(|start| [start, start + d.session_len_h])
+                    .collect();
+                for t in query_times(day, &edges) {
+                    let got = d.position_at(t);
+                    let want = old.driver_position_at(&d, t);
+                    assert_eq!(fix_bits(got), fix_bits(want), "driver {id} at {t:?}");
+                    fixes += usize::from(got.is_some());
+                }
+                edges_hit += edges
+                    .iter()
+                    .step_by(2)
+                    .filter(|&&h| {
+                        let t = SimTime::at(day, h) + SimDuration::from_micros(1);
+                        d.position_at(t).is_some()
+                    })
+                    .count();
+            }
+        }
+        assert!(fixes > 5_000, "{fixes} fixes");
+        assert!(edges_hit > 60, "{edges_hit} session starts in session");
     }
 }

@@ -40,6 +40,12 @@ pub struct PositionFix {
     pub speed_mps: f64,
 }
 
+/// The stream index under which a client draws day `day`'s randomness
+/// (days wrap every 2^20, about 2,870 years).
+pub(crate) fn day_key(day: i64) -> u64 {
+    day.rem_euclid(1 << 20) as u64
+}
+
 /// A measurement client that may be somewhere at a given time.
 ///
 /// Implementations are deterministic: the same `t` always yields the

@@ -157,6 +157,33 @@ impl Landscape {
         ))
     }
 
+    /// Builds a probe train from field means the caller already
+    /// evaluated at the train's point and start time (see
+    /// [`probe::train_from_quality`]): bitwise the train
+    /// [`Landscape::probe_train`] sends from that point at `start`, when
+    /// `quality` is [`Landscape::link_quality`] there. A round's TCP and
+    /// UDP trains share one evaluation this way.
+    pub fn train_from_quality(
+        &self,
+        net: NetworkId,
+        kind: TransportKind,
+        start: SimTime,
+        n_packets: u32,
+        size_bytes: u32,
+        quality: &LinkQuality,
+    ) -> Result<UdpTrain, UnknownNetwork> {
+        Ok(probe::train_from_quality(
+            self.field(net)?,
+            &self.probe_stream.fork_idx(net.index()),
+            kind,
+            start,
+            n_packets,
+            size_bytes,
+            1.0,
+            quality,
+        ))
+    }
+
     /// Runs a back-to-back probe train (see [`probe::probe_train`]).
     pub fn probe_train(
         &self,
@@ -268,6 +295,26 @@ mod tests {
                 .probe_train(NetworkId::NetB, TransportKind::Udp, &p, *start, 6, 1200)
                 .unwrap();
             assert_eq!(train.packets, scalar.packets);
+        }
+    }
+
+    #[test]
+    fn trains_from_one_evaluation_match_probe_trains() {
+        let land = Landscape::new(LandscapeConfig::madison(5));
+        let p = land.origin().destination(2.1, 1700.0);
+        for net in land.networks() {
+            for t in [SimTime::at(1, 7.5), SimTime::at(4, 18.25)] {
+                let quality = land.link_quality(net, &p, t).unwrap();
+                for kind in [TransportKind::Tcp, TransportKind::Udp] {
+                    let shared = land
+                        .train_from_quality(net, kind, t, 20, 1200, &quality)
+                        .unwrap();
+                    let direct = land.probe_train(net, kind, &p, t, 20, 1200).unwrap();
+                    assert_eq!(shared.packets, direct.packets);
+                    let jitter = |train: &UdpTrain| train.jitter_ms().map(f64::to_bits);
+                    assert_eq!(jitter(&shared), jitter(&direct));
+                }
+            }
         }
     }
 

@@ -46,6 +46,6 @@ pub use field::{DriftCell, LinkQuality, NetworkField, PointCtx, RttLoss};
 pub use landscape::{Landscape, UnknownNetwork};
 pub use network::{NetworkId, Technology};
 pub use probe::{
-    probe_train_with_device, probe_trains, PacketSample, PingOutcome, TcpDownload, TransportKind,
-    UdpTrain,
+    probe_train_with_device, probe_trains, train_from_quality, PacketSample, PingOutcome,
+    TcpDownload, TransportKind, UdpTrain,
 };

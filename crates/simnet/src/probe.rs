@@ -4,13 +4,15 @@
 //! (paper Table 1: packet sequence number, receive timestamp, GPS
 //! coordinates): UDP/TCP probe trains, full TCP downloads, and pings.
 //! All randomness is keyed by `(stream, send-time, sequence number)`, so
-//! probes are reproducible and independent of call order.
+//! probes are reproducible and independent of call order. That is what
+//! lets a train draw a packet's one-way delay only when its jitter is
+//! read: the draw on demand is the draw the packet loop would have made.
 
 use serde::{Deserialize, Serialize};
 use wiscape_geo::GeoPoint;
 use wiscape_simcore::{SimDuration, SimTime, StreamRng};
 
-use crate::field::NetworkField;
+use crate::field::{LinkQuality, NetworkField};
 
 /// Transport used by a probe train.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -28,24 +30,34 @@ pub struct PacketSample {
     pub seq: u32,
     /// When the packet was sent.
     pub send_time: SimTime,
-    /// When it arrived; `None` if lost.
-    pub recv_time: Option<SimTime>,
     /// Payload size in bytes.
     pub size_bytes: u32,
     /// Instantaneous throughput this packet observed, kbit/s
     /// (meaningless if lost).
     pub inst_kbps: f64,
-    /// One-way delay experienced, ms (meaningless if lost).
-    pub one_way_delay_ms: f64,
+    /// Whether the packet arrived.
+    pub received: bool,
 }
 
 /// Result of a probe train (back-to-back measurement packets).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// A packet's one-way delay is drawn only when [`UdpTrain::jitter_ms`]
+/// reads it: its randomness is keyed by the train's stream node, its
+/// send time and its sequence number, so a delay drawn on demand is the
+/// delay the packet loop would have drawn.
+#[derive(Debug, Clone)]
 pub struct UdpTrain {
     /// Transport used.
     pub kind: TransportKind,
     /// Per-packet records.
     pub packets: Vec<PacketSample>,
+    /// The train's stream node; packet `seq` sent at `t` draws from
+    /// `node.fork_idx(t).fork_idx(seq)`.
+    node: StreamRng,
+    /// Mean round-trip time of the field at the train's start, ms.
+    rtt_ms: f64,
+    /// Standard deviation of a packet's one-way delay, ms.
+    jitter_sigma: f64,
 }
 
 impl UdpTrain {
@@ -56,10 +68,7 @@ impl UdpTrain {
 
     /// Number of packets received.
     pub fn received(&self) -> usize {
-        self.packets
-            .iter()
-            .filter(|p| p.recv_time.is_some())
-            .count()
+        self.packets.iter().filter(|p| p.received).count()
     }
 
     /// Observed loss rate in `[0, 1]`.
@@ -76,7 +85,7 @@ impl UdpTrain {
         let (sum, n) = self
             .packets
             .iter()
-            .filter(|p| p.recv_time.is_some())
+            .filter(|p| p.received)
             .fold((0.0, 0usize), |(sum, n), p| (sum + p.inst_kbps, n + 1));
         (n > 0).then(|| sum / n as f64)
     }
@@ -85,13 +94,14 @@ impl UdpTrain {
     pub fn received_kbps(&self) -> Vec<f64> {
         self.packets
             .iter()
-            .filter(|p| p.recv_time.is_some())
+            .filter(|p| p.received)
             .map(|p| p.inst_kbps)
             .collect()
     }
 
     /// IPDV jitter estimate: mean absolute difference of consecutive
-    /// received packets' one-way delays, ms (RFC 3393 style).
+    /// received packets' one-way delays, ms (RFC 3393 style). Draws each
+    /// received packet's delay, in packet order.
     pub fn jitter_ms(&self) -> Option<f64> {
         let mut prev: Option<f64> = None;
         let mut sum = 0.0;
@@ -99,8 +109,8 @@ impl UdpTrain {
         for d in self
             .packets
             .iter()
-            .filter(|p| p.recv_time.is_some())
-            .map(|p| p.one_way_delay_ms)
+            .filter(|p| p.received)
+            .map(|p| self.one_way_delay_ms(p))
         {
             if let Some(prev) = prev {
                 sum += (d - prev).abs();
@@ -111,19 +121,13 @@ impl UdpTrain {
         (pairs > 0).then(|| sum / pairs as f64)
     }
 
-    /// Wall-clock duration from first send to last receive.
-    pub fn duration(&self) -> SimDuration {
-        let start = match self.packets.first() {
-            Some(p) => p.send_time,
-            None => return SimDuration::ZERO,
-        };
-        let end = self
-            .packets
-            .iter()
-            .filter_map(|p| p.recv_time)
-            .max()
-            .unwrap_or(start);
-        end - start
+    /// One-way delay packet `p` of this train experienced, ms.
+    fn one_way_delay_ms(&self, p: &PacketSample) -> f64 {
+        let node = self
+            .node
+            .fork_idx(p.send_time.as_micros() as u64)
+            .fork_idx(p.seq as u64);
+        (self.rtt_ms / 2.0 + self.jitter_sigma * std_normal(node.fork("delay"))).max(0.1)
     }
 }
 
@@ -281,11 +285,19 @@ pub fn probe_trains(
         .collect()
 }
 
-/// Generates the packet records of one train from pre-evaluated field
-/// means — the shared tail of the scalar and batched train paths.
+/// Generates the packet records of one train of `kind` starting at
+/// `start` from field means already evaluated at the train's point and
+/// start time — the shared tail of [`probe_train_with_device`] and
+/// [`probe_trains`]. A caller that sends several trains from one point
+/// and time (a round's TCP and UDP trains) evaluates the field once and
+/// builds each train here.
+///
+/// Each packet draws its throughput and its loss; its one-way delay is
+/// drawn only if [`UdpTrain::jitter_ms`] asks for it. The next packet
+/// leaves when this one's wire time at its observed rate has passed.
 // lint:allow(S001): probe parameters mirror the wire-level probe train; a struct would obscure the 1:1 mapping.
 #[allow(clippy::too_many_arguments)]
-fn train_from_quality(
+pub fn train_from_quality(
     field: &NetworkField,
     stream: &StreamRng,
     kind: TransportKind,
@@ -293,7 +305,7 @@ fn train_from_quality(
     n_packets: u32,
     size_bytes: u32,
     device_factor: f64,
-    quality: &crate::field::LinkQuality,
+    quality: &LinkQuality,
 ) -> UdpTrain {
     let params = field.params();
     let (cv, kind_label) = match kind {
@@ -302,7 +314,7 @@ fn train_from_quality(
     };
     // The same for every packet of the train: its stream node and the
     // throughput multiplier's parameters.
-    let train = stream.fork("train").fork_idx(kind_label);
+    let node = stream.fork("train").fork_idx(kind_label);
     let tput = UnitMeanLogNormal::new(cv);
     let mut packets = Vec::with_capacity(n_packets as usize);
     let mut send_time = start;
@@ -313,33 +325,31 @@ fn train_from_quality(
             TransportKind::Udp => quality.udp_kbps,
         };
     let loss_rate = quality.loss_rate;
-    let rtt = quality.rtt_ms;
-    // Jitter sigma giving the target mean IPDV: E|ΔN(0,σ)| = 2σ/√π.
-    let jitter_sigma = quality.jitter_ms * std::f64::consts::PI.sqrt() / 2.0;
     for seq in 0..n_packets {
         let t = send_time;
-        let node = train.fork_idx(t.as_micros() as u64).fork_idx(seq as u64);
+        let packet = node.fork_idx(t.as_micros() as u64).fork_idx(seq as u64);
         let inst_kbps =
-            (mean_kbps * tput.draw(node.fork("tput"))).clamp(1.0, params.id.max_downlink_kbps());
-        let lost = unit(node.fork("loss")) < loss_rate;
-        let one_way_delay_ms = (rtt / 2.0 + jitter_sigma * std_normal(node.fork("delay"))).max(0.1);
-        // Wire time of this packet at the observed instantaneous rate.
-        let wire_ms = (size_bytes as f64 * 8.0) / inst_kbps; // kbit / kbps = ms
-        let recv_time = (!lost).then(|| {
-            t + SimDuration::from_secs_f64(wire_ms / 1000.0)
-                + SimDuration::from_secs_f64(one_way_delay_ms / 1000.0)
-        });
+            (mean_kbps * tput.draw(packet.fork("tput"))).clamp(1.0, params.id.max_downlink_kbps());
+        let lost = unit(packet.fork("loss")) < loss_rate;
         packets.push(PacketSample {
             seq,
             send_time: t,
-            recv_time,
             size_bytes,
             inst_kbps,
-            one_way_delay_ms,
+            received: !lost,
         });
+        // Wire time of this packet at the observed instantaneous rate.
+        let wire_ms = (size_bytes as f64 * 8.0) / inst_kbps; // kbit / kbps = ms
         send_time = t + SimDuration::from_secs_f64(wire_ms / 1000.0);
     }
-    UdpTrain { kind, packets }
+    UdpTrain {
+        kind,
+        packets,
+        node,
+        rtt_ms: quality.rtt_ms,
+        // Jitter sigma giving the target mean IPDV: E|ΔN(0,σ)| = 2σ/√π.
+        jitter_sigma: quality.jitter_ms * std::f64::consts::PI.sqrt() / 2.0,
+    }
 }
 
 /// Downloads a `size_bytes` object over TCP starting at `start`.
@@ -626,9 +636,78 @@ mod tests {
         (mu + sigma2.sqrt() * std_normal(node)).exp()
     }
 
-    /// The train [`probe_train_with_device`] replaced, for 1,200-byte
-    /// packets: every packet forks its node from `stream` and derives the
-    /// log-normal from `cv`.
+    /// A packet of the eager train: the record the packet loop kept
+    /// before delays were drawn on demand.
+    #[derive(Debug, Clone, Copy)]
+    struct EagerPacket {
+        seq: u32,
+        send_time: SimTime,
+        recv_time: Option<SimTime>,
+        size_bytes: u32,
+        inst_kbps: f64,
+        one_way_delay_ms: f64,
+    }
+
+    /// The train [`train_from_quality`] replaced, with its accessors:
+    /// every packet draws its one-way delay and its receive time in the
+    /// loop, whether or not anything reads them.
+    struct EagerTrain {
+        packets: Vec<EagerPacket>,
+    }
+
+    impl EagerTrain {
+        fn received(&self) -> usize {
+            self.packets
+                .iter()
+                .filter(|p| p.recv_time.is_some())
+                .count()
+        }
+
+        fn loss_rate(&self) -> f64 {
+            if self.packets.is_empty() {
+                return 0.0;
+            }
+            1.0 - self.received() as f64 / self.packets.len() as f64
+        }
+
+        fn estimated_kbps(&self) -> Option<f64> {
+            let (sum, n) = self
+                .packets
+                .iter()
+                .filter(|p| p.recv_time.is_some())
+                .fold((0.0, 0usize), |(sum, n), p| (sum + p.inst_kbps, n + 1));
+            (n > 0).then(|| sum / n as f64)
+        }
+
+        fn received_kbps(&self) -> Vec<f64> {
+            self.packets
+                .iter()
+                .filter(|p| p.recv_time.is_some())
+                .map(|p| p.inst_kbps)
+                .collect()
+        }
+
+        fn jitter_ms(&self) -> Option<f64> {
+            let mut prev: Option<f64> = None;
+            let mut sum = 0.0;
+            let mut pairs = 0usize;
+            for d in self
+                .packets
+                .iter()
+                .filter(|p| p.recv_time.is_some())
+                .map(|p| p.one_way_delay_ms)
+            {
+                if let Some(prev) = prev {
+                    sum += (d - prev).abs();
+                    pairs += 1;
+                }
+                prev = Some(d);
+            }
+            (pairs > 0).then(|| sum / pairs as f64)
+        }
+    }
+
+    /// The eager [`probe_train_with_device`], for 1,200-byte packets.
     fn reference_train(
         field: &NetworkField,
         stream: &StreamRng,
@@ -637,7 +716,7 @@ mod tests {
         start: SimTime,
         n_packets: u32,
         device_factor: f64,
-    ) -> UdpTrain {
+    ) -> EagerTrain {
         let size_bytes = 1200;
         let quality = field.link_quality(p, start);
         let params = field.params();
@@ -645,6 +724,8 @@ mod tests {
             TransportKind::Tcp => (params.fine_cv_tcp, 1u64),
             TransportKind::Udp => (params.fine_cv_udp, 2u64),
         };
+        let train = stream.fork("train").fork_idx(kind_label);
+        let tput = UnitMeanLogNormal::new(cv);
         let mut packets = Vec::with_capacity(n_packets as usize);
         let mut send_time = start;
         let device_factor = device_factor.clamp(0.05, 1.0);
@@ -658,12 +739,8 @@ mod tests {
         let jitter_sigma = quality.jitter_ms * std::f64::consts::PI.sqrt() / 2.0;
         for seq in 0..n_packets {
             let t = send_time;
-            let node = stream
-                .fork("train")
-                .fork_idx(kind_label)
-                .fork_idx(t.as_micros() as u64)
-                .fork_idx(seq as u64);
-            let inst_kbps = (mean_kbps * reference_lognormal(node.fork("tput"), cv))
+            let node = train.fork_idx(t.as_micros() as u64).fork_idx(seq as u64);
+            let inst_kbps = (mean_kbps * tput.draw(node.fork("tput")))
                 .clamp(1.0, params.id.max_downlink_kbps());
             let lost = unit(node.fork("loss")) < loss_rate;
             let one_way_delay_ms =
@@ -673,7 +750,7 @@ mod tests {
                 t + SimDuration::from_secs_f64(wire_ms / 1000.0)
                     + SimDuration::from_secs_f64(one_way_delay_ms / 1000.0)
             });
-            packets.push(PacketSample {
+            packets.push(EagerPacket {
                 seq,
                 send_time: t,
                 recv_time,
@@ -683,7 +760,7 @@ mod tests {
             });
             send_time = t + SimDuration::from_secs_f64(wire_ms / 1000.0);
         }
-        UdpTrain { kind, packets }
+        EagerTrain { packets }
     }
 
     /// The ping [`ping`] replaced: all five field metrics for its two.
@@ -708,17 +785,36 @@ mod tests {
         }
     }
 
-    type PacketBits = (u32, SimTime, Option<SimTime>, u32, u64, u64);
+    type PacketBits = (u32, SimTime, bool, u32, u64);
 
     fn packet_bits(train: &UdpTrain) -> Vec<PacketBits> {
         train
             .packets
             .iter()
             .map(|p| {
-                let (kbps, delay) = (p.inst_kbps.to_bits(), p.one_way_delay_ms.to_bits());
-                (p.seq, p.send_time, p.recv_time, p.size_bytes, kbps, delay)
+                let kbps = p.inst_kbps.to_bits();
+                (p.seq, p.send_time, p.received, p.size_bytes, kbps)
             })
             .collect()
+    }
+
+    fn eager_packet_bits(train: &EagerTrain) -> Vec<PacketBits> {
+        train
+            .packets
+            .iter()
+            .map(|p| {
+                let (received, kbps) = (p.recv_time.is_some(), p.inst_kbps.to_bits());
+                (p.seq, p.send_time, received, p.size_bytes, kbps)
+            })
+            .collect()
+    }
+
+    fn opt_bits(v: Option<f64>) -> Option<u64> {
+        v.map(f64::to_bits)
+    }
+
+    fn vec_bits(v: Vec<f64>) -> Vec<u64> {
+        v.into_iter().map(f64::to_bits).collect()
     }
 
     fn ping_bits(outcome: PingOutcome) -> Option<u64> {
@@ -750,19 +846,31 @@ mod tests {
     #[test]
     fn trains_match_reference_loop_bitwise() {
         let s = StreamRng::new(7).fork("probe");
-        let mut lossy = 0;
+        let (mut lossy, mut lossy_jitter) = (0, 0);
         for f in fields() {
             for p in probe_points(&f) {
                 for start in [SimTime::at(1, 9.0), SimTime::at(5, 12.5)] {
                     for kind in [TransportKind::Udp, TransportKind::Tcp] {
-                        for n in [0, 1, 60] {
+                        for n in [0, 1, 2, 60] {
                             for device in [0.0, 0.01, 0.05, 0.7, 1.0, 1.5] {
                                 let got = probe_train_with_device(
                                     &f, &s, kind, &p, start, n, 1200, device,
                                 );
                                 let want = reference_train(&f, &s, kind, &p, start, n, device);
-                                assert_eq!(packet_bits(&got), packet_bits(&want));
-                                lossy += usize::from(got.received() < got.sent());
+                                assert_eq!(packet_bits(&got), eager_packet_bits(&want));
+                                assert_eq!(got.loss_rate().to_bits(), want.loss_rate().to_bits());
+                                assert_eq!(
+                                    opt_bits(got.estimated_kbps()),
+                                    opt_bits(want.estimated_kbps())
+                                );
+                                assert_eq!(
+                                    vec_bits(got.received_kbps()),
+                                    vec_bits(want.received_kbps())
+                                );
+                                assert_eq!(opt_bits(got.jitter_ms()), opt_bits(want.jitter_ms()));
+                                let lost = got.received() < got.sent();
+                                lossy += usize::from(lost);
+                                lossy_jitter += usize::from(lost && got.jitter_ms().is_some());
                             }
                         }
                     }
@@ -770,6 +878,7 @@ mod tests {
             }
         }
         assert!(lossy > 0, "no train lost a packet");
+        assert!(lossy_jitter > 0, "no lossy train had a jitter estimate");
     }
 
     #[test]
@@ -829,6 +938,5 @@ mod tests {
         assert_eq!(train.estimated_kbps(), None);
         assert_eq!(train.jitter_ms(), None);
         assert_eq!(train.loss_rate(), 0.0);
-        assert_eq!(train.duration(), SimDuration::ZERO);
     }
 }

@@ -23,7 +23,11 @@
 # (seed 7) and diffs their hashes against results/FULL_MANIFEST.sha256:
 # a simulation kernel (the field, the tower scan, the probe engine, the
 # NKLD curve) runs many more points, probes and draws at full scale
-# than at quick, so a kernel rewrite must keep those bytes too.
+# than at quick, so a kernel rewrite must keep those bytes too. The
+# committed results/<name>.json are that full-scale run as well, so the
+# pass hashes them against the same manifest: they cannot go stale
+# unseen. (Regenerate them with
+# `repro --seed 7 --full --svg --out results`.)
 #
 # A second pass then proves the durability layer is transparent: the
 # same quick run re-executes with every channel-driven coordinator
@@ -126,6 +130,20 @@ else
         exit 1
     fi
     echo "[verify_results] OK: $(wc -l < "$full_manifest") full-scale artifacts byte-identical"
+fi
+# The committed artifacts, named by the manifest, against the same hashes.
+(cd results && awk '{print $2}' "../$full_manifest" | xargs sha256sum -- 2>/dev/null \
+    | LC_ALL=C sort -k2) > "$out.committed.manifest" || true
+if ! diff -u "$full_manifest" "$out.committed.manifest"; then
+    if [[ "${1:-}" == "--update" ]]; then
+        echo "[verify_results] NOTE: committed results/*.json differ from the new $full_manifest;" \
+            "regenerate them with repro --seed 7 --full --svg --out results" >&2
+    else
+        echo "[verify_results] FAIL: committed results/*.json drifted from $full_manifest" >&2
+        exit 1
+    fi
+else
+    echo "[verify_results] OK: $(wc -l < "$full_manifest") committed results/*.json match it"
 fi
 
 # --- crash-recover-verify pass -------------------------------------------
