@@ -70,11 +70,6 @@ pub fn run_multisim_drive(
     })
 }
 
-/// Convenience: total seconds of a run.
-pub fn total_secs(outcome: &DriveOutcome) -> f64 {
-    outcome.total.as_secs_f64()
-}
-
 /// Convenience: a single-object request list from page sizes.
 pub fn single_object_requests(sizes: &[u64]) -> Vec<Vec<u64>> {
     sizes.iter().map(|&s| vec![s]).collect()

@@ -7,7 +7,7 @@
 
 use std::collections::BTreeMap;
 
-use wiscape_core::{Coordinator, ZoneEstimate, ZoneId, ZoneIndex};
+use wiscape_core::{ZoneEstimate, ZoneId, ZoneIndex};
 use wiscape_geo::GeoPoint;
 use wiscape_simnet::NetworkId;
 use wiscape_stats::MeanSketch;
@@ -36,11 +36,6 @@ impl ZoneQualityMap {
             map: BTreeMap::new(),
             rtt: BTreeMap::new(),
         }
-    }
-
-    /// Builds the map from a coordinator's published estimates.
-    pub fn from_coordinator(coordinator: &Coordinator) -> Self {
-        Self::from_estimates(coordinator.index().clone(), &coordinator.all_published())
     }
 
     /// Builds the map from published [`ZoneEstimate`]s keyed by

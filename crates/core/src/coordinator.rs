@@ -300,13 +300,15 @@ impl Coordinator {
     }
 
     /// Installs a zone-specific epoch (e.g. from an Allan-deviation
-    /// estimate) for all networks in that zone.
+    /// estimate) for all networks in that zone. A negative epoch is
+    /// stored as zero: both roll the epoch at every check-in and report,
+    /// and the event log records epochs unsigned.
     pub fn set_zone_epoch(&mut self, zone: ZoneId, network: NetworkId, epoch: SimDuration) {
         let default_epoch = self.config.default_epoch;
         if let Some(state) = self.cells.cell_or_insert((zone, network), || {
             ZoneState::fresh(default_epoch, SimTime::EPOCH)
         }) {
-            state.epoch = epoch;
+            state.epoch = epoch.max(SimDuration::ZERO);
         }
     }
 

@@ -13,6 +13,12 @@
 //! zones** (co-location controls for the zone's true quality), as the
 //! median of per-zone mean ratios; then divide a category's samples by
 //! its scale before composing them into zone statistics.
+//!
+//! In the simulator, a category's weaker radio is
+//! [`LinkQuality::on_device`] applied to the field's means before its
+//! probe train is built; the tests here learn that factor back.
+//!
+//! [`LinkQuality::on_device`]: wiscape_simnet::LinkQuality::on_device
 
 use std::collections::BTreeMap;
 
@@ -238,15 +244,19 @@ mod tests {
             let laptop = land
                 .probe_train(NetworkId::NetB, TransportKind::Udp, &p, t, 60, 1200)
                 .unwrap();
+            let phone_t = t + wiscape_simcore::SimDuration::from_secs(30);
+            let phone_quality = land
+                .link_quality(NetworkId::NetB, &p, phone_t)
+                .unwrap()
+                .on_device(phone_factor);
             let phone = land
-                .probe_train_for_device(
+                .train_from_quality(
                     NetworkId::NetB,
                     TransportKind::Udp,
-                    &p,
-                    t + wiscape_simcore::SimDuration::from_secs(30),
+                    phone_t,
                     60,
                     1200,
-                    phone_factor,
+                    &phone_quality,
                 )
                 .unwrap();
             batches.push(CategorySamples {

@@ -490,11 +490,6 @@ impl<C: CoordinatorHandle> ShardSet<C> {
         }
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The current zone-range assignment.
     pub fn assignment(&self) -> &ShardAssignment {
         &self.assignment

@@ -40,7 +40,8 @@ pub struct Fig07 {
 /// reference distribution) and at varied offsets (temporal windows).
 fn samples_at(land: &Landscape, p: &wiscape_geo::GeoPoint, days: i64, cadence_s: i64) -> Vec<f64> {
     // All trains share the point, so the whole sweep's start times go
-    // through the batched probe path (one SoA field pass per point).
+    // through one SoA field pass, and each train is built from its
+    // start's quality.
     let mut starts = Vec::new();
     for day in 0..days {
         let mut t = SimTime::at(day, 0.0);
@@ -50,11 +51,16 @@ fn samples_at(land: &Landscape, p: &wiscape_geo::GeoPoint, days: i64, cadence_s:
             t = t + SimDuration::from_secs(cadence_s);
         }
     }
-    let trains = land
-        .probe_trains(NetworkId::NetB, TransportKind::Udp, p, &starts, 4, 1200)
-        .expect("NetB present");
+    let net = NetworkId::NetB;
+    let qualities = land
+        .field(net)
+        .expect("NetB present")
+        .link_quality_train(p, &starts);
     let mut out = Vec::new();
-    for train in &trains {
+    for (&start, quality) in starts.iter().zip(&qualities) {
+        let train = land
+            .train_from_quality(net, TransportKind::Udp, start, 4, 1200, quality)
+            .expect("NetB present");
         out.extend(train.received_kbps());
     }
     out

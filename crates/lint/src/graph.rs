@@ -9,7 +9,7 @@
 //! 1. **Indexing.** Every `fn` outside test code is indexed as a
 //!    module-path-qualified symbol (`core::coordinator::Coordinator::
 //!    ingest_samples`), with a brace-aware body extraction built on the
-//!    same [`crate::strip_source`] scanner the local rules use.
+//!    same `strip_source` scanner the local rules use.
 //! 2. **Call graph.** Each body yields call sites: bare calls resolve
 //!    to same-module functions first (then any function of that name),
 //!    path-qualified calls resolve by path-suffix match, and method

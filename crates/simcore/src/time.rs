@@ -127,11 +127,6 @@ impl SimTime {
         Self(s * MICROS_PER_SEC)
     }
 
-    /// From fractional hours since the epoch.
-    pub fn from_hours_f64(h: f64) -> Self {
-        Self((h * 3600.0 * MICROS_PER_SEC as f64).round() as i64)
-    }
-
     /// Convenience constructor: day index plus hour-of-day.
     ///
     /// `SimTime::at(3, 14.5)` is Thursday 14:30 (day 0 is Monday).

@@ -106,63 +106,15 @@ impl Landscape {
         self.fields.first().map(|f| f.coherence_time(p))
     }
 
-    /// Runs a back-to-back probe train from a device whose radio
-    /// attenuates throughput by `device_factor` (phones ≈ 0.7–0.85;
-    /// laptops/SBCs 1.0). See [`probe::probe_train_with_device`].
-    // lint:allow(S001): probe parameters mirror the wire-level probe train; a struct would obscure the 1:1 mapping.
-    #[allow(clippy::too_many_arguments)]
-    pub fn probe_train_for_device(
-        &self,
-        net: NetworkId,
-        kind: TransportKind,
-        p: &GeoPoint,
-        start: SimTime,
-        n_packets: u32,
-        size_bytes: u32,
-        device_factor: f64,
-    ) -> Result<UdpTrain, UnknownNetwork> {
-        Ok(probe::probe_train_with_device(
-            self.field(net)?,
-            &self.probe_stream.fork_idx(net.index()),
-            kind,
-            p,
-            start,
-            n_packets,
-            size_bytes,
-            device_factor,
-        ))
-    }
-
-    /// Runs one probe train per entry of `starts`, all from point `p`,
-    /// evaluating the field means as one train (see
-    /// [`probe::probe_trains`]). Each train is bitwise identical to the
-    /// corresponding [`Landscape::probe_train`] call.
-    pub fn probe_trains(
-        &self,
-        net: NetworkId,
-        kind: TransportKind,
-        p: &GeoPoint,
-        starts: &[SimTime],
-        n_packets: u32,
-        size_bytes: u32,
-    ) -> Result<Vec<UdpTrain>, UnknownNetwork> {
-        Ok(probe::probe_trains(
-            self.field(net)?,
-            &self.probe_stream.fork_idx(net.index()),
-            kind,
-            p,
-            starts,
-            n_packets,
-            size_bytes,
-        ))
-    }
-
     /// Builds a probe train from field means the caller already
     /// evaluated at the train's point and start time (see
     /// [`probe::train_from_quality`]): bitwise the train
     /// [`Landscape::probe_train`] sends from that point at `start`, when
     /// `quality` is [`Landscape::link_quality`] there. A round's TCP and
-    /// UDP trains share one evaluation this way.
+    /// UDP trains share one evaluation this way, a sweep of one point
+    /// over many start times evaluates it through
+    /// [`NetworkField::link_quality_train`], and a device with a weaker
+    /// radio passes [`LinkQuality::on_device`].
     pub fn train_from_quality(
         &self,
         net: NetworkId,
@@ -179,12 +131,14 @@ impl Landscape {
             start,
             n_packets,
             size_bytes,
-            1.0,
             quality,
         ))
     }
 
-    /// Runs a back-to-back probe train (see [`probe::probe_train`]).
+    /// Runs a back-to-back probe train from `p` at `start`: the field
+    /// evaluated there once, then [`probe::train_from_quality`]. A train
+    /// lasts a few seconds at most, far below the drift and diurnal time
+    /// scales, so one evaluation serves every packet.
     pub fn probe_train(
         &self,
         net: NetworkId,
@@ -194,14 +148,15 @@ impl Landscape {
         n_packets: u32,
         size_bytes: u32,
     ) -> Result<UdpTrain, UnknownNetwork> {
-        Ok(probe::probe_train(
-            self.field(net)?,
+        let field = self.field(net)?;
+        Ok(probe::train_from_quality(
+            field,
             &self.probe_stream.fork_idx(net.index()),
             kind,
-            p,
             start,
             n_packets,
             size_bytes,
+            &field.link_quality(p, start),
         ))
     }
 
@@ -282,19 +237,30 @@ mod tests {
 
     #[test]
     fn batched_probe_trains_match_scalar_calls() {
-        let land = Landscape::new(LandscapeConfig::madison(5));
-        let p = land.origin().destination(0.8, 2100.0);
-        let starts: Vec<SimTime> = (0..10)
-            .map(|k| SimTime::at(2, 9.0) + SimDuration::from_mins(k * 13))
-            .collect();
-        let batched = land
-            .probe_trains(NetworkId::NetB, TransportKind::Udp, &p, &starts, 6, 1200)
-            .unwrap();
-        for (start, train) in starts.iter().zip(&batched) {
-            let scalar = land
-                .probe_train(NetworkId::NetB, TransportKind::Udp, &p, *start, 6, 1200)
-                .unwrap();
-            assert_eq!(train.packets, scalar.packets);
+        // fig07's sweep: one field pass over every start time, then one
+        // train per start built from its quality.
+        let jitter = |train: &UdpTrain| train.jitter_ms().map(f64::to_bits);
+        for (seed, n_starts, step_mins, n_packets) in [(5, 10, 13, 6), (7, 25, 11, 8)] {
+            let land = Landscape::new(LandscapeConfig::madison(seed));
+            let p = land.origin().destination(0.8, 2100.0);
+            let starts: Vec<SimTime> = (0..n_starts)
+                .map(|k| SimTime::at(2, 9.0) + SimDuration::from_mins(k * step_mins))
+                .collect();
+            for net in land.networks() {
+                let qualities = land.field(net).unwrap().link_quality_train(&p, &starts);
+                for kind in [TransportKind::Udp, TransportKind::Tcp] {
+                    for (&start, quality) in starts.iter().zip(&qualities) {
+                        let swept = land
+                            .train_from_quality(net, kind, start, n_packets, 1200, quality)
+                            .unwrap();
+                        let scalar = land
+                            .probe_train(net, kind, &p, start, n_packets, 1200)
+                            .unwrap();
+                        assert_eq!(swept.packets, scalar.packets);
+                        assert_eq!(jitter(&swept), jitter(&scalar));
+                    }
+                }
+            }
         }
     }
 

@@ -7,6 +7,11 @@
 //! probes are reproducible and independent of call order. That is what
 //! lets a train draw a packet's one-way delay only when its jitter is
 //! read: the draw on demand is the draw the packet loop would have made.
+//!
+//! Every probe train is built by [`train_from_quality`] from field means
+//! evaluated once at the train's point and start time;
+//! [`LinkQuality::on_device`] attenuates those means for a device with a
+//! weaker radio.
 
 use serde::{Deserialize, Serialize};
 use wiscape_geo::GeoPoint;
@@ -23,15 +28,13 @@ pub enum TransportKind {
     Udp,
 }
 
-/// One probe packet as logged by the client.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// One probe packet as logged by the client. Its sequence number is its
+/// index in [`UdpTrain::packets`], and its payload size is the train's
+/// packet size.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PacketSample {
-    /// Sequence number within the train.
-    pub seq: u32,
     /// When the packet was sent.
     pub send_time: SimTime,
-    /// Payload size in bytes.
-    pub size_bytes: u32,
     /// Instantaneous throughput this packet observed, kbit/s
     /// (meaningless if lost).
     pub inst_kbps: f64,
@@ -47,12 +50,10 @@ pub struct PacketSample {
 /// delay the packet loop would have drawn.
 #[derive(Debug, Clone)]
 pub struct UdpTrain {
-    /// Transport used.
-    pub kind: TransportKind,
-    /// Per-packet records.
+    /// Per-packet records, in sequence order.
     pub packets: Vec<PacketSample>,
-    /// The train's stream node; packet `seq` sent at `t` draws from
-    /// `node.fork_idx(t).fork_idx(seq)`.
+    /// The train's stream node; packet `seq` (its index in `packets`),
+    /// sent at `t`, draws from `node.fork_idx(t).fork_idx(seq)`.
     node: StreamRng,
     /// Mean round-trip time of the field at the train's start, ms.
     rtt_ms: f64,
@@ -109,8 +110,9 @@ impl UdpTrain {
         for d in self
             .packets
             .iter()
-            .filter(|p| p.received)
-            .map(|p| self.one_way_delay_ms(p))
+            .enumerate()
+            .filter(|(_, p)| p.received)
+            .map(|(seq, p)| self.one_way_delay_ms(seq, p.send_time))
         {
             if let Some(prev) = prev {
                 sum += (d - prev).abs();
@@ -121,12 +123,13 @@ impl UdpTrain {
         (pairs > 0).then(|| sum / pairs as f64)
     }
 
-    /// One-way delay packet `p` of this train experienced, ms.
-    fn one_way_delay_ms(&self, p: &PacketSample) -> f64 {
+    /// One-way delay packet `seq` of this train, sent at `send_time`,
+    /// experienced, ms.
+    fn one_way_delay_ms(&self, seq: usize, send_time: SimTime) -> f64 {
         let node = self
             .node
-            .fork_idx(p.send_time.as_micros() as u64)
-            .fork_idx(p.seq as u64);
+            .fork_idx(send_time.as_micros() as u64)
+            .fork_idx(seq as u64);
         (self.rtt_ms / 2.0 + self.jitter_sigma * std_normal(node.fork("delay"))).max(0.1)
     }
 }
@@ -207,96 +210,44 @@ fn unit(node: StreamRng) -> f64 {
     node.draw_unit_f64()
 }
 
+impl LinkQuality {
+    /// This quality as seen by a device whose radio front-end attenuates
+    /// deliverable throughput by `factor`: `tcp_kbps` and `udp_kbps`
+    /// multiplied by `factor` clamped to `[0.05, 1]`, the rest unchanged
+    /// (phones ≈ 0.7–0.85; laptops and SBCs 1). The paper (§3.3) notes
+    /// that phones, with their constrained antennas, cannot be composed
+    /// with laptop measurements without normalization; a train built
+    /// from this quality is what makes that heterogeneity exist in the
+    /// simulation, so the normalizer (`wiscape-core::normalize`) has
+    /// something to learn.
+    pub fn on_device(self, factor: f64) -> Self {
+        let factor = factor.clamp(0.05, 1.0);
+        Self {
+            tcp_kbps: factor * self.tcp_kbps,
+            udp_kbps: factor * self.udp_kbps,
+            ..self
+        }
+    }
+}
+
 /// Sends a train of `n_packets` back-to-back probe packets of
-/// `size_bytes` each over `kind`, starting at `start` from point `p`.
+/// `size_bytes` each over `kind`, starting at `start`, from field means
+/// already evaluated at the train's point and start time: the one
+/// probe-train builder. [`Landscape::probe_train`] evaluates the field
+/// and calls it; a caller that sends several trains from one point and
+/// time (a round's TCP and UDP trains), or sweeps one point over many
+/// start times ([`NetworkField::link_quality_train`]), evaluates the
+/// field once and builds each train here. A device with a weaker radio
+/// passes [`LinkQuality::on_device`].
 ///
 /// Each packet observes an instantaneous throughput drawn log-normally
-/// around the field mean with the network's per-packet `fine_cv`; its
-/// arrival spacing follows from that rate, so the train's duration is
-/// consistent with its measured throughput.
-pub fn probe_train(
-    field: &NetworkField,
-    stream: &StreamRng,
-    kind: TransportKind,
-    p: &GeoPoint,
-    start: SimTime,
-    n_packets: u32,
-    size_bytes: u32,
-) -> UdpTrain {
-    probe_train_with_device(field, stream, kind, p, start, n_packets, size_bytes, 1.0)
-}
-
-/// [`probe_train`] for a device whose radio front-end attenuates
-/// deliverable throughput by `device_factor` (≤ 1). The paper (§3.3)
-/// notes that phones, with their constrained antennas, cannot be
-/// composed with laptop measurements without normalization — this hook
-/// is what makes that heterogeneity exist in the simulation so the
-/// normalizer (`wiscape-core::normalize`) has something to learn.
-// lint:allow(S001): probe parameters mirror the wire-level probe train; a struct would obscure the 1:1 mapping.
-#[allow(clippy::too_many_arguments)]
-pub fn probe_train_with_device(
-    field: &NetworkField,
-    stream: &StreamRng,
-    kind: TransportKind,
-    p: &GeoPoint,
-    start: SimTime,
-    n_packets: u32,
-    size_bytes: u32,
-    device_factor: f64,
-) -> UdpTrain {
-    // A train lasts a few seconds at most — far below the drift and
-    // diurnal time scales — so evaluate the field means once.
-    let quality = field.link_quality(p, start);
-    train_from_quality(
-        field,
-        stream,
-        kind,
-        start,
-        n_packets,
-        size_bytes,
-        device_factor,
-        &quality,
-    )
-}
-
-/// Generates one probe train per entry of `starts`, all from point `p`,
-/// evaluating the field means through
-/// [`NetworkField::link_quality_train`]. Each returned train is bitwise
-/// identical to [`probe_train`] called with the matching start time
-/// (packet randomness is keyed by send times only, and the train's field
-/// means are bitwise identical to per-time evaluation).
-pub fn probe_trains(
-    field: &NetworkField,
-    stream: &StreamRng,
-    kind: TransportKind,
-    p: &GeoPoint,
-    starts: &[SimTime],
-    n_packets: u32,
-    size_bytes: u32,
-) -> Vec<UdpTrain> {
-    starts
-        .iter()
-        .zip(field.link_quality_train(p, starts))
-        .map(|(start, quality)| {
-            train_from_quality(
-                field, stream, kind, *start, n_packets, size_bytes, 1.0, &quality,
-            )
-        })
-        .collect()
-}
-
-/// Generates the packet records of one train of `kind` starting at
-/// `start` from field means already evaluated at the train's point and
-/// start time — the shared tail of [`probe_train_with_device`] and
-/// [`probe_trains`]. A caller that sends several trains from one point
-/// and time (a round's TCP and UDP trains) evaluates the field once and
-/// builds each train here.
+/// around the field mean with the network's per-packet `fine_cv`, and
+/// draws its loss; its one-way delay is drawn only if
+/// [`UdpTrain::jitter_ms`] asks for it. The next packet leaves when this
+/// one's wire time at its observed rate has passed, so the train's
+/// duration is consistent with its measured throughput.
 ///
-/// Each packet draws its throughput and its loss; its one-way delay is
-/// drawn only if [`UdpTrain::jitter_ms`] asks for it. The next packet
-/// leaves when this one's wire time at its observed rate has passed.
-// lint:allow(S001): probe parameters mirror the wire-level probe train; a struct would obscure the 1:1 mapping.
-#[allow(clippy::too_many_arguments)]
+/// [`Landscape::probe_train`]: crate::Landscape::probe_train
 pub fn train_from_quality(
     field: &NetworkField,
     stream: &StreamRng,
@@ -304,7 +255,6 @@ pub fn train_from_quality(
     start: SimTime,
     n_packets: u32,
     size_bytes: u32,
-    device_factor: f64,
     quality: &LinkQuality,
 ) -> UdpTrain {
     let params = field.params();
@@ -318,12 +268,10 @@ pub fn train_from_quality(
     let tput = UnitMeanLogNormal::new(cv);
     let mut packets = Vec::with_capacity(n_packets as usize);
     let mut send_time = start;
-    let device_factor = device_factor.clamp(0.05, 1.0);
-    let mean_kbps = device_factor
-        * match kind {
-            TransportKind::Tcp => quality.tcp_kbps,
-            TransportKind::Udp => quality.udp_kbps,
-        };
+    let mean_kbps = match kind {
+        TransportKind::Tcp => quality.tcp_kbps,
+        TransportKind::Udp => quality.udp_kbps,
+    };
     let loss_rate = quality.loss_rate;
     for seq in 0..n_packets {
         let t = send_time;
@@ -332,9 +280,7 @@ pub fn train_from_quality(
             (mean_kbps * tput.draw(packet.fork("tput"))).clamp(1.0, params.id.max_downlink_kbps());
         let lost = unit(packet.fork("loss")) < loss_rate;
         packets.push(PacketSample {
-            seq,
             send_time: t,
-            size_bytes,
             inst_kbps,
             received: !lost,
         });
@@ -343,7 +289,6 @@ pub fn train_from_quality(
         send_time = t + SimDuration::from_secs_f64(wire_ms / 1000.0);
     }
     UdpTrain {
-        kind,
         packets,
         node,
         rtt_ms: quality.rtt_ms,
@@ -441,13 +386,27 @@ mod tests {
         c
     }
 
+    /// The train [`crate::Landscape::probe_train`] sends from `p` at
+    /// `start`: the field evaluated there once, 1,200-byte packets.
+    fn train_at(
+        field: &NetworkField,
+        stream: &StreamRng,
+        kind: TransportKind,
+        p: &GeoPoint,
+        start: SimTime,
+        n_packets: u32,
+    ) -> UdpTrain {
+        let quality = field.link_quality(p, start);
+        train_from_quality(field, stream, kind, start, n_packets, 1200, &quality)
+    }
+
     #[test]
     fn train_is_deterministic() {
         let (f, s) = setup();
         let p = healthy_point(&f);
         let t = SimTime::at(2, 10.0);
-        let a = probe_train(&f, &s, TransportKind::Udp, &p, t, 50, 1200);
-        let b = probe_train(&f, &s, TransportKind::Udp, &p, t, 50, 1200);
+        let a = train_at(&f, &s, TransportKind::Udp, &p, t, 50);
+        let b = train_at(&f, &s, TransportKind::Udp, &p, t, 50);
         assert_eq!(a.packets, b.packets);
     }
 
@@ -457,7 +416,7 @@ mod tests {
         let p = healthy_point(&f);
         let t = SimTime::at(2, 10.0);
         let truth = f.link_quality(&p, t).udp_kbps;
-        let train = probe_train(&f, &s, TransportKind::Udp, &p, t, 400, 1200);
+        let train = train_at(&f, &s, TransportKind::Udp, &p, t, 400);
         let est = train.estimated_kbps().unwrap();
         assert!(
             (est - truth).abs() / truth < 0.05,
@@ -474,24 +433,8 @@ mod tests {
         for k in 0..40 {
             let t = SimTime::at(2, 8.0) + SimDuration::from_mins(k * 7);
             let truth = f.link_quality(&p, t).udp_kbps;
-            let small = probe_train(
-                &f,
-                &s.fork_idx(k as u64),
-                TransportKind::Udp,
-                &p,
-                t,
-                5,
-                1200,
-            );
-            let large = probe_train(
-                &f,
-                &s.fork_idx(k as u64),
-                TransportKind::Udp,
-                &p,
-                t,
-                150,
-                1200,
-            );
+            let small = train_at(&f, &s.fork_idx(k as u64), TransportKind::Udp, &p, t, 5);
+            let large = train_at(&f, &s.fork_idx(k as u64), TransportKind::Udp, &p, t, 150);
             err_small += ((small.estimated_kbps().unwrap() - truth) / truth).abs();
             err_large += ((large.estimated_kbps().unwrap() - truth) / truth).abs();
         }
@@ -506,7 +449,7 @@ mod tests {
         let (f, s) = setup();
         let p = healthy_point(&f);
         let t = SimTime::at(2, 10.0);
-        let train = probe_train(&f, &s, TransportKind::Udp, &p, t, 600, 1200);
+        let train = train_at(&f, &s, TransportKind::Udp, &p, t, 600);
         let est = train.jitter_ms().unwrap();
         let truth = f.link_quality(&p, t).jitter_ms;
         assert!(
@@ -519,15 +462,7 @@ mod tests {
     fn loss_is_rare_on_healthy_paths() {
         let (f, s) = setup();
         let p = healthy_point(&f);
-        let train = probe_train(
-            &f,
-            &s,
-            TransportKind::Udp,
-            &p,
-            SimTime::at(1, 9.0),
-            1000,
-            1200,
-        );
+        let train = train_at(&f, &s, TransportKind::Udp, &p, SimTime::at(1, 9.0), 1000);
         assert!(train.loss_rate() < 0.01, "loss {}", train.loss_rate());
     }
 
@@ -536,7 +471,7 @@ mod tests {
         let (f, s) = setup();
         let p = healthy_point(&f);
         let t = SimTime::at(2, 10.0);
-        let train = probe_train(&f, &s, TransportKind::Tcp, &p, t, 300, 1200);
+        let train = train_at(&f, &s, TransportKind::Tcp, &p, t, 300);
         let est = train.estimated_kbps().unwrap();
         let truth = f.link_quality(&p, t).tcp_kbps;
         assert!(
@@ -609,21 +544,6 @@ mod tests {
             })
             .count();
         assert!(lost > 10, "expected frequent failures, got {lost}/500");
-    }
-
-    #[test]
-    fn batched_trains_match_scalar_trains_bitwise() {
-        let (f, s) = setup();
-        let p = healthy_point(&f);
-        let starts: Vec<SimTime> = (0..25)
-            .map(|k| SimTime::at(2, 9.0) + SimDuration::from_mins(k * 11))
-            .collect();
-        let batched = probe_trains(&f, &s, TransportKind::Udp, &p, &starts, 8, 1200);
-        assert_eq!(batched.len(), starts.len());
-        for (start, train) in starts.iter().zip(&batched) {
-            let scalar = probe_train(&f, &s, TransportKind::Udp, &p, *start, 8, 1200);
-            assert_eq!(train.packets, scalar.packets);
-        }
     }
 
     /// The per-call log-normal [`UnitMeanLogNormal`] replaced.
@@ -707,7 +627,9 @@ mod tests {
         }
     }
 
-    /// The eager [`probe_train_with_device`], for 1,200-byte packets.
+    /// The eager train builder [`train_from_quality`] replaced, for
+    /// 1,200-byte packets: it evaluated the field itself, drew every
+    /// delay in the loop and took the device factor as a parameter.
     fn reference_train(
         field: &NetworkField,
         stream: &StreamRng,
@@ -785,15 +707,18 @@ mod tests {
         }
     }
 
+    /// A packet's sequence number, send time, arrival, payload size and
+    /// throughput bits.
     type PacketBits = (u32, SimTime, bool, u32, u64);
 
-    fn packet_bits(train: &UdpTrain) -> Vec<PacketBits> {
-        train
-            .packets
-            .iter()
-            .map(|p| {
+    /// A train's packets, each numbered by its index and sized by the
+    /// train's packet size.
+    fn packet_bits(train: &UdpTrain, size_bytes: u32) -> Vec<PacketBits> {
+        (0u32..)
+            .zip(&train.packets)
+            .map(|(seq, p)| {
                 let kbps = p.inst_kbps.to_bits();
-                (p.seq, p.send_time, p.received, p.size_bytes, kbps)
+                (seq, p.send_time, p.received, size_bytes, kbps)
             })
             .collect()
     }
@@ -853,11 +778,11 @@ mod tests {
                     for kind in [TransportKind::Udp, TransportKind::Tcp] {
                         for n in [0, 1, 2, 60] {
                             for device in [0.0, 0.01, 0.05, 0.7, 1.0, 1.5] {
-                                let got = probe_train_with_device(
-                                    &f, &s, kind, &p, start, n, 1200, device,
-                                );
+                                let quality = f.link_quality(&p, start).on_device(device);
+                                let got =
+                                    train_from_quality(&f, &s, kind, start, n, 1200, &quality);
                                 let want = reference_train(&f, &s, kind, &p, start, n, device);
-                                assert_eq!(packet_bits(&got), eager_packet_bits(&want));
+                                assert_eq!(packet_bits(&got, 1200), eager_packet_bits(&want));
                                 assert_eq!(got.loss_rate().to_bits(), want.loss_rate().to_bits());
                                 assert_eq!(
                                     opt_bits(got.estimated_kbps()),
@@ -930,10 +855,15 @@ mod tests {
     }
 
     #[test]
+    fn packet_record_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<PacketSample>(), 24);
+    }
+
+    #[test]
     fn empty_train_edge_cases() {
         let (f, s) = setup();
         let p = healthy_point(&f);
-        let train = probe_train(&f, &s, TransportKind::Udp, &p, SimTime::EPOCH, 0, 1200);
+        let train = train_at(&f, &s, TransportKind::Udp, &p, SimTime::EPOCH, 0);
         assert_eq!(train.sent(), 0);
         assert_eq!(train.estimated_kbps(), None);
         assert_eq!(train.jitter_ms(), None);

@@ -328,7 +328,7 @@ pub struct ScanSummary {
 /// (records before `skip` are decoded for integrity but not delivered —
 /// they are covered by a snapshot). `Ingest` samples stay inside the
 /// read window, so replay folds them without a per-record allocation.
-/// Each segment is read in windows of [`SCAN_BYTES`], so a scan holds
+/// Each segment is read in windows of `SCAN_BYTES` (1 MiB), so a scan holds
 /// one window (grown only to fit a record that is larger), however
 /// large the segment.
 ///

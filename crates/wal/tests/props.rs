@@ -60,7 +60,7 @@ enum Op {
         col: i32,
         row: i32,
         net: u8,
-        mins: u32,
+        mins: i32,
     },
     Flush,
     /// A zone-range handoff: take every cell up to `(col, row)` out of
@@ -100,7 +100,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
         (any::<u32>(), any::<u64>()),
         (42.99..43.15f64, -89.55..-89.25f64),
         (-6..6i32, -6..6i32),
-        ((any::<u8>(), 0.0..1.0f64), (1..200u32, 1..120u32)),
+        ((any::<u8>(), 0.0..1.0f64), (1..200u32, -120..120i32)),
         prop::collection::vec(0.0..2000.0f64, 0..6),
     )
         .prop_map(

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # The full local CI gate: formatting, clippy (warnings are errors),
-# wiscape-lint (determinism & soundness rules — local and transitive
+# rustdoc (warnings are errors, so a doc link to a deleted or private
+# item fails), wiscape-lint (determinism & soundness rules — local and transitive
 # call-graph proofs; report committed to results/LINT_report.json, call
 # graph written to results/CALLGRAPH.json, which is git-ignored and
 # uploaded as a CI artifact instead), the tests of every workspace
@@ -26,6 +27,9 @@ cargo fmt --all -- --check
 
 echo "== cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== cargo doc -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "== wiscape-lint (local + call-graph rules)"
 cargo run -q -p lint -- --quiet --report results/LINT_report.json \

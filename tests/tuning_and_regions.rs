@@ -91,15 +91,19 @@ fn phone_samples_normalize_into_laptop_units() {
         let laptop = land
             .probe_train(NetworkId::NetC, TransportKind::Udp, &p, t, 80, 1200)
             .unwrap();
+        let phone_t = t + SimDuration::from_secs(20);
+        let phone_quality = land
+            .link_quality(NetworkId::NetC, &p, phone_t)
+            .unwrap()
+            .on_device(factor);
         let phone = land
-            .probe_train_for_device(
+            .train_from_quality(
                 NetworkId::NetC,
                 TransportKind::Udp,
-                &p,
-                t + SimDuration::from_secs(20),
+                phone_t,
                 80,
                 1200,
-                factor,
+                &phone_quality,
             )
             .unwrap();
         for (cat, train) in [
